@@ -22,9 +22,8 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .channels import MarginalCell
 from .diffraction import DiffractionGeometry, rate_bounds, tau_extrema
@@ -44,13 +43,13 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
         "p0": 0.5, "z0-mod": 0.0, "z0-phase-deg": 0.0,
         "z1-mod": 1.0, "z1-phase-deg": 0.0,
         "n": None, "nth": 0.0, "transmitter": "both",
-        "dim": None, "quad-order": 20, "threads": 0,
+        "dim": None, "quad-order": 20, "threads": None,
         "out": None, "format": "csv",
     },
     "gain-map": {
         "p0": 0.5, "z0-grid": "0", "z1-grid": "1",
         "n-grid": None, "nth-grid": None,
-        "dim": 30, "quad-order": 20, "threads": 0,
+        "dim": 30, "quad-order": 20, "threads": None,
         "out": None, "format": "csv",
     },
     "diffraction": {
@@ -58,7 +57,7 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
         "z1-mod": 1.0, "z1-phase-deg": 0.0,
         "n": 0.1, "nth": 1.0, "lxr-grid": None, "d-over-ell": 1.0,
         "grid-size": 4096, "both-sides": False,
-        "dim": None, "quad-order": 20, "threads": 0,
+        "dim": None, "quad-order": 20, "threads": None,
         "out": None, "format": "csv",
     },
 }
@@ -111,6 +110,8 @@ def _validate_grid(name: str, values: Sequence[float]) -> list[float]:
     vals = list(values)
     if not vals:
         raise ConfigError(f"{name}: grid is empty")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{name}: grid values must be finite")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError(f"{name}: grid must be strictly increasing")
     return vals
@@ -134,7 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--dim", type=int, help="Fock truncation per mode")
         p.add_argument("--quad-order", type=int, help="Gauss-Hermite order")
-        p.add_argument("--threads", type=int, help="worker threads (0 = auto)")
+        p.add_argument("--threads", type=int,
+                       help="deprecated and ignored; computation is serial")
 
     p_rate = sub.add_parser("rate", help="rates for a single configuration")
     common(p_rate)
@@ -200,17 +202,9 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
                     merged[key] = caster(merged[key])
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key!r}: {merged[key]!r}") from exc
+        if isinstance(merged.get(key), float) and not math.isfinite(merged[key]):
+            raise ConfigError(f"{key!r} must be finite, got {merged[key]!r}")
     return merged
-
-
-def _pool_map(func: Callable[[Any], dict[str, Any]], items: Sequence[Any],
-              threads: int) -> list[dict[str, Any]]:
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads == 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +259,7 @@ def cmd_gain_map(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     dim = int(cfg["dim"])
     quad = int(cfg["quad-order"])
 
-    points = [(z0, z1, n, nth) for z0 in z0s for z1 in z1s for n in ns for nth in nths]
-
-    def one(point: tuple[float, float, float, float]) -> dict[str, Any]:
-        z0, z1, n, nth = point
+    def one(z0: float, z1: float, n: float, nth: float) -> dict[str, Any]:
         res = gains(MarginalCell.binary(p0, z0, z1), n, nth, dim, quad)
         return {
             "p0": p0, "z0": z0, "z1": z1, "n": n, "n_th": nth,
@@ -277,7 +268,7 @@ def cmd_gain_map(cfg: dict[str, Any]) -> list[dict[str, Any]]:
             "gain_absolute": res.absolute, "gain_relative": res.relative,
         }
 
-    return _pool_map(one, points, int(cfg["threads"]))
+    return [one(z0, z1, n, nth) for z0 in z0s for z1 in z1s for n in ns for nth in nths]
 
 
 def cmd_diffraction(cfg: dict[str, Any]) -> list[dict[str, Any]]:
@@ -292,41 +283,26 @@ def cmd_diffraction(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     both_sides = bool(cfg["both-sides"])
     ratios = _validate_grid("lxr-grid", parse_grid(cfg["lxr-grid"]))
     cell = MarginalCell.binary(p0, z0, z1)
-
-    # bound rates depend on tau only; memoize across sweep points
-    from .rates import rate_after_attenuation
-
-    cache: dict[tuple[str, float], float] = {}
-
-    def bound_rate(kind: str, tau: float) -> float:
-        key = (kind, round(tau, 12))
-        if key not in cache:
-            tx = TransmitterSpec.coherent(n) if kind == "coherent" else TransmitterSpec.epr(n)
-            cache[key] = rate_after_attenuation(
-                cell, tx, nth, tau, cfg["dim"], quad,
-                attenuate_idler=both_sides).rate_bits
-        return cache[key]
+    txs = {"coherent": TransmitterSpec.coherent(n), "epr": TransmitterSpec.epr(n)}
 
     def one(ratio: float) -> dict[str, Any]:
         geom = DiffractionGeometry.from_ratios(ratio, d_over_ell)
-        tau_min, tau_max = tau_extrema(geom, grid_size)
+        tau_min, tau_max = tau_extrema(geom, grid_size)  # memoised; shared with rate_bounds
         row = {
             "p0": p0, "z0_mod": float(cfg["z0-mod"]), "z0_phase_deg": float(cfg["z0-phase-deg"]),
             "z1_mod": float(cfg["z1-mod"]), "z1_phase_deg": float(cfg["z1-phase-deg"]),
             "n": n, "n_th": nth, "d_over_ell": d_over_ell,
             "ell_over_xr": ratio, "quad_order": quad,
             "tau_min": tau_min, "tau_max": tau_max,
-            "coherent_lower": bound_rate("coherent", tau_min),
-            "coherent_upper": bound_rate("coherent", tau_max),
-            "epr_lower": bound_rate("epr", tau_min),
-            "epr_upper": bound_rate("epr", tau_max),
         }
-        for kind in ("coherent", "epr"):
-            if row[f"{kind}_lower"] > row[f"{kind}_upper"] + 1e-9:
-                raise QReadingError(f"{kind} lower bound exceeds upper at {ratio}")
+        for kind, tx in txs.items():
+            bounds = rate_bounds(cell, tx, geom, nth, cfg["dim"], quad, grid_size,
+                                 both_sides)
+            row[f"{kind}_lower"] = bounds.lower_bits
+            row[f"{kind}_upper"] = bounds.upper_bits
         return row
 
-    return _pool_map(one, ratios, int(cfg["threads"]))
+    return [one(ratio) for ratio in ratios]
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +336,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args.command, args)
+        if cfg["threads"] is not None:
+            log.warning("--threads is deprecated and ignored: computation is "
+                        "serial; limit BLAS threads with OPENBLAS_NUM_THREADS")
         log.info("running %s with %s", args.command, cfg)
         runner = {"rate": cmd_rate, "gain-map": cmd_gain_map,
                   "diffraction": cmd_diffraction}[args.command]
         rows = runner(cfg)
         text = render(rows, cfg["format"])
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # out-of-domain input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QReadingError as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -244,21 +245,24 @@ def toeplitz_spectrum(geom: DiffractionGeometry,
     z_grid = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=True)
     samples = np.array([toeplitz_symbol(geom, z) for z in z_grid])
 
-    # candidate points: grid plus the window-edge breakpoints, straddled
+    # candidate points: grid plus the window-edge breakpoints, straddled;
+    # the stable merge keeps a grid point ahead of an equal edge point
     ratio = geom.ell_over_xr
-    candidates = list(z_grid)
     edges = []
     for m in range(math.floor(ratio) - 1, math.ceil(ratio) + 2):
         edges.append(m - ratio)      # lower window edge lands in [0, 1]
     for m in range(-math.ceil(ratio) - 1, -math.floor(ratio) + 2):
         edges.append(m + ratio)      # upper window edge lands in [0, 1]
+    extra = []
     for edge in edges:
         for off in (-1e-9, 0.0, 1e-9):
             zz = 2.0 * math.pi * (edge + off)
             if 0.0 <= zz <= 2.0 * math.pi:
-                candidates.append(zz)
-    cand = np.array(sorted(candidates))
-    vals = np.array([toeplitz_symbol(geom, z) for z in cand])
+                extra.append(zz)
+    cand = np.concatenate((z_grid, extra))
+    vals = np.concatenate((samples, [toeplitz_symbol(geom, z) for z in extra]))
+    order = np.argsort(cand, kind="stable")
+    cand, vals = cand[order], vals[order]
 
     def polish(idx: int, sign: float) -> float:
         lo = cand[max(idx - 1, 0)]
@@ -280,9 +284,14 @@ def toeplitz_spectrum(geom: DiffractionGeometry,
                             math.sqrt(f_min), math.sqrt(min(f_max, 1.0)))
 
 
+@lru_cache(maxsize=256)
 def tau_extrema(geom: DiffractionGeometry,
                 grid_size: int = 4096) -> tuple[float, float]:
-    """Extreme amplitude attenuations (tau_min, tau_max) of the optics."""
+    """Extreme amplitude attenuations (tau_min, tau_max) of the optics.
+
+    Memoised per process: a sweep that asks again for the same geometry
+    reuses the spectrum search.
+    """
     spec = toeplitz_spectrum(geom, grid_size)
     return spec.tau_min, spec.tau_max
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
@@ -253,11 +254,16 @@ def concavity_scan(cell: MarginalCell, n_grid: Sequence[float], n_th: float,
     return ConcavityReport(grid, rates, second, float(second[k]), float(grid[k + 1]))
 
 
+@lru_cache(maxsize=256)
 def rate_after_attenuation(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
                            tau: float, dim: int | None = None,
                            quad_order: int = DEFAULT_QUAD_ORDER,
                            attenuate_idler: bool = False) -> RateResult:
-    """Holevo rate with every cell channel composed with a tau-attenuator."""
+    """Holevo rate with every cell channel composed with a tau-attenuator.
+
+    Memoised per process: bound sweeps meet the same tau (tau_max = 1 at
+    d = ell) at many ratios and compute each rate once.
+    """
     composed = MarginalCell(
         cell.probs,
         tuple(compose_with_attenuator(ChannelParams(z, n_th), tau).z

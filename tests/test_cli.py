@@ -1,9 +1,18 @@
 """Command-line interface: parsing, config merging, output formats, errors."""
 
 import json
+import logging
 
 import pytest
 
+from qreading import (
+    DiffractionGeometry,
+    MarginalCell,
+    TransmitterSpec,
+    rate_bounds,
+    rates,
+    tau_extrema,
+)
 from qreading.cli import main, parse_grid
 from qreading.errors import ConfigError
 
@@ -178,3 +187,92 @@ class TestDiffractionCommand:
         code, _, err = run(capsys, "diffraction")
         assert code == 2
         assert "lxr-grid" in err
+
+
+class TestThinShell:
+    """The diffraction command is a serial loop over the library's rate_bounds."""
+
+    ARGS = ("diffraction", "--lxr-grid", "0.6:1.6:3", "--n", "0.1", "--nth", "0.5",
+            "--dim", "8", "--quad-order", "8", "--grid-size", "1024")
+
+    @pytest.mark.parametrize("extra", [(), ("--d-over-ell", "0.6"), ("--both-sides",)])
+    def test_rows_equal_rate_bounds(self, capsys, extra):
+        code, out, _ = run(capsys, *self.ARGS, *extra)
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 3
+        # recompute from cold caches, so equality does not come from a cache hit
+        rates.rate_after_attenuation.cache_clear()
+        tau_extrema.cache_clear()
+        cell = MarginalCell.binary(0.5, 0.0, 1.0)
+        for row in rows:
+            geom = DiffractionGeometry.from_ratios(float(row["ell_over_xr"]),
+                                                   float(row["d_over_ell"]))
+            for kind, tx in (("coherent", TransmitterSpec.coherent(0.1)),
+                             ("epr", TransmitterSpec.epr(0.1))):
+                bounds = rate_bounds(cell, tx, geom, 0.5, dim=8, quad_order=8,
+                                     grid_size=1024,
+                                     attenuate_idler="--both-sides" in extra)
+                assert row["tau_min"] == f"{bounds.tau_min:.12g}"
+                assert row["tau_max"] == f"{bounds.tau_max:.12g}"
+                assert row[f"{kind}_lower"] == f"{bounds.lower_bits:.12g}"
+                assert row[f"{kind}_upper"] == f"{bounds.upper_bits:.12g}"
+
+    def test_one_rate_per_distinct_tau(self, capsys, monkeypatch):
+        calls = []
+        real = rates.holevo_rate
+
+        def counted(cell, tx, *args, **kwargs):
+            calls.append(tx.kind)
+            return real(cell, tx, *args, **kwargs)
+
+        monkeypatch.setattr(rates, "holevo_rate", counted)
+        rates.rate_after_attenuation.cache_clear()
+        tau_extrema.cache_clear()
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == 0
+        rows = parse_csv(out)
+        taus = {(kind, row[col]) for row in rows for kind in ("coherent", "epr")
+                for col in ("tau_min", "tau_max")}
+        # tau_max = 1 at every ratio when d = ell, so rates repeat across rows
+        assert len(calls) == len(taus) < 4 * len(rows)
+        assert tau_extrema.cache_info().misses == len(rows)
+
+
+class TestThreadsDeprecated:
+    def test_any_value_accepted_and_warned(self, capsys, caplog):
+        with caplog.at_level(logging.WARNING, logger="qreading"):
+            code, out, _ = run(capsys, "gain-map", "--n-grid", "0.1,0.2",
+                               "--nth-grid", "0", "--dim", "12", "--threads", "-3")
+        assert code == 0
+        assert len(parse_csv(out)) == 2
+        warned = [r for r in caplog.records if "deprecated" in r.getMessage()]
+        assert len(warned) == 1 and warned[0].name == "qreading"
+
+
+class TestBoundaryExits:
+    @pytest.mark.parametrize("argv", [
+        ("diffraction", "--lxr-grid", "0"),
+        ("diffraction", "--lxr-grid", "1", "--grid-size", "10"),
+        ("rate", "--n", "0.1", "--nth", "-1"),
+        ("rate", "--n", "0.1", "--p0", "1.5"),
+        ("rate", "--n", "0.1", "--dim", "1"),
+        ("rate", "--n", "nan"),
+        ("rate", "--n", "0.1", "--nth", "inf"),
+        ("gain-map", "--n-grid", "nan", "--nth-grid", "0"),
+        ("gain-map", "--n-grid", "0.1", "--nth-grid", "0,inf"),
+        ("diffraction", "--lxr-grid", "0.5,inf"),
+    ])
+    def test_out_of_domain_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_non_finite_config_value_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[rate]\nn = nan\n", encoding="utf-8")
+        code, _, err = run(capsys, "rate", "--config", str(cfg))
+        assert code == 2
+        assert "finite" in err

@@ -21,6 +21,7 @@ from qreading import (
     toeplitz_symbol,
     transfer_matrix,
 )
+from qreading import diffraction
 from qreading.diffraction import gram_coefficient
 
 AMP_CELL = MarginalCell.binary(0.5, 0.0, 1.0)
@@ -194,6 +195,18 @@ class TestSpectrum:
         assert spec.z_grid.size == spec.symbol_samples.size == 4096
         assert spec.tau_min ** 2 <= np.min(spec.symbol_samples) + 1e-9
         assert spec.tau_max ** 2 >= np.max(spec.symbol_samples) - 1e-9
+
+    def test_grid_symbol_evaluated_once(self, monkeypatch):
+        # the grid samples double as extremum candidates; only the window
+        # edges and the local polish add symbol evaluations
+        calls = []
+        real = diffraction.toeplitz_symbol
+        monkeypatch.setattr(diffraction, "toeplitz_symbol",
+                            lambda geom, z: calls.append(z) or real(geom, z))
+        for ratio, d_over_ell in ((0.9, 1.0), (1.7, 0.6)):
+            calls.clear()
+            toeplitz_spectrum(DiffractionGeometry.from_ratios(ratio, d_over_ell), 1024)
+            assert 1024 < len(calls) < 1024 + 256
 
 
 class TestRateBounds:
