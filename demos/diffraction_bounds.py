@@ -32,9 +32,9 @@ def main() -> None:
     for ratio in RATIOS:
         geom = DiffractionGeometry.from_ratios(float(ratio))
         coh = rate_bounds(CELL, TransmitterSpec.coherent(N), geom, NTH,
-                          dim=24, quad_order=14)
+                          dim=24)
         epr = rate_bounds(CELL, TransmitterSpec.epr(N), geom, NTH,
-                          dim=24, quad_order=14)
+                          dim=24)
         writer.writerow([f"{v:.6g}" for v in (
             float(ratio), coh.tau_min, coh.tau_max,
             coh.lower_bits, coh.upper_bits, epr.lower_bits, epr.upper_bits)])

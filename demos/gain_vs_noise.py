@@ -24,7 +24,7 @@ def main() -> None:
     writer.writerow(["n", "n_th", "coherent_bits", "epr_bits",
                      "gain_absolute", "gain_relative"])
     for nth in NTH_GRID:
-        res = gains(CELL, N, float(nth), dim=24, quad_order=16)
+        res = gains(CELL, N, float(nth), dim=24)
         writer.writerow([f"{v:.6g}" if isinstance(v, float) else v
                          for v in (N, float(nth), res.coherent_bits,
                                    res.epr_bits, res.absolute,

@@ -3,8 +3,11 @@ classical Gaussian displacement noise, in both Fock and Gaussian pictures.
 
 The Heisenberg-picture map is a -> z a + sqrt(1 - |z|^2) v + nu, with v a
 vacuum mode and nu a complex circular Gaussian of variance n_th (so the
-channel adds n_th photons on average). The displacement average is realized
-by a 2-D Gauss-Hermite product rule.
+channel adds n_th photons on average). In the Fock basis it is computed
+exactly as a loss by z / sqrt(G) followed by the quantum-limited amplifier
+of gain G = 1 + n_th; weight the amplifier pushes past the truncation is
+dropped and shows up as the output's trace deficit. The ``quad_order``
+keyword of the Fock channel functions is deprecated and ignored.
 """
 
 from __future__ import annotations
@@ -14,13 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConvergenceError
 from .states import FockDensityMatrix, GaussianState
-
-DEFAULT_QUAD_ORDER = 20
-_NODE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -94,27 +92,21 @@ def loss_kraus(z: complex, dim: int) -> np.ndarray:
     return ops
 
 
-@lru_cache(maxsize=16)
-def displacement_table(n_th: float, dim: int, quad_order: int) -> np.ndarray:
-    """Scaled displacement stack sqrt(w_jk) D(nu_jk) for the noise average.
+@lru_cache(maxsize=64)
+def amplifier_kraus(gain: float, dim: int) -> np.ndarray:
+    """Kraus stack (k, dim, dim) of the quantum-limited amplifier of gain G.
 
-    Nodes realize a complex circular Gaussian with E[|nu|^2] = n_th: each
-    quadrature carries variance n_th / 2. Operators are unitary on the
-    truncated space (matrix exponential), so the average preserves the trace.
+    B_k = sum_m sqrt(C(m+k,k)) (1-1/G)^(k/2) G^(-(m+1)/2) |m+k><m|, cut off at
+    ``dim``: weight pushed past the cutoff is dropped and shows up as trace
+    deficit instead of being hidden.
     """
-    if quad_order < 1:
-        raise ValueError("quad_order must be >= 1")
-    x, w = np.polynomial.hermite.hermgauss(quad_order)
-    a = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    adag = a.conj().T
-    ops = np.empty((quad_order * quad_order, dim, dim), dtype=complex)
-    idx = 0
-    for i in range(quad_order):
-        for j in range(quad_order):
-            nu = math.sqrt(n_th) * (x[i] + 1j * x[j])
-            d_op = scipy.linalg.expm(nu * adag - np.conj(nu) * a)
-            ops[idx] = math.sqrt(w[i] * w[j] / math.pi) * d_op
-            idx += 1
+    if gain < 1.0:
+        raise ValueError(f"amplifier gain {gain} is below 1")
+    ops = np.zeros((dim, dim, dim))
+    for k in range(dim):
+        for m in range(dim - k):
+            ops[k, m + k, m] = math.sqrt(math.comb(m + k, k)) \
+                * (1.0 - 1.0 / gain) ** (k / 2.0) * gain ** (-(m + 1) / 2.0)
     return ops
 
 
@@ -143,71 +135,58 @@ def apply_loss(rho: FockDensityMatrix, z: complex, mode: int = 0) -> FockDensity
 
 
 def apply_classical_noise(rho: FockDensityMatrix, n_th: float, mode: int = 0,
-                          quad_order: int = DEFAULT_QUAD_ORDER,
-                          check_convergence: bool = False) -> FockDensityMatrix:
-    """Average over Gaussian displacements of variance ``n_th`` on one mode."""
+                          quad_order: int | None = None) -> FockDensityMatrix:
+    """Add ``n_th`` thermal photons on one mode, exactly.
+
+    The Gaussian displacement average equals a loss to 1/G followed by the
+    amplifier of gain G = 1 + n_th.
+    """
     if n_th < 0:
         raise ValueError("n_th must be >= 0")
     if n_th == 0:
         return rho
-    out = _apply_kraus_mode(rho, displacement_table(n_th, rho.dims[mode], quad_order), mode)
-    if check_convergence:
-        ref = _apply_kraus_mode(
-            rho, displacement_table(n_th, rho.dims[mode], 2 * quad_order), mode)
-        dev = float(np.max(np.abs(out.data - ref.data)))
-        if dev > 1e-7:
-            raise ConvergenceError(
-                f"quadrature order {quad_order} not converged (deviation {dev:.3e})"
-            )
-    return out
+    gain = 1.0 + n_th
+    out = apply_loss(rho, 1.0 / math.sqrt(gain), mode)
+    return _apply_kraus_mode(out, amplifier_kraus(gain, rho.dims[mode]), mode)
 
 
 def apply_cell_channel(rho: FockDensityMatrix, params: ChannelParams,
                        mode: int = 0,
-                       quad_order: int = DEFAULT_QUAD_ORDER) -> FockDensityMatrix:
+                       quad_order: int | None = None) -> FockDensityMatrix:
     """Loss by z then classical noise n_th on the designated mode."""
     out = apply_loss(rho, params.z, mode)
-    return apply_classical_noise(out, params.n_th, mode, quad_order)
+    return apply_classical_noise(out, params.n_th, mode)
 
 
 def pure_state_cell_output(vec: np.ndarray, dims: tuple[int, ...],
                            params: ChannelParams, mode: int = 0,
-                           quad_order: int = DEFAULT_QUAD_ORDER) -> FockDensityMatrix:
+                           quad_order: int | None = None) -> FockDensityMatrix:
     """Cell-channel output for a pure input, assembled from Kraus vectors.
 
     Equivalent to ``apply_cell_channel`` on |vec><vec| but much cheaper: the
-    output is sum_i o_i o_i^dag over vectors o_i = (O_i on ``mode``) |vec>,
-    accumulated as a single Gram product per node chunk.
+    loss z / sqrt(G) and then the amplifier of gain G = 1 + n_th act on the
+    vector one stage at a time, and the output sum_i o_i o_i^dag over the
+    resulting vectors o_i is a single Gram product.
     """
     dims = tuple(dims)
     d = dims[mode]
     size = int(np.prod(dims))
-    m = len(dims)
     tensor = np.moveaxis(np.asarray(vec, dtype=complex).reshape(dims), mode, 0)
-    flat = tensor.reshape(d, -1)
+    rest = tensor.size // d
+    gain = 1.0 + params.n_th
+    stages = [loss_kraus(complex(params.z) / math.sqrt(gain), d)]
+    if params.n_th > 0:
+        stages.append(amplifier_kraus(gain, d))
 
-    kraus = loss_kraus(complex(params.z), d)
-    branches = kraus @ flat  # (K, d, rest)
-
-    rho = np.zeros((size, size), dtype=complex)
-
-    def accumulate(block: np.ndarray) -> None:
-        # block: (ncol, d, rest) Kraus vectors in moved-axis layout
-        nonlocal rho
-        ncol = block.shape[0]
-        cols = np.moveaxis(block.reshape((ncol,) + tensor.shape), 1, mode + 1)
-        w = cols.reshape(ncol, size)
-        rho = rho + w.T @ w.conj()
-
-    if params.n_th == 0:
-        accumulate(branches)
-    else:
-        disp = displacement_table(params.n_th, d, quad_order)
-        # iterate displacement nodes in chunks to bound memory
-        for start in range(0, disp.shape[0], _NODE_CHUNK):
-            chunk = disp[start:start + _NODE_CHUNK]
-            mixed = np.einsum("jab,kbr->jkar", chunk, branches)
-            accumulate(mixed.reshape(-1, d, branches.shape[2]))
+    branches = tensor.reshape(1, d, rest)
+    for ops in stages:  # (count, d, rest) -> (len(ops) * count, d, rest)
+        count = branches.shape[0]
+        flat = branches.transpose(1, 0, 2).reshape(d, count * rest)
+        branches = (ops @ flat).reshape(-1, d, count, rest).transpose(0, 2, 1, 3) \
+            .reshape(-1, d, rest)
+    cols = np.moveaxis(branches.reshape((-1,) + tensor.shape), 1, mode + 1)
+    w = cols.reshape(-1, size)
+    rho = w.T @ w.conj()
     rho = 0.5 * (rho + rho.conj().T)
     return FockDensityMatrix(dims, rho)
 

@@ -43,13 +43,13 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
         "p0": 0.5, "z0-mod": 0.0, "z0-phase-deg": 0.0,
         "z1-mod": 1.0, "z1-phase-deg": 0.0,
         "n": None, "nth": 0.0, "transmitter": "both",
-        "dim": None, "quad-order": 20, "threads": None,
+        "dim": None, "quad-order": None, "threads": None,
         "out": None, "format": "csv",
     },
     "gain-map": {
         "p0": 0.5, "z0-grid": "0", "z1-grid": "1",
         "n-grid": None, "nth-grid": None,
-        "dim": 30, "quad-order": 20, "threads": None,
+        "dim": 30, "quad-order": None, "threads": None,
         "out": None, "format": "csv",
     },
     "diffraction": {
@@ -57,7 +57,7 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
         "z1-mod": 1.0, "z1-phase-deg": 0.0,
         "n": 0.1, "nth": 1.0, "lxr-grid": None, "d-over-ell": 1.0,
         "grid-size": 4096, "both-sides": False,
-        "dim": None, "quad-order": 20, "threads": None,
+        "dim": None, "quad-order": None, "threads": None,
         "out": None, "format": "csv",
     },
 }
@@ -68,6 +68,11 @@ _KEY_TYPES: dict[str, type] = {
     "n": float, "nth": float, "d-over-ell": float,
     "dim": int, "quad-order": int, "threads": int, "grid-size": int,
     "both-sides": bool,
+}
+
+_DEPRECATED: dict[str, str] = {
+    "threads": "computation is serial; limit BLAS threads with OPENBLAS_NUM_THREADS",
+    "quad-order": "thermal noise is computed exactly",
 }
 
 _REQUIRED: dict[str, tuple[str, ...]] = {
@@ -134,7 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--dim", type=int, help="Fock truncation per mode")
-        p.add_argument("--quad-order", type=int, help="Gauss-Hermite order")
+        p.add_argument("--quad-order", type=int,
+                       help="deprecated and ignored; thermal noise is exact")
         p.add_argument("--threads", type=int,
                        help="deprecated and ignored; computation is serial")
 
@@ -223,14 +229,15 @@ def cmd_rate(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     echo = {
         "p0": p0, "z0_mod": float(cfg["z0-mod"]), "z0_phase_deg": float(cfg["z0-phase-deg"]),
         "z1_mod": float(cfg["z1-mod"]), "z1_phase_deg": float(cfg["z1-phase-deg"]),
-        "n": n, "n_th": nth, "quad_order": int(cfg["quad-order"]),
+        "n": n, "n_th": nth,
     }
 
     def one(kind: str) -> list[dict[str, Any]]:
         tx = TransmitterSpec.coherent(n) if kind == "coherent" else TransmitterSpec.epr(n)
-        res = holevo_rate(cell, tx, nth, cfg["dim"], int(cfg["quad-order"]))
+        res = holevo_rate(cell, tx, nth, cfg["dim"])
         rows = [dict(echo, transmitter=kind, method=res.method, dim=res.truncation_dim,
-                     rate_bits=res.rate_bits, trace_deficit=res.trace_deficit)]
+                     rate_bits=res.rate_bits, trace_deficit=res.trace_deficit,
+                     cross_check_bits=res.cross_check_error)]
         if nth == 0.0:
             analytic = None
             if kind == "coherent":
@@ -241,7 +248,7 @@ def cmd_rate(cfg: dict[str, Any]) -> list[dict[str, Any]]:
             if analytic is not None:
                 rows.append(dict(echo, transmitter=kind, method="analytic_noiseless",
                                  dim=res.truncation_dim, rate_bits=analytic,
-                                 trace_deficit=0.0))
+                                 trace_deficit=0.0, cross_check_bits=0.0))
         return rows
 
     out: list[dict[str, Any]] = []
@@ -257,15 +264,14 @@ def cmd_gain_map(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     ns = _validate_grid("n-grid", parse_grid(cfg["n-grid"]))
     nths = _validate_grid("nth-grid", parse_grid(cfg["nth-grid"]))
     dim = int(cfg["dim"])
-    quad = int(cfg["quad-order"])
 
     def one(z0: float, z1: float, n: float, nth: float) -> dict[str, Any]:
-        res = gains(MarginalCell.binary(p0, z0, z1), n, nth, dim, quad)
+        res = gains(MarginalCell.binary(p0, z0, z1), n, nth, dim)
         return {
-            "p0": p0, "z0": z0, "z1": z1, "n": n, "n_th": nth,
-            "dim": dim, "quad_order": quad,
+            "p0": p0, "z0": z0, "z1": z1, "n": n, "n_th": nth, "dim": dim,
             "coherent_bits": res.coherent_bits, "epr_bits": res.epr_bits,
             "gain_absolute": res.absolute, "gain_relative": res.relative,
+            "trace_deficit": res.trace_deficit, "cross_check_bits": res.cross_check_bits,
         }
 
     return [one(z0, z1, n, nth) for z0 in z0s for z1 in z1s for n in ns for nth in nths]
@@ -279,7 +285,6 @@ def cmd_diffraction(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     nth = float(cfg["nth"])
     d_over_ell = float(cfg["d-over-ell"])
     grid_size = int(cfg["grid-size"])
-    quad = int(cfg["quad-order"])
     both_sides = bool(cfg["both-sides"])
     ratios = _validate_grid("lxr-grid", parse_grid(cfg["lxr-grid"]))
     cell = MarginalCell.binary(p0, z0, z1)
@@ -292,12 +297,12 @@ def cmd_diffraction(cfg: dict[str, Any]) -> list[dict[str, Any]]:
             "p0": p0, "z0_mod": float(cfg["z0-mod"]), "z0_phase_deg": float(cfg["z0-phase-deg"]),
             "z1_mod": float(cfg["z1-mod"]), "z1_phase_deg": float(cfg["z1-phase-deg"]),
             "n": n, "n_th": nth, "d_over_ell": d_over_ell,
-            "ell_over_xr": ratio, "quad_order": quad,
+            "ell_over_xr": ratio,
             "tau_min": tau_min, "tau_max": tau_max,
         }
         for kind, tx in txs.items():
-            bounds = rate_bounds(cell, tx, geom, nth, cfg["dim"], quad, grid_size,
-                                 both_sides)
+            bounds = rate_bounds(cell, tx, geom, nth, cfg["dim"],
+                                 grid_size=grid_size, attenuate_idler=both_sides)
             row[f"{kind}_lower"] = bounds.lower_bits
             row[f"{kind}_upper"] = bounds.upper_bits
         return row
@@ -336,9 +341,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args.command, args)
-        if cfg["threads"] is not None:
-            log.warning("--threads is deprecated and ignored: computation is "
-                        "serial; limit BLAS threads with OPENBLAS_NUM_THREADS")
+        for key, why in _DEPRECATED.items():
+            if cfg[key] is not None:
+                log.warning("--%s is deprecated and ignored: %s", key, why)
         log.info("running %s with %s", args.command, cfg)
         runner = {"rate": cmd_rate, "gain-map": cmd_gain_map,
                   "diffraction": cmd_diffraction}[args.command]

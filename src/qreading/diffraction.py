@@ -20,7 +20,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.special
 
-from .channels import DEFAULT_QUAD_ORDER, MarginalCell
+from .channels import MarginalCell
 from .errors import ConvergenceError
 from .rates import RateResult, TransmitterSpec, rate_after_attenuation
 
@@ -298,19 +298,20 @@ def tau_extrema(geom: DiffractionGeometry,
 
 def rate_bounds(cell: MarginalCell, tx: TransmitterSpec,
                 geom: DiffractionGeometry, n_th: float = 0.0,
-                dim: int | None = None, quad_order: int = DEFAULT_QUAD_ORDER,
+                dim: int | None = None, quad_order: int | None = None,
                 grid_size: int = 4096,
                 attenuate_idler: bool = False) -> RateBounds:
     """Reading-rate bounds from the bounding channels at tau_min / tau_max.
 
     ``attenuate_idler`` extends the diffraction attenuation to the retained
-    ancilla modes as well (both-sides variant).
+    ancilla modes as well (both-sides variant). ``quad_order`` is deprecated
+    and ignored.
     """
     tau_min, tau_max = tau_extrema(geom, grid_size)
-    lower = rate_after_attenuation(cell, tx, n_th, tau_min, dim, quad_order,
-                                   attenuate_idler)
-    upper = rate_after_attenuation(cell, tx, n_th, tau_max, dim, quad_order,
-                                   attenuate_idler)
+    lower = rate_after_attenuation(cell, tx, n_th, tau_min, dim,
+                                   attenuate_idler=attenuate_idler)
+    upper = rate_after_attenuation(cell, tx, n_th, tau_max, dim,
+                                   attenuate_idler=attenuate_idler)
     if lower.rate_bits > upper.rate_bits + 1e-9:
         raise ConvergenceError(
             f"lower bound {lower.rate_bits} exceeds upper bound {upper.rate_bits}"

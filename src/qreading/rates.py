@@ -5,6 +5,9 @@ concavity scan backing the classical-optimality conjecture.
 Coherent numerics use the single-mode optimum (s=1, r=0); EPR numerics use a
 single two-mode squeezed copy (s=1, r=1). The general-s noiseless phase rate
 is available in closed form via :func:`epr_rate_noiseless_phase`.
+
+Thermal noise is computed exactly, so the ``quad_order`` keyword of the
+numeric functions is deprecated and ignored.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .channels import (
-    DEFAULT_QUAD_ORDER,
     ChannelParams,
     MarginalCell,
     apply_loss,
@@ -53,6 +55,8 @@ class GainResult:
     relative: float | None
     coherent_bits: float
     epr_bits: float
+    trace_deficit: float  # worst of the two rates
+    cross_check_bits: float  # worst of the two rates
 
 
 @dataclass(frozen=True)
@@ -86,11 +90,10 @@ def _default_dim(tx: TransmitterSpec) -> int:
 
 
 def _symbol_output(tx: TransmitterSpec, params: ChannelParams, dim: int,
-                   quad_order: int, idler_attenuation: float) -> FockDensityMatrix:
+                   idler_attenuation: float) -> FockDensityMatrix:
     vec = tx.fock_vector(dim)
     dims = tx.fock_dims(dim)
-    rho = pure_state_cell_output(vec, dims, params, mode=tx.signal_modes[0],
-                                 quad_order=quad_order)
+    rho = pure_state_cell_output(vec, dims, params, mode=tx.signal_modes[0])
     if idler_attenuation < 1.0:
         for mode in tx.idler_modes:
             rho = apply_loss(rho, idler_attenuation, mode)
@@ -108,7 +111,7 @@ def _symbol_gaussian_entropy(tx: TransmitterSpec, params: ChannelParams,
 
 
 def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
-                dim: int | None = None, quad_order: int = DEFAULT_QUAD_ORDER,
+                dim: int | None = None, quad_order: int | None = None,
                 idler_attenuation: float = 1.0,
                 check_convergence: bool = False) -> RateResult:
     """Holevo information of the cell ensemble for the given transmitter.
@@ -132,7 +135,7 @@ def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
         deficit = 0.0
         for p, z in zip(cell.probs, cell.reflectances):
             params = ChannelParams(z, n_th)
-            rho = _symbol_output(tx, params, d, quad_order, idler_attenuation)
+            rho = _symbol_output(tx, params, d, idler_attenuation)
             deficit = max(deficit, rho.trace_deficit)
             s_fock = von_neumann_entropy(rho)
             s_gauss = _symbol_gaussian_entropy(tx, params, idler_attenuation)
@@ -219,18 +222,20 @@ def epr_rate_faint(cell: MarginalCell, n: float, n_th: float,
 
 def gains(cell: MarginalCell, n: float, n_th: float,
           dim: int = DEFAULT_DIM_PER_MODE,
-          quad_order: int = DEFAULT_QUAD_ORDER) -> GainResult:
+          quad_order: int | None = None) -> GainResult:
     """Absolute and relative EPR-over-coherent information gains."""
-    coh = holevo_rate(cell, TransmitterSpec.coherent(n), n_th, dim, quad_order)
-    epr = holevo_rate(cell, TransmitterSpec.epr(n), n_th, dim, quad_order)
+    coh = holevo_rate(cell, TransmitterSpec.coherent(n), n_th, dim)
+    epr = holevo_rate(cell, TransmitterSpec.epr(n), n_th, dim)
     absolute = epr.rate_bits - coh.rate_bits
     relative = absolute / coh.rate_bits if coh.rate_bits >= 1e-12 else None
-    return GainResult(absolute, relative, coh.rate_bits, epr.rate_bits)
+    return GainResult(absolute, relative, coh.rate_bits, epr.rate_bits,
+                      max(coh.trace_deficit, epr.trace_deficit),
+                      max(coh.cross_check_error, epr.cross_check_error))
 
 
 def concavity_scan(cell: MarginalCell, n_grid: Sequence[float], n_th: float,
                    dim: int = DEFAULT_DIM_SINGLE,
-                   quad_order: int = DEFAULT_QUAD_ORDER) -> ConcavityReport:
+                   quad_order: int | None = None) -> ConcavityReport:
     """Second-derivative estimates of n -> coherent Holevo rate.
 
     Positive values would contradict concavity; the report carries the
@@ -240,7 +245,7 @@ def concavity_scan(cell: MarginalCell, n_grid: Sequence[float], n_th: float,
     if grid.size < 3 or np.any(np.diff(grid) <= 0):
         raise ValueError("n_grid must be strictly increasing with >= 3 points")
     rates = np.array([
-        holevo_rate(cell, TransmitterSpec.coherent(n), n_th, dim, quad_order).rate_bits
+        holevo_rate(cell, TransmitterSpec.coherent(n), n_th, dim).rate_bits
         for n in grid
     ])
     second = np.empty(grid.size - 2)
@@ -257,7 +262,7 @@ def concavity_scan(cell: MarginalCell, n_grid: Sequence[float], n_th: float,
 @lru_cache(maxsize=256)
 def rate_after_attenuation(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
                            tau: float, dim: int | None = None,
-                           quad_order: int = DEFAULT_QUAD_ORDER,
+                           quad_order: int | None = None,
                            attenuate_idler: bool = False) -> RateResult:
     """Holevo rate with every cell channel composed with a tau-attenuator.
 
@@ -269,5 +274,5 @@ def rate_after_attenuation(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
         tuple(compose_with_attenuator(ChannelParams(z, n_th), tau).z
               for z in cell.reflectances),
     )
-    return holevo_rate(composed, tx, n_th * tau * tau, dim, quad_order,
+    return holevo_rate(composed, tx, n_th * tau * tau, dim,
                        idler_attenuation=tau if attenuate_idler else 1.0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qreading import (
     ChannelParams,
-    ConvergenceError,
     FockDensityMatrix,
     GaussianState,
     MarginalCell,
@@ -116,25 +115,33 @@ class TestClassicalNoise:
         after = np.real(np.sum(num * np.diag(out.data)))
         assert abs(after - before - 0.6) < 1e-7
 
-    def test_trace_preserved(self):
+    def test_truncation_loss_is_weight_past_cutoff(self):
+        # the amplifier only raises photon number, so a truncated output is
+        # the top-left block of a wide one and loses exactly the rest
         rng = np.random.default_rng(3)
         rho = random_density(rng, 15)
-        out = apply_classical_noise(rho, 0.8, quad_order=16)
-        assert abs(out.trace - rho.trace) < 1e-10
+        wide = np.zeros((60, 60), dtype=complex)
+        wide[:15, :15] = rho.data
+        out = apply_classical_noise(rho, 0.8)
+        out_wide = apply_classical_noise(FockDensityMatrix((60,), wide), 0.8)
+        assert np.max(np.abs(out.data - out_wide.data[:15, :15])) < 1e-12
+        past = float(np.real(np.trace(out_wide.data[15:, 15:]))) + out_wide.trace_deficit
+        assert abs(out.trace_deficit - past) < 1e-12
+        assert out.trace_deficit > 0.1
+        assert abs(out_wide.trace - rho.trace) < 1e-10
+
+    @pytest.mark.parametrize("nbar", [0.3, 1.0, 2.5])
+    def test_vacuum_gives_exact_thermal_weights(self, nbar):
+        dim = 20
+        out = apply_classical_noise(thermal_state(0.0, dim), nbar)
+        m = np.arange(dim)
+        assert np.max(np.abs(out.data - np.diag(nbar ** m / (nbar + 1.0) ** (m + 1)))) < 1e-14
+        assert abs(out.trace_deficit - (nbar / (nbar + 1.0)) ** dim) < 1e-14
 
     def test_output_positive(self):
         rng = np.random.default_rng(11)
         rho = random_density(rng, 10)
         apply_classical_noise(rho, 1.2, quad_order=14).check_positive()
-
-    def test_convergence_guard_fires(self):
-        rho = thermal_state(0.0, 30)
-        with pytest.raises(ConvergenceError):
-            apply_classical_noise(rho, 1.5, quad_order=2, check_convergence=True)
-
-    def test_convergence_guard_passes(self):
-        rho = thermal_state(0.0, 25)
-        apply_classical_noise(rho, 0.5, quad_order=20, check_convergence=True)
 
 
 class TestCellChannel:

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 
 import pytest
 
@@ -9,6 +10,8 @@ from qreading import (
     DiffractionGeometry,
     MarginalCell,
     TransmitterSpec,
+    gains,
+    holevo_rate,
     rate_bounds,
     rates,
     tau_extrema,
@@ -276,3 +279,74 @@ class TestBoundaryExits:
         code, _, err = run(capsys, "rate", "--config", str(cfg))
         assert code == 2
         assert "finite" in err
+
+
+class TestQuadOrderDeprecated:
+    ARGS = ("rate", "--n", "0.3", "--nth", "0.2", "--dim", "16")
+
+    def test_ignored_and_warned_once(self, capsys, caplog):
+        _, plain, _ = run(capsys, *self.ARGS)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="qreading"):
+            code, flagged, _ = run(capsys, *self.ARGS, "--quad-order", "3")
+        assert code == 0
+        assert flagged == plain
+        warned = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warned) == 1 and warned[0].name == "qreading"
+        assert "--quad-order is deprecated" in warned[0].getMessage()
+
+    def test_config_key_warned(self, capsys, caplog, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[rate]\nn = 0.3\nquad-order = 20\ntransmitter = coherent\n"
+                       "dim = 12\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="qreading"):
+            code, out, _ = run(capsys, "rate", "--config", str(cfg))
+        assert code == 0
+        assert "quad_order" not in out.split("\n")[0]
+        warned = [r for r in caplog.records if "deprecated" in r.getMessage()]
+        assert len(warned) == 1
+
+
+class TestTrustColumns:
+    """Rows carry the library's trace deficit and Fock-vs-Gaussian cross-check."""
+
+    @staticmethod
+    def assert_cells(row, deficit, cross):
+        for key, value in (("trace_deficit", deficit), ("cross_check_bits", cross)):
+            assert math.isfinite(float(row[key]))
+            assert row[key] == f"{value:.12g}"
+
+    def test_rate_rows(self, capsys):
+        code, out, _ = run(capsys, "rate", "--n", "0.3", "--nth", "0.2", "--dim", "16")
+        assert code == 0
+        cell = MarginalCell.binary(0.5, 0.0, 1.0)
+        for row in parse_csv(out):
+            tx = TransmitterSpec.coherent(0.3) if row["transmitter"] == "coherent" \
+                else TransmitterSpec.epr(0.3)
+            res = holevo_rate(cell, tx, 0.2, 16)
+            self.assert_cells(row, res.trace_deficit, res.cross_check_error)
+
+    def test_analytic_rows_read_zero(self, capsys):
+        code, out, _ = run(capsys, "rate", "--n", "0.5", "--transmitter", "coherent",
+                           "--dim", "20")
+        assert code == 0
+        rows = [r for r in parse_csv(out) if r["method"] == "analytic_noiseless"]
+        assert len(rows) == 1
+        self.assert_cells(rows[0], 0.0, 0.0)
+
+    def test_gain_map_rows(self, capsys):
+        code, out, _ = run(capsys, "gain-map", "--n-grid", "0.1", "--nth-grid", "0,0.5",
+                           "--dim", "12")
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 2
+        cell = MarginalCell.binary(0.5, 0.0, 1.0)
+        for row in rows:
+            nth = float(row["n_th"])
+            res = gains(cell, 0.1, nth, 12)
+            coh = holevo_rate(cell, TransmitterSpec.coherent(0.1), nth, 12)
+            epr = holevo_rate(cell, TransmitterSpec.epr(0.1), nth, 12)
+            assert res.trace_deficit == max(coh.trace_deficit, epr.trace_deficit)
+            assert res.cross_check_bits == max(coh.cross_check_error,
+                                               epr.cross_check_error)
+            self.assert_cells(row, res.trace_deficit, res.cross_check_bits)

@@ -182,6 +182,13 @@ class TestHolevoRate:
         assert res.truncation_dim == 30
         assert 0.0 <= res.trace_deficit < 1e-6
 
+    def test_noisy_epr_reports_truncation_loss(self):
+        # exact thermal noise loses weight past the default dim and says so,
+        # and stays close to the Gaussian entropies
+        res = holevo_rate(AMP_CELL, TransmitterSpec.epr(1.0), n_th=1.0)
+        assert res.trace_deficit >= 1e-6
+        assert res.cross_check_error <= 1e-3
+
 
 class TestFaintAgreement:
     def test_coherent_faint_vs_numeric(self):
