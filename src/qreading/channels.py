@@ -6,8 +6,7 @@ vacuum mode and nu a complex circular Gaussian of variance n_th (so the
 channel adds n_th photons on average). In the Fock basis it is computed
 exactly as a loss by z / sqrt(G) followed by the quantum-limited amplifier
 of gain G = 1 + n_th; weight the amplifier pushes past the truncation is
-dropped and shows up as the output's trace deficit. The ``quad_order``
-keyword of the Fock channel functions is deprecated and ignored.
+dropped and shows up as the output's trace deficit.
 """
 
 from __future__ import annotations
@@ -134,8 +133,8 @@ def apply_loss(rho: FockDensityMatrix, z: complex, mode: int = 0) -> FockDensity
     return _apply_kraus_mode(rho, loss_kraus(complex(z), rho.dims[mode]), mode)
 
 
-def apply_classical_noise(rho: FockDensityMatrix, n_th: float, mode: int = 0,
-                          quad_order: int | None = None) -> FockDensityMatrix:
+def apply_classical_noise(rho: FockDensityMatrix, n_th: float,
+                          mode: int = 0) -> FockDensityMatrix:
     """Add ``n_th`` thermal photons on one mode, exactly.
 
     The Gaussian displacement average equals a loss to 1/G followed by the
@@ -151,16 +150,14 @@ def apply_classical_noise(rho: FockDensityMatrix, n_th: float, mode: int = 0,
 
 
 def apply_cell_channel(rho: FockDensityMatrix, params: ChannelParams,
-                       mode: int = 0,
-                       quad_order: int | None = None) -> FockDensityMatrix:
+                       mode: int = 0) -> FockDensityMatrix:
     """Loss by z then classical noise n_th on the designated mode."""
     out = apply_loss(rho, params.z, mode)
     return apply_classical_noise(out, params.n_th, mode)
 
 
 def pure_state_cell_output(vec: np.ndarray, dims: tuple[int, ...],
-                           params: ChannelParams, mode: int = 0,
-                           quad_order: int | None = None) -> FockDensityMatrix:
+                           params: ChannelParams, mode: int = 0) -> FockDensityMatrix:
     """Cell-channel output for a pure input, assembled from Kraus vectors.
 
     Equivalent to ``apply_cell_channel`` on |vec><vec| but much cheaper: the

@@ -6,7 +6,8 @@ Subcommands
     diffraction  tau extrema and rate bounds as a function of ell / x_R
 
 Values may come from a config file (INI-style, one section per command,
-keys equal to the long flag names) and are overridden by explicit flags.
+keys equal to the long flag names, values read and checked as the flag's
+are) and are overridden by explicit flags.
 Results go to --out or standard output; diagnostics go to standard error,
 with verbosity controlled by the QREADING_LOG environment variable.
 """
@@ -23,7 +24,8 @@ import math
 import os
 import sys
 from configparser import ConfigParser
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from .channels import MarginalCell
 from .diffraction import DiffractionGeometry, rate_bounds, tau_extrema
@@ -38,47 +40,59 @@ from .rates import (
 
 log = logging.getLogger("qreading")
 
-_DEFAULTS: dict[str, dict[str, Any]] = {
+
+@dataclass(frozen=True)
+class Option:
+    """One flag and its config key: how its text is read, default, allowed values."""
+
+    type: Callable[[str], Any] = str
+    default: Any = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | None = None
+
+
+def _probe(n: float | None, nth: float) -> dict[str, Option]:
+    """Probe photon number and thermal noise; ``--n`` is required without a default."""
+    return {"n": Option(float, n, required=n is None), "nth": Option(float, nth)}
+
+
+def _common(dim: int | None) -> dict[str, Option]:
+    return {
+        "out": Option(help="output path (default stdout)"),
+        "format": Option(default="csv", choices=("csv", "json")),
+        "dim": Option(int, dim, help="Fock truncation per mode"),
+    }
+
+
+_P0 = {"p0": Option(float, 0.5)}
+_CELL = {
+    **_P0,
+    "z0-mod": Option(float, 0.0), "z0-phase-deg": Option(float, 0.0),
+    "z1-mod": Option(float, 1.0), "z1-phase-deg": Option(float, 0.0),
+}
+
+_OPTIONS: dict[str, dict[str, Option]] = {
     "rate": {
-        "p0": 0.5, "z0-mod": 0.0, "z0-phase-deg": 0.0,
-        "z1-mod": 1.0, "z1-phase-deg": 0.0,
-        "n": None, "nth": 0.0, "transmitter": "both",
-        "dim": None, "quad-order": None, "threads": None,
-        "out": None, "format": "csv",
+        **_common(None), **_CELL, **_probe(None, 0.0),
+        "transmitter": Option(default="both", choices=("coherent", "epr", "both")),
     },
     "gain-map": {
-        "p0": 0.5, "z0-grid": "0", "z1-grid": "1",
-        "n-grid": None, "nth-grid": None,
-        "dim": 30, "quad-order": None, "threads": None,
-        "out": None, "format": "csv",
+        **_common(30), **_P0,
+        "z0-grid": Option(default="0"), "z1-grid": Option(default="1"),
+        "n-grid": Option(required=True), "nth-grid": Option(required=True),
     },
     "diffraction": {
-        "p0": 0.5, "z0-mod": 0.0, "z0-phase-deg": 0.0,
-        "z1-mod": 1.0, "z1-phase-deg": 0.0,
-        "n": 0.1, "nth": 1.0, "lxr-grid": None, "d-over-ell": 1.0,
-        "grid-size": 4096, "both-sides": False,
-        "dim": None, "quad-order": None, "threads": None,
-        "out": None, "format": "csv",
+        **_common(None), **_CELL, **_probe(0.1, 1.0),
+        "lxr-grid": Option(required=True), "d-over-ell": Option(float, 1.0),
+        "grid-size": Option(int, 4096), "both-sides": Option(bool, False),
     },
 }
 
-_KEY_TYPES: dict[str, type] = {
-    "p0": float, "z0-mod": float, "z0-phase-deg": float,
-    "z1-mod": float, "z1-phase-deg": float,
-    "n": float, "nth": float, "d-over-ell": float,
-    "dim": int, "quad-order": int, "threads": int, "grid-size": int,
-    "both-sides": bool,
-}
-
-_DEPRECATED: dict[str, str] = {
-    "threads": "computation is serial; limit BLAS threads with OPENBLAS_NUM_THREADS",
-    "quad-order": "thermal noise is computed exactly",
-}
-
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "rate": ("n",),
-    "gain-map": ("n-grid", "nth-grid"),
-    "diffraction": ("lxr-grid",),
+_SUMMARY = {
+    "rate": "rates for a single configuration",
+    "gain-map": "gain grid over (z0, z1) x (n, nth)",
+    "diffraction": "tau extrema and rate bounds",
 }
 
 
@@ -122,10 +136,6 @@ def _validate_grid(name: str, values: Sequence[float]) -> list[float]:
     return vals
 
 
-def _polar(mod: float, phase_deg: float) -> complex:
-    return cmath.rect(float(mod), math.radians(float(phase_deg)))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qreading",
@@ -133,83 +143,53 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and diffraction noise",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, options in _OPTIONS.items():
+        p = sub.add_parser(command, help=_SUMMARY[command])
         p.add_argument("--config", metavar="PATH", help="INI config file")
-        p.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--dim", type=int, help="Fock truncation per mode")
-        p.add_argument("--quad-order", type=int,
-                       help="deprecated and ignored; thermal noise is exact")
-        p.add_argument("--threads", type=int,
-                       help="deprecated and ignored; computation is serial")
-
-    p_rate = sub.add_parser("rate", help="rates for a single configuration")
-    common(p_rate)
-    p_rate.add_argument("--p0", type=float)
-    p_rate.add_argument("--z0-mod", type=float)
-    p_rate.add_argument("--z0-phase-deg", type=float)
-    p_rate.add_argument("--z1-mod", type=float)
-    p_rate.add_argument("--z1-phase-deg", type=float)
-    p_rate.add_argument("--n", type=float)
-    p_rate.add_argument("--nth", type=float)
-    p_rate.add_argument("--transmitter", choices=("coherent", "epr", "both"))
-
-    p_map = sub.add_parser("gain-map", help="gain grid over (z0, z1) x (n, nth)")
-    common(p_map)
-    p_map.add_argument("--p0", type=float)
-    p_map.add_argument("--z0-grid")
-    p_map.add_argument("--z1-grid")
-    p_map.add_argument("--n-grid")
-    p_map.add_argument("--nth-grid")
-
-    p_dif = sub.add_parser("diffraction", help="tau extrema and rate bounds")
-    common(p_dif)
-    p_dif.add_argument("--p0", type=float)
-    p_dif.add_argument("--z0-mod", type=float)
-    p_dif.add_argument("--z0-phase-deg", type=float)
-    p_dif.add_argument("--z1-mod", type=float)
-    p_dif.add_argument("--z1-phase-deg", type=float)
-    p_dif.add_argument("--n", type=float)
-    p_dif.add_argument("--nth", type=float)
-    p_dif.add_argument("--lxr-grid")
-    p_dif.add_argument("--d-over-ell", type=float)
-    p_dif.add_argument("--grid-size", type=int)
-    p_dif.add_argument("--both-sides", action="store_const", const=True)
+        for key, opt in options.items():
+            if opt.type is bool:
+                p.add_argument(f"--{key}", action="store_const", const=True, help=opt.help)
+            else:
+                p.add_argument(f"--{key}", type=opt.type, choices=opt.choices,
+                               help=opt.help)
     return parser
 
 
+def _cast(key: str, opt: Option, text: str) -> Any:
+    """A config-file value, read and checked the way its flag is."""
+    try:
+        value = ConfigParser.BOOLEAN_STATES[text.lower()] if opt.type is bool \
+            else opt.type(text)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
+    if opt.choices is not None and value not in opt.choices:
+        raise ConfigError(f"bad value for {key!r}: {text!r} "
+                          f"(choose from {', '.join(opt.choices)})")
+    return value
+
+
 def _merge_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
-    merged = dict(_DEFAULTS[command])
+    options = _OPTIONS[command]
+    merged = {key: opt.default for key, opt in options.items()}
     if args.config:
         parser = ConfigParser()
-        read = parser.read(args.config)
-        if not read:
+        if not parser.read(args.config):
             raise ConfigError(f"cannot read config file {args.config}")
         if parser.has_section(command):
-            for key, value in parser.items(command):
-                if key not in merged:
+            for key, text in parser.items(command):
+                if key not in options:
                     raise ConfigError(f"unknown config key {key!r} in [{command}]")
-                merged[key] = value
-    for key in merged:
-        arg_val = getattr(args, key.replace("-", "_"), None)
+                merged[key] = _cast(key, options[key], text)
+    for key in options:
+        arg_val = getattr(args, key.replace("-", "_"))
         if arg_val is not None:
             merged[key] = arg_val
-    for key in _REQUIRED[command]:
-        if merged[key] is None:
+    for key, opt in options.items():
+        if opt.required and merged[key] is None:
             raise ConfigError(f"missing required field {key!r} for {command}")
-    # normalize scalar types possibly read as strings from the config file
-    for key, caster in _KEY_TYPES.items():
-        if key in merged and isinstance(merged[key], str):
-            if caster is bool:
-                merged[key] = merged[key].lower() in ("1", "true", "yes")
-            else:
-                try:
-                    merged[key] = caster(merged[key])
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key!r}: {merged[key]!r}") from exc
-        if isinstance(merged.get(key), float) and not math.isfinite(merged[key]):
-            raise ConfigError(f"{key!r} must be finite, got {merged[key]!r}")
+    for key, value in merged.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key!r} must be finite, got {value!r}")
     return merged
 
 
@@ -217,53 +197,50 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def cmd_rate(cfg: dict[str, Any]) -> list[dict[str, Any]]:
-    p0 = float(cfg["p0"])
-    z0 = _polar(cfg["z0-mod"], cfg["z0-phase-deg"])
-    z1 = _polar(cfg["z1-mod"], cfg["z1-phase-deg"])
-    n = float(cfg["n"])
-    nth = float(cfg["nth"])
-    cell = MarginalCell.binary(p0, z0, z1)
-    kinds = ("coherent", "epr") if cfg["transmitter"] == "both" else (cfg["transmitter"],)
-
+def _cell(cfg: dict[str, Any]) -> tuple[MarginalCell, dict[str, Any]]:
+    """The binary cell of the shared flags, and the row columns echoing them."""
+    z0 = cmath.rect(cfg["z0-mod"], math.radians(cfg["z0-phase-deg"]))
+    z1 = cmath.rect(cfg["z1-mod"], math.radians(cfg["z1-phase-deg"]))
     echo = {
-        "p0": p0, "z0_mod": float(cfg["z0-mod"]), "z0_phase_deg": float(cfg["z0-phase-deg"]),
-        "z1_mod": float(cfg["z1-mod"]), "z1_phase_deg": float(cfg["z1-phase-deg"]),
-        "n": n, "n_th": nth,
+        "p0": cfg["p0"], "z0_mod": cfg["z0-mod"], "z0_phase_deg": cfg["z0-phase-deg"],
+        "z1_mod": cfg["z1-mod"], "z1_phase_deg": cfg["z1-phase-deg"],
+        "n": cfg["n"], "n_th": cfg["nth"],
     }
+    return MarginalCell.binary(cfg["p0"], z0, z1), echo
 
-    def one(kind: str) -> list[dict[str, Any]]:
+
+def cmd_rate(cfg: dict[str, Any]) -> list[dict[str, Any]]:
+    cell, echo = _cell(cfg)
+    (p0, p1), (z0, z1) = cell.probs, cell.reflectances
+    n, nth = cfg["n"], cfg["nth"]
+    kinds = ("coherent", "epr") if cfg["transmitter"] == "both" else (cfg["transmitter"],)
+    rows: list[dict[str, Any]] = []
+    for kind in kinds:
         tx = TransmitterSpec.coherent(n) if kind == "coherent" else TransmitterSpec.epr(n)
         res = holevo_rate(cell, tx, nth, cfg["dim"])
-        rows = [dict(echo, transmitter=kind, method=res.method, dim=res.truncation_dim,
-                     rate_bits=res.rate_bits, trace_deficit=res.trace_deficit,
-                     cross_check_bits=res.cross_check_error)]
-        if nth == 0.0:
-            analytic = None
-            if kind == "coherent":
-                analytic = coherent_capacity_noiseless(cell, n)
-            elif abs(abs(z0) - 1.0) < 1e-12 and abs(abs(z1) - 1.0) < 1e-12:
-                theta = cmath.phase(z1) - cmath.phase(z0)
-                analytic = epr_rate_noiseless_phase(p0, 1.0 - p0, theta, n)
-            if analytic is not None:
-                rows.append(dict(echo, transmitter=kind, method="analytic_noiseless",
-                                 dim=res.truncation_dim, rate_bits=analytic,
-                                 trace_deficit=0.0, cross_check_bits=0.0))
-        return rows
-
-    out: list[dict[str, Any]] = []
-    for kind in kinds:
-        out.extend(one(kind))
-    return out
+        rows.append(dict(echo, transmitter=kind, method=res.method, dim=res.truncation_dim,
+                         rate_bits=res.rate_bits, trace_deficit=res.trace_deficit,
+                         cross_check_bits=res.cross_check_error))
+        if nth != 0.0:
+            continue
+        analytic = None
+        if kind == "coherent":
+            analytic = coherent_capacity_noiseless(cell, n)
+        elif abs(abs(z0) - 1.0) < 1e-12 and abs(abs(z1) - 1.0) < 1e-12:
+            analytic = epr_rate_noiseless_phase(p0, p1, cmath.phase(z1) - cmath.phase(z0), n)
+        if analytic is not None:
+            rows.append(dict(echo, transmitter=kind, method="analytic_noiseless",
+                             dim=res.truncation_dim, rate_bits=analytic,
+                             trace_deficit=0.0, cross_check_bits=0.0))
+    return rows
 
 
 def cmd_gain_map(cfg: dict[str, Any]) -> list[dict[str, Any]]:
-    p0 = float(cfg["p0"])
+    p0, dim = cfg["p0"], cfg["dim"]
     z0s = _validate_grid("z0-grid", parse_grid(cfg["z0-grid"]))
     z1s = _validate_grid("z1-grid", parse_grid(cfg["z1-grid"]))
     ns = _validate_grid("n-grid", parse_grid(cfg["n-grid"]))
     nths = _validate_grid("nth-grid", parse_grid(cfg["nth-grid"]))
-    dim = int(cfg["dim"])
 
     def one(z0: float, z1: float, n: float, nth: float) -> dict[str, Any]:
         res = gains(MarginalCell.binary(p0, z0, z1), n, nth, dim)
@@ -278,33 +255,26 @@ def cmd_gain_map(cfg: dict[str, Any]) -> list[dict[str, Any]]:
 
 
 def cmd_diffraction(cfg: dict[str, Any]) -> list[dict[str, Any]]:
-    p0 = float(cfg["p0"])
-    z0 = _polar(cfg["z0-mod"], cfg["z0-phase-deg"])
-    z1 = _polar(cfg["z1-mod"], cfg["z1-phase-deg"])
-    n = float(cfg["n"])
-    nth = float(cfg["nth"])
-    d_over_ell = float(cfg["d-over-ell"])
-    grid_size = int(cfg["grid-size"])
-    both_sides = bool(cfg["both-sides"])
     ratios = _validate_grid("lxr-grid", parse_grid(cfg["lxr-grid"]))
-    cell = MarginalCell.binary(p0, z0, z1)
-    txs = {"coherent": TransmitterSpec.coherent(n), "epr": TransmitterSpec.epr(n)}
+    cell, echo = _cell(cfg)
+    txs = {"coherent": TransmitterSpec.coherent(cfg["n"]),
+           "epr": TransmitterSpec.epr(cfg["n"])}
 
     def one(ratio: float) -> dict[str, Any]:
-        geom = DiffractionGeometry.from_ratios(ratio, d_over_ell)
-        tau_min, tau_max = tau_extrema(geom, grid_size)  # memoised; shared with rate_bounds
-        row = {
-            "p0": p0, "z0_mod": float(cfg["z0-mod"]), "z0_phase_deg": float(cfg["z0-phase-deg"]),
-            "z1_mod": float(cfg["z1-mod"]), "z1_phase_deg": float(cfg["z1-phase-deg"]),
-            "n": n, "n_th": nth, "d_over_ell": d_over_ell,
-            "ell_over_xr": ratio,
-            "tau_min": tau_min, "tau_max": tau_max,
-        }
+        geom = DiffractionGeometry.from_ratios(ratio, cfg["d-over-ell"])
+        tau_min, tau_max = tau_extrema(geom, cfg["grid-size"])  # memoised for rate_bounds
+        row = dict(echo, d_over_ell=cfg["d-over-ell"], ell_over_xr=ratio,
+                   tau_min=tau_min, tau_max=tau_max)
+        results = []
         for kind, tx in txs.items():
-            bounds = rate_bounds(cell, tx, geom, nth, cfg["dim"],
-                                 grid_size=grid_size, attenuate_idler=both_sides)
+            bounds = rate_bounds(cell, tx, geom, cfg["nth"], cfg["dim"],
+                                 grid_size=cfg["grid-size"],
+                                 attenuate_idler=cfg["both-sides"])
             row[f"{kind}_lower"] = bounds.lower_bits
             row[f"{kind}_upper"] = bounds.upper_bits
+            results += [bounds.lower, bounds.upper]
+        row["trace_deficit"] = max(r.trace_deficit for r in results)
+        row["cross_check_bits"] = max(r.cross_check_error for r in results)
         return row
 
     return [one(ratio) for ratio in ratios]
@@ -341,9 +311,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args.command, args)
-        for key, why in _DEPRECATED.items():
-            if cfg[key] is not None:
-                log.warning("--%s is deprecated and ignored: %s", key, why)
         log.info("running %s with %s", args.command, cfg)
         runner = {"rate": cmd_rate, "gain-map": cmd_gain_map,
                   "diffraction": cmd_diffraction}[args.command]

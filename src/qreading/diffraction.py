@@ -298,14 +298,12 @@ def tau_extrema(geom: DiffractionGeometry,
 
 def rate_bounds(cell: MarginalCell, tx: TransmitterSpec,
                 geom: DiffractionGeometry, n_th: float = 0.0,
-                dim: int | None = None, quad_order: int | None = None,
-                grid_size: int = 4096,
+                dim: int | None = None, grid_size: int = 4096,
                 attenuate_idler: bool = False) -> RateBounds:
     """Reading-rate bounds from the bounding channels at tau_min / tau_max.
 
     ``attenuate_idler`` extends the diffraction attenuation to the retained
-    ancilla modes as well (both-sides variant). ``quad_order`` is deprecated
-    and ignored.
+    ancilla modes as well (both-sides variant).
     """
     tau_min, tau_max = tau_extrema(geom, grid_size)
     lower = rate_after_attenuation(cell, tx, n_th, tau_min, dim,

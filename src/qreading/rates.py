@@ -5,9 +5,6 @@ concavity scan backing the classical-optimality conjecture.
 Coherent numerics use the single-mode optimum (s=1, r=0); EPR numerics use a
 single two-mode squeezed copy (s=1, r=1). The general-s noiseless phase rate
 is available in closed form via :func:`epr_rate_noiseless_phase`.
-
-Thermal noise is computed exactly, so the ``quad_order`` keyword of the
-numeric functions is deprecated and ignored.
 """
 
 from __future__ import annotations
@@ -111,8 +108,7 @@ def _symbol_gaussian_entropy(tx: TransmitterSpec, params: ChannelParams,
 
 
 def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
-                dim: int | None = None, quad_order: int | None = None,
-                idler_attenuation: float = 1.0,
+                dim: int | None = None, idler_attenuation: float = 1.0,
                 check_convergence: bool = False) -> RateResult:
     """Holevo information of the cell ensemble for the given transmitter.
 
@@ -221,8 +217,7 @@ def epr_rate_faint(cell: MarginalCell, n: float, n_th: float,
 
 
 def gains(cell: MarginalCell, n: float, n_th: float,
-          dim: int = DEFAULT_DIM_PER_MODE,
-          quad_order: int | None = None) -> GainResult:
+          dim: int = DEFAULT_DIM_PER_MODE) -> GainResult:
     """Absolute and relative EPR-over-coherent information gains."""
     coh = holevo_rate(cell, TransmitterSpec.coherent(n), n_th, dim)
     epr = holevo_rate(cell, TransmitterSpec.epr(n), n_th, dim)
@@ -234,8 +229,7 @@ def gains(cell: MarginalCell, n: float, n_th: float,
 
 
 def concavity_scan(cell: MarginalCell, n_grid: Sequence[float], n_th: float,
-                   dim: int = DEFAULT_DIM_SINGLE,
-                   quad_order: int | None = None) -> ConcavityReport:
+                   dim: int = DEFAULT_DIM_SINGLE) -> ConcavityReport:
     """Second-derivative estimates of n -> coherent Holevo rate.
 
     Positive values would contradict concavity; the report carries the
@@ -262,7 +256,6 @@ def concavity_scan(cell: MarginalCell, n_grid: Sequence[float], n_th: float,
 @lru_cache(maxsize=256)
 def rate_after_attenuation(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
                            tau: float, dim: int | None = None,
-                           quad_order: int | None = None,
                            attenuate_idler: bool = False) -> RateResult:
     """Holevo rate with every cell channel composed with a tau-attenuator.
 

@@ -100,7 +100,7 @@ def test_03_faint_signal_approximations():
 
 
 def test_04_thermal_gain_sign_structure():
-    noisy = gains(AMP_CELL, 0.01, 0.1, dim=24, quad_order=20)
+    noisy = gains(AMP_CELL, 0.01, 0.1, dim=24)
     clean = gains(PHASE_CELL, 1.0, 0.0, dim=30)
     ok = (noisy.absolute > 0.0 and noisy.relative is not None
           and noisy.relative > 1.0 and clean.absolute < 0.0)
@@ -124,11 +124,9 @@ def test_05_cross_picture_conditional_entropies():
         z1 = math.sqrt(rng.uniform(0.0, 1.0)) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         cell = MarginalCell.binary(0.5, z0, z1)
         if kind == "coherent":
-            res = holevo_rate(cell, TransmitterSpec.coherent(n), nth, dim=60,
-                              quad_order=20)
+            res = holevo_rate(cell, TransmitterSpec.coherent(n), nth, dim=60)
         else:
-            res = holevo_rate(cell, TransmitterSpec.epr(n), nth, dim=30,
-                              quad_order=20)
+            res = holevo_rate(cell, TransmitterSpec.epr(n), nth, dim=30)
         worst = max(worst, res.cross_check_error)
     ok = worst <= 1e-6
     record_acceptance("05 cross-picture entropy oracle",
@@ -228,10 +226,9 @@ def test_09_data_processing_monotonicity():
         n = float(rng.uniform(0.05, 1.0))
         nth = float(rng.uniform(0.0, 0.5))
         tx = TransmitterSpec.coherent(n)
-        before = holevo_rate(cell, tx, nth, dim=40, quad_order=16).rate_bits
+        before = holevo_rate(cell, tx, nth, dim=40).rate_bits
         for tau in (0.3, 0.7, 1.0):
-            after = rate_after_attenuation(cell, tx, nth, tau, dim=40,
-                                           quad_order=16).rate_bits
+            after = rate_after_attenuation(cell, tx, nth, tau, dim=40).rate_bits
             worst = max(worst, after - before)
     ok = worst <= 1e-7
     record_acceptance("09 data-processing monotonicity",
@@ -244,7 +241,7 @@ def test_10_concavity_evidence():
     worst = -np.inf
     details = []
     for nth in (0.0, 0.5, 1.0):
-        report = concavity_scan(AMP_CELL, grid, nth, dim=60, quad_order=14)
+        report = concavity_scan(AMP_CELL, grid, nth, dim=60)
         worst = max(worst, report.max_second_difference)
         details.append(f"nth={nth}: {report.max_second_difference:.2e}")
     ok = worst <= 1e-5

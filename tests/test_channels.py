@@ -103,13 +103,13 @@ class TestClassicalNoise:
 
     def test_vacuum_becomes_thermal(self):
         vac = thermal_state(0.0, 40)
-        out = apply_classical_noise(vac, 1.0, quad_order=20)
+        out = apply_classical_noise(vac, 1.0)
         ref = thermal_state(1.0, 40)
         assert np.max(np.abs(out.data - ref.data)) < 1e-6
 
     def test_adds_mean_photons(self):
         rho = FockDensityMatrix.from_pure(coherent_state(0.8, 35), (35,))
-        out = apply_classical_noise(rho, 0.6, quad_order=20)
+        out = apply_classical_noise(rho, 0.6)
         num = np.arange(35)
         before = np.real(np.sum(num * np.diag(rho.data)))
         after = np.real(np.sum(num * np.diag(out.data)))
@@ -141,7 +141,7 @@ class TestClassicalNoise:
     def test_output_positive(self):
         rng = np.random.default_rng(11)
         rho = random_density(rng, 10)
-        apply_classical_noise(rho, 1.2, quad_order=14).check_positive()
+        apply_classical_noise(rho, 1.2).check_positive()
 
 
 class TestCellChannel:
@@ -149,17 +149,16 @@ class TestCellChannel:
         rng = np.random.default_rng(5)
         rho = random_density(rng, 14)
         params = ChannelParams(0.6 + 0.2j, 0.4)
-        direct = apply_cell_channel(rho, params, quad_order=14)
-        staged = apply_classical_noise(apply_loss(rho, params.z), params.n_th,
-                                       quad_order=14)
+        direct = apply_cell_channel(rho, params)
+        staged = apply_classical_noise(apply_loss(rho, params.z), params.n_th)
         assert np.max(np.abs(direct.data - staged.data)) < 1e-12
 
     def test_pure_fast_path_matches_generic(self):
         vec = epr_state(0.6, 1, 10, eps_trunc=1e-3)
         params = ChannelParams(0.5 * np.exp(0.3j), 0.7)
-        fast = pure_state_cell_output(vec, (10, 10), params, mode=0, quad_order=10)
+        fast = pure_state_cell_output(vec, (10, 10), params, mode=0)
         rho = FockDensityMatrix.from_pure(vec, (10, 10))
-        slow = apply_cell_channel(rho, params, mode=0, quad_order=10)
+        slow = apply_cell_channel(rho, params, mode=0)
         assert np.max(np.abs(fast.data - slow.data)) < 1e-11
 
     def test_epr_signal_killed_leaves_thermal_marginal(self):
@@ -180,7 +179,7 @@ class TestCellChannel:
         ]
         params = ChannelParams(0.6 * np.exp(0.8j), 0.5)
         for vec, dims, gauss in tx_cases:
-            rho = pure_state_cell_output(vec, dims, params, mode=0, quad_order=20)
+            rho = pure_state_cell_output(vec, dims, params, mode=0)
             mean, cov = fock_moments(rho)
             ref = gaussian_channel_action(gauss, params, mode=0)
             assert np.max(np.abs(mean - ref.mean)) < 1e-6

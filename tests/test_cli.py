@@ -1,21 +1,26 @@
 """Command-line interface: parsing, config merging, output formats, errors."""
 
 import json
-import logging
 import math
 
 import pytest
 
 from qreading import (
+    ChannelParams,
     DiffractionGeometry,
     MarginalCell,
     TransmitterSpec,
+    apply_cell_channel,
+    apply_classical_noise,
+    concavity_scan,
     gains,
     holevo_rate,
+    rate_after_attenuation,
     rate_bounds,
     rates,
     tau_extrema,
 )
+from qreading.channels import pure_state_cell_output
 from qreading.cli import main, parse_grid
 from qreading.errors import ConfigError
 
@@ -82,8 +87,7 @@ class TestRateCommand:
         assert "missing required field 'n'" in err
 
     def test_deterministic_output(self, capsys):
-        args = ("rate", "--n", "0.3", "--nth", "0.2", "--dim", "16",
-                "--quad-order", "10", "--threads", "2")
+        args = ("rate", "--n", "0.3", "--nth", "0.2", "--dim", "16")
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
@@ -136,13 +140,38 @@ class TestConfigFile:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("section,line,argv", [
+        ("rate", "transmitter = cohrent", ("--n", "0.1", "--dim", "8")),
+        ("rate", "format = xml", ("--n", "0.1", "--dim", "8", "--transmitter", "coherent")),
+        ("diffraction", "both-sides = ture",
+         ("--lxr-grid", "1", "--dim", "8", "--grid-size", "1024")),
+    ])
+    def test_values_checked_like_flags(self, capsys, tmp_path, section, line, argv):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+        code, out, err = run(capsys, section, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert line.split(" = ")[0] in err
+
+    def test_boolean_words_accepted(self, capsys, tmp_path):
+        argv = ("diffraction", "--lxr-grid", "1", "--dim", "8", "--grid-size", "1024")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[diffraction]\nboth-sides = yes\n", encoding="utf-8")
+        code, from_file, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == 0
+        _, from_flag, _ = run(capsys, *argv, "--both-sides")
+        _, plain, _ = run(capsys, *argv)
+        assert from_file == from_flag != plain
+
 
 class TestGainMapCommand:
     def test_signs_and_null_relative(self, capsys):
         code, out, _ = run(capsys, "gain-map", "--n-grid", "0.1",
                            "--nth-grid", "1", "--z0-grid", "0",
                            "--z1-grid", "1", "--dim", "20",
-                           "--quad-order", "12", "--format", "json")
+                           "--format", "json")
         assert code == 0
         row = json.loads(out)[0]
         assert row["gain_absolute"] > 0.0
@@ -157,8 +186,7 @@ class TestGainMapCommand:
     def test_grid_cartesian_product(self, capsys):
         code, out, _ = run(capsys, "gain-map", "--n-grid", "0.05,0.1",
                            "--nth-grid", "0,0.2", "--z0-grid", "0",
-                           "--z1-grid", "1", "--dim", "14",
-                           "--quad-order", "10", "--threads", "2")
+                           "--z1-grid", "1", "--dim", "14")
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 4
@@ -175,8 +203,7 @@ class TestGainMapCommand:
 class TestDiffractionCommand:
     def test_sweep_structure(self, capsys):
         code, out, _ = run(capsys, "diffraction", "--lxr-grid", "0.5,1.0",
-                           "--n", "0.1", "--nth", "0.5", "--dim", "14",
-                           "--quad-order", "10")
+                           "--n", "0.1", "--nth", "0.5", "--dim", "14")
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 2
@@ -196,7 +223,7 @@ class TestThinShell:
     """The diffraction command is a serial loop over the library's rate_bounds."""
 
     ARGS = ("diffraction", "--lxr-grid", "0.6:1.6:3", "--n", "0.1", "--nth", "0.5",
-            "--dim", "8", "--quad-order", "8", "--grid-size", "1024")
+            "--dim", "8", "--grid-size", "1024")
 
     @pytest.mark.parametrize("extra", [(), ("--d-over-ell", "0.6"), ("--both-sides",)])
     def test_rows_equal_rate_bounds(self, capsys, extra):
@@ -213,7 +240,7 @@ class TestThinShell:
                                                    float(row["d_over_ell"]))
             for kind, tx in (("coherent", TransmitterSpec.coherent(0.1)),
                              ("epr", TransmitterSpec.epr(0.1))):
-                bounds = rate_bounds(cell, tx, geom, 0.5, dim=8, quad_order=8,
+                bounds = rate_bounds(cell, tx, geom, 0.5, dim=8,
                                      grid_size=1024,
                                      attenuate_idler="--both-sides" in extra)
                 assert row["tau_min"] == f"{bounds.tau_min:.12g}"
@@ -242,15 +269,41 @@ class TestThinShell:
         assert tau_extrema.cache_info().misses == len(rows)
 
 
-class TestThreadsDeprecated:
-    def test_any_value_accepted_and_warned(self, capsys, caplog):
-        with caplog.at_level(logging.WARNING, logger="qreading"):
-            code, out, _ = run(capsys, "gain-map", "--n-grid", "0.1,0.2",
-                               "--nth-grid", "0", "--dim", "12", "--threads", "-3")
-        assert code == 0
-        assert len(parse_csv(out)) == 2
-        warned = [r for r in caplog.records if "deprecated" in r.getMessage()]
-        assert len(warned) == 1 and warned[0].name == "qreading"
+class TestRemovedKnobs:
+    """The quadrature order and thread count did nothing, and are gone."""
+
+    @pytest.mark.parametrize("flag", ["--quad-order", "--threads"])
+    @pytest.mark.parametrize("command", ["rate", "gain-map", "diffraction"])
+    def test_flag_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "2"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["quad-order", "threads"])
+    def test_config_key_rejected(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[rate]\nn = 0.1\n{key} = 2\n", encoding="utf-8")
+        code, out, err = run(capsys, "rate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"unknown config key {key!r}" in err
+
+    @pytest.mark.parametrize("call", [
+        lambda: apply_classical_noise(None, 0.1, quad_order=14),
+        lambda: apply_cell_channel(None, ChannelParams(1.0, 0.1), quad_order=14),
+        lambda: pure_state_cell_output(None, (4,), None, quad_order=14),
+        lambda: holevo_rate(None, None, 0.1, quad_order=14),
+        lambda: gains(None, 0.1, 0.1, quad_order=14),
+        lambda: concavity_scan(None, [0.1, 0.2, 0.3], 0.1, quad_order=14),
+        lambda: rate_after_attenuation(None, None, 0.1, 1.0, quad_order=14),
+        lambda: rate_bounds(None, None, None, 0.1, quad_order=14),
+    ], ids=["apply_classical_noise", "apply_cell_channel", "pure_state_cell_output",
+            "holevo_rate", "gains", "concavity_scan", "rate_after_attenuation",
+            "rate_bounds"])
+    def test_library_rejects_quad_order(self, call):
+        with pytest.raises(TypeError, match="quad_order"):
+            call()
 
 
 class TestBoundaryExits:
@@ -279,32 +332,6 @@ class TestBoundaryExits:
         code, _, err = run(capsys, "rate", "--config", str(cfg))
         assert code == 2
         assert "finite" in err
-
-
-class TestQuadOrderDeprecated:
-    ARGS = ("rate", "--n", "0.3", "--nth", "0.2", "--dim", "16")
-
-    def test_ignored_and_warned_once(self, capsys, caplog):
-        _, plain, _ = run(capsys, *self.ARGS)
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="qreading"):
-            code, flagged, _ = run(capsys, *self.ARGS, "--quad-order", "3")
-        assert code == 0
-        assert flagged == plain
-        warned = [r for r in caplog.records if r.levelno >= logging.WARNING]
-        assert len(warned) == 1 and warned[0].name == "qreading"
-        assert "--quad-order is deprecated" in warned[0].getMessage()
-
-    def test_config_key_warned(self, capsys, caplog, tmp_path):
-        cfg = tmp_path / "run.ini"
-        cfg.write_text("[rate]\nn = 0.3\nquad-order = 20\ntransmitter = coherent\n"
-                       "dim = 12\n", encoding="utf-8")
-        with caplog.at_level(logging.WARNING, logger="qreading"):
-            code, out, _ = run(capsys, "rate", "--config", str(cfg))
-        assert code == 0
-        assert "quad_order" not in out.split("\n")[0]
-        warned = [r for r in caplog.records if "deprecated" in r.getMessage()]
-        assert len(warned) == 1
 
 
 class TestTrustColumns:
@@ -350,3 +377,20 @@ class TestTrustColumns:
             assert res.cross_check_bits == max(coh.cross_check_error,
                                                epr.cross_check_error)
             self.assert_cells(row, res.trace_deficit, res.cross_check_bits)
+
+    def test_diffraction_rows(self, capsys):
+        code, out, _ = run(capsys, "diffraction", "--lxr-grid", "0.6,1.2", "--n", "0.1",
+                           "--nth", "0.5", "--dim", "8", "--grid-size", "1024")
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 2
+        assert list(rows[0])[-3:] == ["epr_upper", "trace_deficit", "cross_check_bits"]
+        cell = MarginalCell.binary(0.5, 0.0, 1.0)
+        for row in rows:
+            geom = DiffractionGeometry.from_ratios(float(row["ell_over_xr"]))
+            results = []
+            for tx in (TransmitterSpec.coherent(0.1), TransmitterSpec.epr(0.1)):
+                bounds = rate_bounds(cell, tx, geom, 0.5, dim=8, grid_size=1024)
+                results += [bounds.lower, bounds.upper]
+            self.assert_cells(row, max(r.trace_deficit for r in results),
+                              max(r.cross_check_error for r in results))

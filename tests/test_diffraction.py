@@ -213,14 +213,14 @@ class TestRateBounds:
     def test_bounds_ordered_and_sandwiched(self):
         geom = DiffractionGeometry.from_ratios(0.8)
         res = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.2), geom,
-                          n_th=0.5, dim=20, quad_order=12)
+                          n_th=0.5, dim=20)
         assert 0.0 <= res.lower_bits <= res.upper_bits
         assert res.tau_min <= res.tau_max <= 1.0
 
     def test_transparent_limit_collapses(self):
         geom = DiffractionGeometry.from_ratios(2e5)
         res = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.5), geom,
-                          dim=25, quad_order=12)
+                          dim=25)
         assert res.upper_bits - res.lower_bits < 1e-4
         # both bounds agree with the unobstructed noiseless closed form
         from qreading import coherent_capacity_noiseless
@@ -232,15 +232,15 @@ class TestRateBounds:
     def test_opaque_limit_zero_lower(self):
         geom = DiffractionGeometry.from_ratios(0.3)
         res = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.5), geom,
-                          dim=25, quad_order=12)
+                          dim=25)
         assert res.lower_bits < 1e-9
 
     def test_both_sides_attenuation_weaker(self):
         geom = DiffractionGeometry.from_ratios(0.7)
         one = rate_bounds(AMP_CELL, TransmitterSpec.epr(0.2), geom,
-                          n_th=0.3, dim=14, quad_order=10)
+                          n_th=0.3, dim=14)
         two = rate_bounds(AMP_CELL, TransmitterSpec.epr(0.2), geom,
-                          n_th=0.3, dim=14, quad_order=10, attenuate_idler=True)
+                          n_th=0.3, dim=14, attenuate_idler=True)
         assert two.lower_bits <= one.lower_bits + 1e-7
 
 

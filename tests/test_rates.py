@@ -146,9 +146,9 @@ class TestHolevoRate:
     def test_global_phase_invariance(self):
         phase = np.exp(0.9j)
         a = holevo_rate(MarginalCell.binary(0.5, 0.2, 0.9),
-                        TransmitterSpec.coherent(0.5), 0.3, dim=25, quad_order=14)
+                        TransmitterSpec.coherent(0.5), 0.3, dim=25)
         b = holevo_rate(MarginalCell.binary(0.5, 0.2 * phase, 0.9 * phase),
-                        TransmitterSpec.coherent(0.5), 0.3, dim=25, quad_order=14)
+                        TransmitterSpec.coherent(0.5), 0.3, dim=25)
         assert abs(a.rate_bits - b.rate_bits) < 1e-8
 
     def test_bounded_by_ensemble_entropy(self):
@@ -169,15 +169,15 @@ class TestHolevoRate:
         # strong noise leaks past a dim-10 truncation; the dim+10 recheck sees it
         with pytest.raises(ConvergenceError):
             holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.5), 2.0, dim=10,
-                        quad_order=14, check_convergence=True)
+                        check_convergence=True)
 
     def test_convergence_guard_passes(self):
         holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.3), 0.2, dim=30,
-                    quad_order=16, check_convergence=True)
+                    check_convergence=True)
 
     def test_result_metadata(self):
         res = holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.5), 0.2,
-                          dim=30, quad_order=14)
+                          dim=30)
         assert res.method == "fock_numeric"
         assert res.truncation_dim == 30
         assert 0.0 <= res.trace_deficit < 1e-6
@@ -195,20 +195,20 @@ class TestFaintAgreement:
         n = n_th = 1e-3
         approx = coherent_capacity_faint(AMP_CELL, n, n_th)
         exact = holevo_rate(AMP_CELL, TransmitterSpec.coherent(n), n_th,
-                            dim=14, quad_order=20).rate_bits
+                            dim=14).rate_bits
         assert abs(approx - exact) / exact < 0.05
 
     def test_epr_faint_vs_numeric(self):
         n = n_th = 1e-3
         approx = epr_rate_faint(AMP_CELL, n, n_th)
         exact = holevo_rate(AMP_CELL, TransmitterSpec.epr(n), n_th,
-                            dim=12, quad_order=20).rate_bits
+                            dim=12).rate_bits
         assert abs(approx - exact) / exact < 0.05
 
 
 class TestGains:
     def test_noisy_amplitude_favors_epr(self):
-        res = gains(AMP_CELL, 0.1, 1.0, dim=24, quad_order=14)
+        res = gains(AMP_CELL, 0.1, 1.0, dim=24)
         assert res.absolute > 0.0
         assert res.relative is not None and res.relative > 0.0
         assert abs(res.absolute - (res.epr_bits - res.coherent_bits)) < 1e-12
@@ -225,21 +225,21 @@ class TestGains:
 class TestAttenuationAndConcavity:
     def test_full_transmission_is_identity(self):
         direct = holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.5), 0.2,
-                             dim=25, quad_order=14)
+                             dim=25)
         via = rate_after_attenuation(AMP_CELL, TransmitterSpec.coherent(0.5),
-                                     0.2, 1.0, dim=25, quad_order=14)
+                                     0.2, 1.0, dim=25)
         assert abs(direct.rate_bits - via.rate_bits) < 1e-12
 
     def test_monotone_in_tau(self):
         taus = (0.3, 0.6, 0.9, 1.0)
         vals = [rate_after_attenuation(AMP_CELL, TransmitterSpec.coherent(0.8),
-                                       0.4, t, dim=25, quad_order=14).rate_bits
+                                       0.4, t, dim=25).rate_bits
                 for t in taus]
         assert all(b >= a - 1e-7 for a, b in zip(vals, vals[1:]))
 
     def test_concavity_noiseless(self):
         grid = np.linspace(0.05, 2.0, 12)
-        report = concavity_scan(AMP_CELL, grid, 0.0, dim=40, quad_order=12)
+        report = concavity_scan(AMP_CELL, grid, 0.0, dim=40)
         assert report.max_second_difference <= 1e-7
         assert report.second_differences.size == grid.size - 2
 
