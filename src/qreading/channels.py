@@ -188,6 +188,39 @@ def pure_state_cell_output(vec: np.ndarray, dims: tuple[int, ...],
     return FockDensityMatrix(dims, rho)
 
 
+def _shift_amplitudes(ops: np.ndarray, sign: int) -> np.ndarray:
+    """t[k, m]: the amplitude with which ops[k] sends |m> to |m + sign k>."""
+    k, m = np.ogrid[:len(ops), :ops.shape[-1]]
+    return ops[k, (m + sign * k) % ops.shape[-1], m]  # wrapped entries are 0
+
+
+def epr_output_blocks(schmidt: np.ndarray, params: ChannelParams,
+                      idler_attenuation: float = 1.0) -> np.ndarray:
+    """``pure_state_cell_output`` of sum_m c_m |m, m> (then idler loss) by blocks.
+
+    Each step commutes with exp(i phi (n_S - n_R)): loss branch k, amplifier
+    branch j and idler-loss branch l send c_m |m, m> into block j - k + l.
+    Entry [delta + d - 1, r, r'] of the (2d - 1, d, d) result is
+    <r + delta, r| rho |r' + delta, r'>, 0 past the cutoff. Cost O(d^4), not O(d^6).
+    """
+    d = len(schmidt)
+    gain = 1.0 + params.n_th
+    a = _shift_amplitudes(loss_kraus(complex(params.z) / math.sqrt(gain), d), -1)
+    b = _shift_amplitudes(amplifier_kraus(gain, d), 1)
+    delta, k, m = np.ogrid[1 - d:d, :d, :d]
+    j = k + delta  # the amplifier branch that takes loss branch k into block delta
+    branches = np.where((j >= 0) & (j < d), schmidt * a[k, m] * b[j % d, (m - k) % d], 0)
+    blocks = np.swapaxes(branches, 1, 2) @ branches.conj()
+    if idler_attenuation < 1.0:
+        c = _shift_amplitudes(loss_kraus(complex(idler_attenuation), d), -1)
+        lossy = np.zeros_like(blocks)
+        for l in range(d):
+            w = np.outer(c[l, l:], c[l, l:].conj())  # idler r -> r - l, block +l
+            lossy[l:, :d - l, :d - l] += w * blocks[:2 * d - 1 - l, l:, l:]
+        blocks = lossy
+    return 0.5 * (blocks + np.swapaxes(blocks, 1, 2).conj())
+
+
 # ---------------------------------------------------------------------------
 # Gaussian picture and channel algebra
 # ---------------------------------------------------------------------------

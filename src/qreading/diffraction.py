@@ -15,9 +15,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
-import scipy.optimize
 import scipy.special
 
 from .channels import MarginalCell
@@ -265,6 +263,7 @@ def toeplitz_spectrum(geom: DiffractionGeometry,
     cand, vals = cand[order], vals[order]
 
     def polish(idx: int, sign: float) -> float:
+        import scipy.optimize  # deferred: importing it adds ~0.2 s to CLI start-up
         lo = cand[max(idx - 1, 0)]
         hi = cand[min(idx + 1, cand.size - 1)]
         if hi - lo <= 0:
@@ -325,6 +324,7 @@ def transfer_matrix(geom: DiffractionGeometry, k_range: Sequence[int],
     over |u| <= L/x_R; in the near field this tends to a 0/1 diagonal step
     at |h| = L/x_R. Used as a validation oracle for the step profile.
     """
+    import scipy.integrate  # deferred: only this oracle integrates
     k_arr = list(k_range)
     h_arr = list(h_range)
     band = geom.array_length / geom.rayleigh_length

@@ -162,11 +162,26 @@ def thermal_state(nbar: float, dim: int,
 
 def von_neumann_entropy(rho: FockDensityMatrix) -> float:
     """-sum lambda log2 lambda over the eigenvalues of ``rho``, in bits."""
-    lam = np.linalg.eigvalsh(rho.data)
+    return float(block_entropies(rho.data[None])[0])
+
+
+def block_entropies(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies in bits and trace deficits of states given as (..., count,
+    b, b) stacks of diagonal blocks, zero-padded to one size b. Each state is
+    checked like a :class:`FockDensityMatrix`; its spectrum is its blocks'
+    spectra, so one batched ``eigvalsh`` serves every state."""
+    dev = np.max(np.abs(blocks - np.swapaxes(blocks, -1, -2).conj()))
+    if dev > HERMITICITY_TOL:
+        raise StateValidationError(f"matrix not Hermitian: max deviation {dev:.3e}")
+    tr = np.trace(blocks, axis1=-2, axis2=-1).real.sum(axis=-1)
+    bad = tr[(tr <= 0.0) | (tr > 1.0 + 1e-10)]
+    if bad.size:
+        raise StateValidationError(f"trace {bad[0]} outside (0, 1]")
+    lam = np.linalg.eigvalsh(blocks).reshape(blocks.shape[:-3] + (-1,))
     if lam.min() < -NEGATIVITY_TOL:
         raise StateValidationError(f"eigenvalue {lam.min():.3e} below negativity floor")
-    lam = lam[lam > EIGENVALUE_FLOOR]
-    return float(max(0.0, -np.sum(lam * np.log2(lam))))
+    lam = np.where(lam > EIGENVALUE_FLOOR, lam, 1.0)
+    return np.maximum(0.0, -np.sum(lam * np.log2(lam), axis=-1)), np.maximum(0.0, 1.0 - tr)
 
 
 def partial_trace(rho: FockDensityMatrix, keep: Sequence[int]) -> FockDensityMatrix:
