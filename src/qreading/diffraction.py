@@ -15,14 +15,13 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .channels import MarginalCell
 from .errors import ConvergenceError
 from .rates import RateResult, TransmitterSpec, rate_after_attenuation
 
 _BOUNDARY_TOL = 1e-12
+_MAX_TERMS = 1 << 18  # (points x shifts) entries per aliased-sum chunk
 
 
 @dataclass(frozen=True)
@@ -157,6 +156,7 @@ def overlap_matrix(geom: DiffractionGeometry, i_range: Sequence[int],
 
 def _cos_tail(a: float, w: float) -> float:
     """int_{-w}^{w} (1 - cos(a x)) / x^2 dx, via the sine integral."""
+    import scipy.special  # deferred, like every scipy import: rate never needs it
     a = abs(a)
     if a == 0.0:
         return 0.0
@@ -188,51 +188,57 @@ def gram_matrix(geom: DiffractionGeometry, size: int) -> np.ndarray:
     if size < 1:
         raise ValueError("size must be >= 1")
     col = np.array([gram_coefficient(geom, q) for q in range(size)])
-    return scipy.linalg.toeplitz(col)
+    return col[np.abs(np.arange(size)[:, None] - np.arange(size))]
 
 
-def toeplitz_symbol(geom: DiffractionGeometry, z: float) -> float:
-    """Fourier symbol f(z) of the Gram matrix, z in [0, 2pi].
+def toeplitz_symbol(geom: DiffractionGeometry, z: float | np.ndarray) -> float | np.ndarray:
+    """Fourier symbol f(z) of the Gram matrix, z in [0, 2pi], scalar or array.
 
+    An array z gives an array of its shape; a float gives a float, computed
+    as a one-point call of the same array code.
     Aliased-sinc^2 sum over integer shifts m with |z/(2pi) - m| <= ell/x_R.
     Terms exactly at the window boundary carry weight 1/2 (the midpoint
     value of the underlying Fourier series at its jump).
     """
     ratio = geom.ell_over_xr
     dl = geom.d_over_ell
-    t = z / (2.0 * math.pi)
+    t = np.asarray(z, dtype=float) / (2.0 * math.pi)
     if dl == 1.0:
-        return _symbol_unit_fill(t, ratio)
-    m = np.arange(math.floor(t - ratio) - 1, math.ceil(t + ratio) + 2)
-    dist = np.abs(t - m)
-    inside = dist <= ratio + _BOUNDARY_TOL
-    weight = np.where(np.abs(dist - ratio) <= _BOUNDARY_TOL, 0.5, 1.0) * inside
-    terms = dl * np.asarray(_sinc(math.pi * (t - m) * dl)) ** 2
-    return float(np.sum(weight * terms))
+        f = _symbol_unit_fill(t, ratio)
+    else:
+        # one (points x shifts) array per chunk; chunks bound its memory
+        flat, f = t.ravel(), np.empty(t.shape)
+        step = max(1, _MAX_TERMS // (2 * math.ceil(ratio) + 8))
+        for i in range(0, flat.size, step):
+            tc = flat[i:i + step]
+            m = np.arange(math.floor(tc.min() - ratio) - 1, math.ceil(tc.max() + ratio) + 2)
+            diff = tc[:, None] - m
+            dist = np.abs(diff)
+            weight = (np.where(np.abs(dist - ratio) <= _BOUNDARY_TOL, 0.5, 1.0)
+                      * (dist <= ratio + _BOUNDARY_TOL))
+            f.flat[i:i + step] = np.sum(weight * (dl * _sinc(math.pi * diff * dl) ** 2), axis=1)
+    return float(f) if np.ndim(z) == 0 else f
 
 
-def _symbol_unit_fill(t: float, ratio: float) -> float:
+def _symbol_unit_fill(t: np.ndarray, ratio: float) -> np.ndarray:
     """Symbol for d = ell via the trigamma tail sum (O(1) in the ratio).
 
     Uses sum_m sinc^2(pi(t-m)) = 1 and sinc^2(pi x) = sin^2(pi t)/(pi x)^2,
     so the out-of-window tail telescopes into trigamma values.
     """
-    lo_edge, hi_edge = t - ratio, t + ratio
-    correction = 0.0
-    m_hi = math.floor(hi_edge + _BOUNDARY_TOL)
-    if abs(hi_edge - round(hi_edge)) <= _BOUNDARY_TOL:
-        m_hi = round(hi_edge)
-        correction += 0.5 * float(_sinc(math.pi * (t - m_hi))) ** 2
-    m_lo = math.ceil(lo_edge - _BOUNDARY_TOL)
-    if abs(lo_edge - round(lo_edge)) <= _BOUNDARY_TOL:
-        m_lo = round(lo_edge)
-        correction += 0.5 * float(_sinc(math.pi * (t - m_lo))) ** 2
-    if m_lo > m_hi:
-        return 0.0
-    sin2 = math.sin(math.pi * t) ** 2
-    tails = float(scipy.special.polygamma(1, (m_hi + 1) - t)
-                  + scipy.special.polygamma(1, t - (m_lo - 1)))
-    return max(0.0, 1.0 - sin2 / math.pi ** 2 * tails - correction)
+    import scipy.special
+    hi_edge, lo_edge = t + ratio, t - ratio
+    hi_on = np.abs(hi_edge - np.round(hi_edge)) <= _BOUNDARY_TOL
+    lo_on = np.abs(lo_edge - np.round(lo_edge)) <= _BOUNDARY_TOL
+    m_hi = np.where(hi_on, np.round(hi_edge), np.floor(hi_edge + _BOUNDARY_TOL))
+    m_lo = np.where(lo_on, np.round(lo_edge), np.ceil(lo_edge - _BOUNDARY_TOL))
+    correction = (np.where(hi_on, 0.5 * _sinc(math.pi * (t - m_hi)) ** 2, 0.0)
+                  + np.where(lo_on, 0.5 * _sinc(math.pi * (t - m_lo)) ** 2, 0.0))
+    sin2 = np.sin(math.pi * t) ** 2
+    tails = (scipy.special.polygamma(1, (m_hi + 1) - t)
+             + scipy.special.polygamma(1, t - (m_lo - 1)))
+    f = np.maximum(0.0, 1.0 - sin2 / math.pi ** 2 * tails - correction)
+    return np.where(m_lo > m_hi, 0.0, f)
 
 
 def toeplitz_spectrum(geom: DiffractionGeometry,
@@ -241,24 +247,18 @@ def toeplitz_spectrum(geom: DiffractionGeometry,
     if grid_size < 1024:
         raise ValueError("grid_size must be >= 1024")
     z_grid = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=True)
-    samples = np.array([toeplitz_symbol(geom, z) for z in z_grid])
+    samples = toeplitz_symbol(geom, z_grid)
 
     # candidate points: grid plus the window-edge breakpoints, straddled;
     # the stable merge keeps a grid point ahead of an equal edge point
     ratio = geom.ell_over_xr
-    edges = []
-    for m in range(math.floor(ratio) - 1, math.ceil(ratio) + 2):
-        edges.append(m - ratio)      # lower window edge lands in [0, 1]
-    for m in range(-math.ceil(ratio) - 1, -math.floor(ratio) + 2):
-        edges.append(m + ratio)      # upper window edge lands in [0, 1]
-    extra = []
-    for edge in edges:
-        for off in (-1e-9, 0.0, 1e-9):
-            zz = 2.0 * math.pi * (edge + off)
-            if 0.0 <= zz <= 2.0 * math.pi:
-                extra.append(zz)
+    edges = np.concatenate((
+        np.arange(math.floor(ratio) - 1, math.ceil(ratio) + 2) - ratio,     # lower edges
+        np.arange(-math.ceil(ratio) - 1, -math.floor(ratio) + 2) + ratio))  # upper edges
+    extra = (2.0 * math.pi * (edges[:, None] + np.array([-1e-9, 0.0, 1e-9]))).ravel()
+    extra = extra[(extra >= 0.0) & (extra <= 2.0 * math.pi)]
     cand = np.concatenate((z_grid, extra))
-    vals = np.concatenate((samples, [toeplitz_symbol(geom, z) for z in extra]))
+    vals = np.concatenate((samples, toeplitz_symbol(geom, extra)))
     order = np.argsort(cand, kind="stable")
     cand, vals = cand[order], vals[order]
 
@@ -275,12 +275,9 @@ def toeplitz_spectrum(geom: DiffractionGeometry,
         )
         return min(sign * vals[idx], float(res.fun))
 
-    f_min = polish(int(np.argmin(vals)), 1.0)
-    f_max = -polish(int(np.argmax(vals)), -1.0)
-    f_min = min(max(f_min, 0.0), 1.0)
-    f_max = min(max(f_max, 0.0), 1.0 + 1e-9)
-    return ToeplitzSpectrum(z_grid, samples,
-                            math.sqrt(f_min), math.sqrt(min(f_max, 1.0)))
+    f_min = min(max(polish(int(np.argmin(vals)), 1.0), 0.0), 1.0)
+    f_max = min(max(-polish(int(np.argmax(vals)), -1.0), 0.0), 1.0)
+    return ToeplitzSpectrum(z_grid, samples, math.sqrt(f_min), math.sqrt(f_max))
 
 
 @lru_cache(maxsize=256)
@@ -297,7 +294,7 @@ def tau_extrema(geom: DiffractionGeometry,
 
 def rate_bounds(cell: MarginalCell, tx: TransmitterSpec,
                 geom: DiffractionGeometry, n_th: float = 0.0,
-                dim: int | None = None, grid_size: int = 4096,
+                dim: int | None = None, grid_size: int = 4096, *,
                 attenuate_idler: bool = False) -> RateBounds:
     """Reading-rate bounds from the bounding channels at tau_min / tau_max.
 

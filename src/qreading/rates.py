@@ -247,7 +247,7 @@ def concavity_scan(cell: MarginalCell, n_grid: Sequence[float], n_th: float,
 
 @lru_cache(maxsize=256)
 def rate_after_attenuation(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
-                           tau: float, dim: int | None = None,
+                           tau: float, dim: int | None = None, *,
                            attenuate_idler: bool = False) -> RateResult:
     """Holevo rate with every cell channel composed with a tau-attenuator.
 

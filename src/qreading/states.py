@@ -24,6 +24,7 @@ HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = 1e-14
 NEGATIVITY_TOL = 1e-10
 SYMPLECTIC_TOL = 1e-9
+HERMITICITY_TILE = 512  # checked per upper-triangle tile: no full-size temporary
 
 DEFAULT_DIM_SINGLE = 60
 DEFAULT_DIM_PER_MODE = 30
@@ -64,7 +65,9 @@ class FockDensityMatrix:
             raise StateValidationError(
                 f"data shape {self.data.shape} does not match dims {self.dims}"
             )
-        dev = np.max(np.abs(self.data - self.data.conj().T))
+        a, b = self.data, HERMITICITY_TILE
+        dev = max(np.max(np.abs(a[i:i + b, j:j + b] - a[j:j + b, i:i + b].conj().T))
+                  for i in range(0, size, b) for j in range(i, size, b))
         if dev > HERMITICITY_TOL:
             raise StateValidationError(f"matrix not Hermitian: max deviation {dev:.3e}")
         tr = float(np.real(np.trace(self.data)))

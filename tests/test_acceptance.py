@@ -180,7 +180,7 @@ def test_07_attenuation_extrema_profile():
 
 def test_08_diffraction_sweep_bounds():
     start = time.perf_counter()
-    n, nth, dim, quad = 0.1, 1.0, 24, 14
+    n, nth, dim = 0.1, 1.0, 24
     ratios = np.linspace(0.5, 3.0, 20)
     cache = {}
 
@@ -190,7 +190,7 @@ def test_08_diffraction_sweep_bounds():
             tx = TransmitterSpec.coherent(n) if kind == "coherent" \
                 else TransmitterSpec.epr(n)
             cache[key] = rate_after_attenuation(AMP_CELL, tx, nth, tau,
-                                                dim, quad).rate_bits
+                                                dim).rate_bits
         return cache[key]
 
     rows = []

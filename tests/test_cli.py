@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +221,26 @@ class TestDiffractionCommand:
         code, _, err = run(capsys, "diffraction")
         assert code == 2
         assert "lxr-grid" in err
+
+
+class TestStartup:
+    def test_rate_never_imports_scipy(self):
+        # scipy is imported only where diffraction needs it, so the rate
+        # command runs on numpy alone; at --dim 12 the EPR row exits 1 on
+        # its truncation check, so the default dims run as well
+        code = ("import sys, qreading.cli as c; "
+                "codes = [c.main(['rate', '--n', '0.5', '--nth', '0.5', '--dim', '12']), "
+                "c.main(['rate', '--n', '0.5', '--nth', '0.5'])]; "
+                "print(codes); print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = proc.stdout.strip().splitlines()[-2:]
+        assert codes in ("[0, 0]", "[1, 0]")
+        assert loaded == "[]"
 
 
 class TestThinShell:

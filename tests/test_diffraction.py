@@ -1,10 +1,12 @@
 """Diffraction optics: geometry, overlap/Gram matrices, symbol, rate bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from qreading import (
     TransmitterSpec,
     gram_matrix,
     overlap_matrix,
+    rate_after_attenuation,
     rate_bounds,
     rayleigh_length,
     tau_extrema,
@@ -25,6 +28,53 @@ from qreading import diffraction
 from qreading.diffraction import gram_coefficient
 
 AMP_CELL = MarginalCell.binary(0.5, 0.0, 1.0)
+TOL = diffraction._BOUNDARY_TOL
+
+
+def _sinc2_ref(x: float) -> float:
+    """sinc^2 of pi x, written as np.sinc computes it."""
+    if x == 0.0:
+        return 1.0
+    y = math.pi * x
+    return (math.sin(y) / y) ** 2
+
+
+def symbol_ref(ratio: float, dl: float, z: float) -> float:
+    """Plain-Python scalar symbol, one point at a time: the test oracle."""
+    t = z / (2.0 * math.pi)
+    if dl == 1.0:
+        lo_edge, hi_edge = t - ratio, t + ratio
+        correction = 0.0
+        m_hi = math.floor(hi_edge + TOL)
+        if abs(hi_edge - round(hi_edge)) <= TOL:
+            m_hi = round(hi_edge)
+            correction += 0.5 * _sinc2_ref(t - m_hi)
+        m_lo = math.ceil(lo_edge - TOL)
+        if abs(lo_edge - round(lo_edge)) <= TOL:
+            m_lo = round(lo_edge)
+            correction += 0.5 * _sinc2_ref(t - m_lo)
+        if m_lo > m_hi:
+            return 0.0
+        tails = (float(scipy.special.polygamma(1, (m_hi + 1) - t))
+                 + float(scipy.special.polygamma(1, t - (m_lo - 1))))
+        return max(0.0, 1.0 - math.sin(math.pi * t) ** 2 / math.pi ** 2 * tails - correction)
+    terms = []
+    for m in range(math.floor(t - ratio) - 1, math.ceil(t + ratio) + 2):
+        dist = abs(t - m)
+        if dist <= ratio + TOL:
+            weight = 0.5 if abs(dist - ratio) <= TOL else 1.0
+            terms.append(weight * dl * _sinc2_ref((t - m) * dl))
+    return math.fsum(terms)
+
+
+def reference_points(ratio: float) -> np.ndarray:
+    """The 4096-point grid, every window edge t = m +- ratio straddled by
+    1e-9, and the integer points t = 0, 1."""
+    edges = [m + s * ratio for s in (-1, 1) for m in range(-math.ceil(ratio) - 1,
+                                                           math.ceil(ratio) + 2)]
+    t = [e + off for e in edges for off in (-1e-9, 0.0, 1e-9)] + [0.0, 1.0]
+    t = [x for x in t if 0.0 <= x <= 1.0]
+    return np.concatenate((np.linspace(0.0, 2.0 * math.pi, 4096), 2.0 * math.pi * np.array(t)))
 
 
 class TestGeometry:
@@ -125,6 +175,15 @@ class TestSymbol:
         # at t = 0.5 no integer shift lies within 0.3 of t
         assert toeplitz_symbol(geom, math.pi) == 0.0
 
+    @pytest.mark.parametrize("d_over_ell", [1.0, 0.6])
+    def test_empty_window_exactly_zero(self, d_over_ell):
+        # for t in (ratio, 1 - ratio) no shift lies in the window: exact 0,
+        # not trigamma roundoff
+        for ratio in (0.2, 0.3, 0.45):
+            geom = DiffractionGeometry.from_ratios(ratio, d_over_ell)
+            t = np.linspace(geom.ell_over_xr + 1e-6, 1.0 - geom.ell_over_xr - 1e-6, 501)
+            assert not np.any(toeplitz_symbol(geom, 2.0 * math.pi * t))
+
     def test_boundary_midpoint_value(self):
         geom = DiffractionGeometry.from_ratios(0.5)
         # both m = 0 and m = 1 sit exactly on the window edge, weight 1/2 each
@@ -150,6 +209,55 @@ class TestSymbol:
         for z in (0.4, 1.3, 2.9, 4.4):
             series = float(np.sum(coeffs * np.cos(qs * z)))
             assert abs(toeplitz_symbol(geom, z) - series) < 1e-3
+
+    @pytest.mark.parametrize("d_over_ell", [1.0, 0.7, 0.55])
+    def test_array_matches_scalar_reference(self, d_over_ell):
+        worst = 0.0
+        for ratio in (0.3, 0.5, 0.6, 1.0, 1.3, 2.0, 3.0):
+            geom = DiffractionGeometry.from_ratios(ratio, d_over_ell)
+            z = reference_points(ratio)
+            ref = np.array([symbol_ref(geom.ell_over_xr, geom.d_over_ell, x) for x in z])
+            worst = max(worst, float(np.max(np.abs(toeplitz_symbol(geom, z) - ref))))
+        assert worst <= 1e-15
+
+    def test_chunked_sum_matches_reference(self, monkeypatch):
+        # a small chunk budget splits the aliased (points x shifts) sum
+        monkeypatch.setattr(diffraction, "_MAX_TERMS", 64)
+        geom = DiffractionGeometry.from_ratios(2.3, 0.6)
+        z = reference_points(2.3)[::7]
+        ref = np.array([symbol_ref(geom.ell_over_xr, geom.d_over_ell, x) for x in z])
+        assert np.max(np.abs(toeplitz_symbol(geom, z) - ref)) <= 1e-15
+
+    def test_aliased_sum_memory_bounded(self):
+        # at ell/x_R = 500 one array of 4096 points x ~1000 shifts would take
+        # 33 MB per temporary; the chunks keep the peak near _MAX_TERMS entries
+        geom = DiffractionGeometry.from_ratios(500.0, 0.5)
+        tracemalloc.start()
+        try:
+            vals = toeplitz_symbol(geom, np.linspace(0.0, 2.0 * math.pi, 4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+        assert np.all((vals > 0.999) & (vals <= 1.0))
+
+    @pytest.mark.parametrize("d_over_ell", [1.0, 0.6])
+    def test_scalar_call_is_one_point_array_call(self, d_over_ell):
+        geom = DiffractionGeometry.from_ratios(1.3, d_over_ell)
+        for z in (0.0, 0.7, math.pi, 2.0 * math.pi * 0.3):
+            val = toeplitz_symbol(geom, z)
+            assert type(val) is float
+            assert val == toeplitz_symbol(geom, np.array([z]))[0]
+            assert val == toeplitz_symbol(geom, np.float64(z))
+
+    @pytest.mark.parametrize("d_over_ell", [1.0, 0.6])
+    def test_array_shape_preserved(self, d_over_ell):
+        geom = DiffractionGeometry.from_ratios(0.9, d_over_ell)
+        z = np.linspace(0.0, 2.0 * math.pi, 12).reshape(3, 4)
+        out = toeplitz_symbol(geom, z)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out.ravel(), toeplitz_symbol(geom, z.ravel()))
+        assert toeplitz_symbol(geom, np.empty(0)).shape == (0,)
 
     @given(st.floats(min_value=0.1, max_value=5.0),
            st.floats(min_value=0.1, max_value=1.0),
@@ -198,15 +306,15 @@ class TestSpectrum:
 
     def test_grid_symbol_evaluated_once(self, monkeypatch):
         # the grid samples double as extremum candidates; only the window
-        # edges and the local polish add symbol evaluations
-        calls = []
+        # edges and the local polish add symbol points
+        points = []
         real = diffraction.toeplitz_symbol
         monkeypatch.setattr(diffraction, "toeplitz_symbol",
-                            lambda geom, z: calls.append(z) or real(geom, z))
+                            lambda geom, z: points.append(np.size(z)) or real(geom, z))
         for ratio, d_over_ell in ((0.9, 1.0), (1.7, 0.6)):
-            calls.clear()
+            points.clear()
             toeplitz_spectrum(DiffractionGeometry.from_ratios(ratio, d_over_ell), 1024)
-            assert 1024 < len(calls) < 1024 + 256
+            assert 1024 < sum(points) < 1024 + 256
 
 
 class TestRateBounds:
@@ -242,6 +350,14 @@ class TestRateBounds:
         two = rate_bounds(AMP_CELL, TransmitterSpec.epr(0.2), geom,
                           n_th=0.3, dim=14, attenuate_idler=True)
         assert two.lower_bits <= one.lower_bits + 1e-7
+
+    def test_attenuate_idler_is_keyword_only(self):
+        geom = DiffractionGeometry.from_ratios(0.7)
+        tx = TransmitterSpec.epr(0.2)
+        with pytest.raises(TypeError, match="positional"):
+            rate_bounds(AMP_CELL, tx, geom, 0.3, 8, 1024, True)
+        with pytest.raises(TypeError, match="positional"):
+            rate_after_attenuation(AMP_CELL, tx, 0.3, 0.5, 8, True)
 
 
 class TestTransferMatrix:
