@@ -6,18 +6,21 @@ vacuum mode and nu a complex circular Gaussian of variance n_th (so the
 channel adds n_th photons on average). In the Fock basis it is computed
 exactly as a loss by z / sqrt(G) followed by the quantum-limited amplifier
 of gain G = 1 + n_th; weight the amplifier pushes past the truncation is
-dropped and shows up as the output's trace deficit.
+dropped and shows up as the output's trace deficit. Both stages are shifts
+(Ivan, Sabapathy and Simon, PRA 84, 042311 (2011)): loss branch k sends |m>
+to a[k, m] |m - k> and amplifier branch j sends |m> to b[j, m] |m + j>.
+Every Fock-basis result is built from these two (d, d) tables, so a pure
+single-mode output costs O(d^3) time and O(d^2) memory; the dense Kraus
+stacks serve only the ``apply_*`` oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
-from .states import FockDensityMatrix, GaussianState
+from .states import FockDensityMatrix, GaussianState, log_factorials
 
 
 @dataclass(frozen=True)
@@ -70,62 +73,70 @@ class MarginalCell:
 # Fock-basis building blocks
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def loss_kraus(z: complex, dim: int) -> np.ndarray:
-    """Kraus stack (k, dim, dim) of the attenuation channel with phase arg z.
+def _binomial_amplitudes(p: float, q: float, k: np.ndarray, n: np.ndarray,
+                         count: int) -> np.ndarray:
+    """sqrt(C(n, k) p^k q^(n-k)) where 0 <= k <= n < count, else 0, as one exp
+    of a log sum: C(n, k) never overflows, and p or q = 0 takes no log of 0."""
+    i = np.arange(2 * count)  # n < 2 count; entries with k > n use |n - k|
+    p_log, q_log = (i * math.log(x) if x > 0 else np.where(i == 0, 0.0, -np.inf)
+                    for x in (p, q))  # i log x, with 0 log 0 = 0
+    log_fact = log_factorials(2 * count)
+    r = np.abs(n - k)
+    log_amp = log_fact[n] - log_fact[k] - log_fact[r] + p_log[k] + q_log[r]
+    return np.where((k <= n) & (n < count), np.exp(0.5 * log_amp), 0.0)
 
-    A_k = sum_m sqrt(C(m,k)) (1-eta)^(k/2) eta^((m-k)/2) |m-k><m|, eta = |z|^2,
-    left-multiplied by the rotation exp(i arg(z) a^dag a).
-    """
+
+def loss_amplitudes(z: complex, dim: int) -> np.ndarray:
+    """a[k, m]: loss branch k sends |m> to a[k, m] |m - k>, with eta = |z|^2 and
+    a[k, m] = sqrt(C(m, k) (1-eta)^k eta^(m-k)) exp(i arg(z) (m - k))."""
     eta = abs(z) ** 2
     if eta > 1.0 + 1e-12:
         raise ValueError(f"|z| = {abs(z)} exceeds 1")
     eta = min(eta, 1.0)
-    phase = np.exp(1j * (np.angle(z) if z != 0 else 0.0) * np.arange(dim))
-    ops = np.zeros((dim, dim, dim), dtype=complex)
-    for k in range(dim):
-        for m in range(k, dim):
-            amp = math.sqrt(math.comb(m, k)) * (1.0 - eta) ** (k / 2.0) \
-                * eta ** ((m - k) / 2.0)
-            ops[k, m - k, m] = amp * phase[m - k]
-    return ops
+    phase = np.exp(1j * np.angle(z) * np.arange(dim))
+    k, m = np.arange(dim)[:, None], np.arange(dim)
+    return _binomial_amplitudes(1.0 - eta, eta, k, m, dim) * phase[np.abs(m - k)]
 
 
-@lru_cache(maxsize=64)
-def amplifier_kraus(gain: float, dim: int) -> np.ndarray:
-    """Kraus stack (k, dim, dim) of the quantum-limited amplifier of gain G.
-
-    B_k = sum_m sqrt(C(m+k,k)) (1-1/G)^(k/2) G^(-(m+1)/2) |m+k><m|, cut off at
-    ``dim``: weight pushed past the cutoff is dropped and shows up as trace
-    deficit instead of being hidden.
-    """
+def amplifier_amplitudes(gain: float, dim: int) -> np.ndarray:
+    """b[j, m]: amplifier branch j sends |m> to b[j, m] |m + j>, with
+    b[j, m] = sqrt(C(m+j, j) (1-1/G)^j G^-(m+1)), 0 for m + j >= ``dim``: weight
+    pushed past the cutoff shows up as trace deficit instead of being hidden."""
     if gain < 1.0:
         raise ValueError(f"amplifier gain {gain} is below 1")
-    ops = np.zeros((dim, dim, dim))
-    for k in range(dim):
-        for m in range(dim - k):
-            ops[k, m + k, m] = math.sqrt(math.comb(m + k, k)) \
-                * (1.0 - 1.0 / gain) ** (k / 2.0) * gain ** (-(m + 1) / 2.0)
+    j, m = np.arange(dim)[:, None], np.arange(dim)
+    return _binomial_amplitudes(1.0 - 1.0 / gain, 1.0 / gain, j, j + m, dim) \
+        / math.sqrt(gain)
+
+
+def _kraus_stack(table: np.ndarray, sign: int) -> np.ndarray:
+    """Dense stack (k, dim, dim) with ops[k] |m> = table[k, m] |m + sign k>."""
+    k, m = np.nonzero(table)
+    ops = np.zeros((len(table),) * 3, dtype=table.dtype)
+    ops[k, m + sign * k, m] = table[k, m]
     return ops
+
+
+def loss_kraus(z: complex, dim: int) -> np.ndarray:
+    """Kraus stack (k, dim, dim) of the attenuation channel, from ``loss_amplitudes``."""
+    return _kraus_stack(loss_amplitudes(z, dim), -1)
+
+
+def amplifier_kraus(gain: float, dim: int) -> np.ndarray:
+    """Kraus stack (k, dim, dim) of the amplifier, from ``amplifier_amplitudes``."""
+    return _kraus_stack(amplifier_amplitudes(gain, dim), 1)
 
 
 def _apply_kraus_mode(rho: FockDensityMatrix, ops: np.ndarray,
                       mode: int) -> FockDensityMatrix:
     """sum_k O_k rho O_k^dag with each O_k acting on one mode."""
-    dims = rho.dims
-    m = len(dims)
+    m = rho.mode_count
     if not (0 <= mode < m):
         raise ValueError(f"mode {mode} out of range for {m} modes")
-    tensor = rho.data.reshape(dims * 2)
-    out = np.zeros_like(tensor)
-    for op in ops:
-        t = np.moveaxis(np.tensordot(op, tensor, axes=([1], [mode])), 0, mode)
-        t = np.moveaxis(np.tensordot(op.conj(), t, axes=([1], [m + mode])), 0, m + mode)
-        out += t
-    size = int(np.prod(dims))
-    data = out.reshape(size, size)
-    data = 0.5 * (data + data.conj().T)
-    return FockDensityMatrix(dims, data)
+    tensor = np.moveaxis(rho.data.reshape(rho.dims * 2), (mode, m + mode), (0, 1))
+    out = np.einsum("kia,ab...,kjb->ij...", ops, tensor, ops.conj(), optimize=True)
+    data = np.moveaxis(out, (0, 1), (mode, m + mode)).reshape(rho.data.shape)
+    return FockDensityMatrix(rho.dims, 0.5 * (data + data.conj().T))
 
 
 def apply_loss(rho: FockDensityMatrix, z: complex, mode: int = 0) -> FockDensityMatrix:
@@ -135,11 +146,8 @@ def apply_loss(rho: FockDensityMatrix, z: complex, mode: int = 0) -> FockDensity
 
 def apply_classical_noise(rho: FockDensityMatrix, n_th: float,
                           mode: int = 0) -> FockDensityMatrix:
-    """Add ``n_th`` thermal photons on one mode, exactly.
-
-    The Gaussian displacement average equals a loss to 1/G followed by the
-    amplifier of gain G = 1 + n_th.
-    """
+    """Add ``n_th`` thermal photons on one mode, exactly: the Gaussian
+    displacement average is a loss to 1/G then the amplifier of gain 1 + n_th."""
     if n_th < 0:
         raise ValueError("n_th must be >= 0")
     if n_th == 0:
@@ -158,40 +166,31 @@ def apply_cell_channel(rho: FockDensityMatrix, params: ChannelParams,
 
 def pure_state_cell_output(vec: np.ndarray, dims: tuple[int, ...],
                            params: ChannelParams, mode: int = 0) -> FockDensityMatrix:
-    """Cell-channel output for a pure input, assembled from Kraus vectors.
+    """``apply_cell_channel`` on |vec><vec|, without the dense Kraus stacks.
 
-    Equivalent to ``apply_cell_channel`` on |vec><vec| but much cheaper: the
-    loss z / sqrt(G) and then the amplifier of gain G = 1 + n_th act on the
-    vector one stage at a time, and the output sum_i o_i o_i^dag over the
-    resulting vectors o_i is a single Gram product.
+    The loss output is one Gram product over the d shifted vectors; the
+    amplifier adds that Gram shifted diagonally by j and scaled by
+    outer(b_j, b_j). O(d^3 r^2) time, O((d r)^2) memory, r the other modes' size.
     """
     dims = tuple(dims)
     d = dims[mode]
-    size = int(np.prod(dims))
     tensor = np.moveaxis(np.asarray(vec, dtype=complex).reshape(dims), mode, 0)
-    rest = tensor.size // d
+    psi = tensor.reshape(d, -1)
     gain = 1.0 + params.n_th
-    stages = [loss_kraus(complex(params.z) / math.sqrt(gain), d)]
-    if params.n_th > 0:
-        stages.append(amplifier_kraus(gain, d))
-
-    branches = tensor.reshape(1, d, rest)
-    for ops in stages:  # (count, d, rest) -> (len(ops) * count, d, rest)
-        count = branches.shape[0]
-        flat = branches.transpose(1, 0, 2).reshape(d, count * rest)
-        branches = (ops @ flat).reshape(-1, d, count, rest).transpose(0, 2, 1, 3) \
-            .reshape(-1, d, rest)
-    cols = np.moveaxis(branches.reshape((-1,) + tensor.shape), 1, mode + 1)
-    w = cols.reshape(-1, size)
-    rho = w.T @ w.conj()
-    rho = 0.5 * (rho + rho.conj().T)
-    return FockDensityMatrix(dims, rho)
-
-
-def _shift_amplitudes(ops: np.ndarray, sign: int) -> np.ndarray:
-    """t[k, m]: the amplitude with which ops[k] sends |m> to |m + sign k>."""
-    k, m = np.ogrid[:len(ops), :ops.shape[-1]]
-    return ops[k, (m + sign * k) % ops.shape[-1], m]  # wrapped entries are 0
+    a = loss_amplitudes(complex(params.z) / math.sqrt(gain), d)
+    b = amplifier_amplitudes(gain, d)
+    k, n = np.arange(d)[:, None], np.arange(d)
+    source = np.minimum(n + k, d - 1)  # branch k takes |n + k> to |n>
+    shifted = (np.where(n + k < d, a[k, source], 0.0)[..., None] * psi[source]).reshape(d, -1)
+    gram = (shifted.T @ shifted.conj()).reshape(psi.shape * 2)
+    rho = np.zeros_like(gram)
+    for j in np.flatnonzero(b.any(axis=1)):  # only branch 0 when n_th = 0
+        bj = b[j, :d - j, None]  # b_j b_j^T below, on the (d, rest, d, rest) axes
+        rho[j:, :, j:] += (bj[:, None, :, None] * bj) * gram[:d - j, :, :d - j]
+    m = len(dims)
+    rho = np.moveaxis(rho.reshape(tensor.shape * 2), (0, m), (mode, m + mode))
+    rho = rho.reshape(psi.size, psi.size)
+    return FockDensityMatrix(dims, 0.5 * (rho + rho.conj().T))
 
 
 def epr_output_blocks(schmidt: np.ndarray, params: ChannelParams,
@@ -205,14 +204,14 @@ def epr_output_blocks(schmidt: np.ndarray, params: ChannelParams,
     """
     d = len(schmidt)
     gain = 1.0 + params.n_th
-    a = _shift_amplitudes(loss_kraus(complex(params.z) / math.sqrt(gain), d), -1)
-    b = _shift_amplitudes(amplifier_kraus(gain, d), 1)
+    a = loss_amplitudes(complex(params.z) / math.sqrt(gain), d)
+    b = amplifier_amplitudes(gain, d)
     delta, k, m = np.ogrid[1 - d:d, :d, :d]
     j = k + delta  # the amplifier branch that takes loss branch k into block delta
     branches = np.where((j >= 0) & (j < d), schmidt * a[k, m] * b[j % d, (m - k) % d], 0)
     blocks = np.swapaxes(branches, 1, 2) @ branches.conj()
     if idler_attenuation < 1.0:
-        c = _shift_amplitudes(loss_kraus(complex(idler_attenuation), d), -1)
+        c = loss_amplitudes(complex(idler_attenuation), d)
         lossy = np.zeros_like(blocks)
         for l in range(d):
             w = np.outer(c[l, l:], c[l, l:].conj())  # idler r -> r - l, block +l
@@ -231,17 +230,14 @@ def gaussian_channel_action(state: GaussianState, params: ChannelParams,
     m = state.mode_count
     if not (0 <= mode < m):
         raise ValueError(f"mode {mode} out of range for {m} modes")
-    mag = abs(params.z)
-    phi = np.angle(params.z) if params.z != 0 else 0.0
-    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+    mag, phi = abs(params.z), np.angle(params.z)
+    block = slice(2 * mode, 2 * mode + 2)
     scale = np.eye(2 * m)
-    scale[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = mag * rot
+    scale[block, block] = mag * np.array([[math.cos(phi), -math.sin(phi)],
+                                          [math.sin(phi), math.cos(phi)]])
     noise = np.zeros((2 * m, 2 * m))
-    noise[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = \
-        ((1.0 - mag * mag) + 2.0 * params.n_th) * np.eye(2)
-    cov = scale @ state.cov @ scale.T + noise
-    mean = scale @ state.mean
-    return GaussianState(m, mean, cov)
+    noise[block, block] = ((1.0 - mag * mag) + 2.0 * params.n_th) * np.eye(2)
+    return GaussianState(m, scale @ state.mean, scale @ state.cov @ scale.T + noise)
 
 
 def compose_with_attenuator(params: ChannelParams, tau: float) -> ChannelParams:

@@ -75,7 +75,7 @@ def shannon_entropy_d(q: Sequence[float]) -> float:
         raise ValueError(f"probabilities sum to {total} > 1")
     probs = np.concatenate(([max(1.0 - total, 0.0)], q))
     probs = probs[probs > 0]
-    return float(-np.sum(probs * np.log2(probs)))
+    return float(-np.sum(probs * np.log2(probs))) + 0.0  # + 0.0 maps -0.0 to 0.0
 
 
 def _h2(q: float) -> float:
@@ -146,7 +146,7 @@ def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
     bound = shannon_entropy_d(cell.probs[1:])
     if rate > bound + RATE_FLOOR:
         raise ConvergenceError(f"rate {rate} exceeds ensemble entropy {bound}")
-    return RateResult(max(rate, 0.0), dim, deficit, "fock_numeric", cross)
+    return RateResult(max(rate, 0.0) + 0.0, dim, deficit, "fock_numeric", cross)  # no -0.0
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +234,8 @@ def concavity_scan(cell: MarginalCell, n_grid: Sequence[float], n_th: float,
         holevo_rate(cell, TransmitterSpec.coherent(n), n_th, dim).rate_bits
         for n in grid
     ])
-    second = np.empty(grid.size - 2)
-    for i in range(1, grid.size - 1):
-        h1 = grid[i] - grid[i - 1]
-        h2 = grid[i + 1] - grid[i]
-        second[i - 1] = 2.0 * (
-            (rates[i + 1] - rates[i]) / h2 - (rates[i] - rates[i - 1]) / h1
-        ) / (h1 + h2)
+    h, slope = np.diff(grid), np.diff(rates)
+    second = 2.0 * (slope[1:] / h[1:] - slope[:-1] / h[:-1]) / (h[:-1] + h[1:])
     k = int(np.argmax(second))
     return ConcavityReport(grid, rates, second, float(second[k]), float(grid[k + 1]))
 

@@ -23,7 +23,13 @@ from qreading import (
     partial_trace,
     thermal_state,
 )
-from qreading.channels import loss_kraus, pure_state_cell_output
+from qreading.channels import (
+    amplifier_amplitudes,
+    amplifier_kraus,
+    loss_amplitudes,
+    loss_kraus,
+    pure_state_cell_output,
+)
 
 
 def random_density(rng, dim):
@@ -58,6 +64,70 @@ class TestMarginalCell:
             MarginalCell((0.5, 0.5), (0.0, 1.5))
         with pytest.raises(ValueError):
             MarginalCell((1.0,), (1.0,))
+
+
+def loss_kraus_ref(z, dim):
+    """Plain-Python loss Kraus stack: A_k |m> = sqrt(C(m,k)) (1-eta)^(k/2)
+    eta^((m-k)/2) e^(i arg(z) (m-k)) |m-k>, one entry at a time."""
+    eta = min(abs(z) ** 2, 1.0)
+    phase = np.exp(1j * (np.angle(z) if z != 0 else 0.0) * np.arange(dim))
+    ops = np.zeros((dim, dim, dim), dtype=complex)
+    for k in range(dim):
+        for m in range(k, dim):
+            amp = math.sqrt(math.comb(m, k)) * (1.0 - eta) ** (k / 2.0) \
+                * eta ** ((m - k) / 2.0)
+            ops[k, m - k, m] = amp * phase[m - k]
+    return ops
+
+
+def amplifier_kraus_ref(gain, dim):
+    """Plain-Python amplifier Kraus stack: B_k |m> = sqrt(C(m+k,k))
+    (1-1/G)^(k/2) G^(-(m+1)/2) |m+k>, cut off at ``dim``."""
+    ops = np.zeros((dim, dim, dim))
+    for k in range(dim):
+        for m in range(dim - k):
+            ops[k, m + k, m] = math.sqrt(math.comb(m + k, k)) \
+                * (1.0 - 1.0 / gain) ** (k / 2.0) * gain ** (-(m + 1) / 2.0)
+    return ops
+
+
+class TestShiftTables:
+    @pytest.mark.parametrize("dim", [2, 17, 120])
+    @pytest.mark.parametrize("z", [0.0, 0.6, 0.6 * np.exp(0.4j), -0.3j, 1.0, np.exp(2.1j)],
+                             ids=["eta0", "eta036", "eta036-complex", "eta009-imag",
+                                  "eta1", "eta1-complex"])
+    def test_loss_matches_reference(self, dim, z):
+        ref = loss_kraus_ref(complex(z), dim)
+        assert np.max(np.abs(loss_kraus(complex(z), dim) - ref)) < 1e-13
+        k, m = np.ogrid[:dim, :dim]
+        expected = np.where(k <= m, ref[k, (m - k) % dim, m], 0.0)
+        assert np.max(np.abs(loss_amplitudes(complex(z), dim) - expected)) < 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 17, 120])
+    @pytest.mark.parametrize("gain", [1.0, 1.6, 6.0])
+    def test_amplifier_matches_reference(self, dim, gain):
+        ref = amplifier_kraus_ref(gain, dim)
+        assert np.max(np.abs(amplifier_kraus(gain, dim) - ref)) < 1e-13
+        j, m = np.ogrid[:dim, :dim]
+        expected = np.where(m + j < dim, ref[j, (m + j) % dim, m], 0.0)
+        assert np.max(np.abs(amplifier_amplitudes(gain, dim) - expected)) < 1e-13
+
+    def test_exact_at_the_edges(self):
+        # eta = 0, eta = 1 and G = 1 give exact zeros and ones, no rounding
+        only_branch_0 = np.zeros((9, 9))
+        only_branch_0[0] = 1.0
+        assert np.array_equal(loss_amplitudes(0j, 9), np.eye(9))
+        assert np.array_equal(loss_amplitudes(1 + 0j, 9), only_branch_0)
+        assert np.array_equal(amplifier_amplitudes(1.0, 9), only_branch_0)
+
+    @pytest.mark.parametrize("z", [0.6, 0.6 * np.exp(0.4j), 0.95],
+                             ids=["eta036", "eta036-complex", "eta09"])
+    def test_large_dim_stays_finite_and_complete(self, z):
+        # C(1099, 549) ~ 1e329 overflows a float; the log-space table does not
+        a = loss_amplitudes(complex(z), 1100)
+        assert np.all(np.isfinite(a))
+        assert np.max(np.abs(np.sum(np.abs(a) ** 2, axis=0) - 1.0)) < 1e-12
+        assert np.all(np.isfinite(amplifier_amplitudes(2.0, 1100)))
 
 
 class TestLoss:

@@ -342,6 +342,7 @@ class TestBoundaryExits:
         ("gain-map", "--n-grid", "nan", "--nth-grid", "0"),
         ("gain-map", "--n-grid", "0.1", "--nth-grid", "0,inf"),
         ("diffraction", "--lxr-grid", "0.5,inf"),
+        ("rate", "--n", "0.1", "--dim", "1", "--transmitter", "epr"),
     ])
     def test_out_of_domain_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -356,6 +357,22 @@ class TestBoundaryExits:
         code, _, err = run(capsys, "rate", "--config", str(cfg))
         assert code == 2
         assert "finite" in err
+
+
+class TestNoNegativeZero:
+    @pytest.mark.parametrize("argv", [
+        ("rate", "--n", "0", "--nth", "0"),
+        ("gain-map", "--n-grid", "0", "--nth-grid", "0"),
+    ], ids=["rate", "gain-map"])
+    def test_no_cell_reads_negative_zero(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        cells = [v for row in parse_csv(out) for v in row.values()]
+        assert "0" in cells and not any(v in ("-0", "-0.0") for v in cells)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        values = [v for row in json.loads(out) for v in row.values() if isinstance(v, float)]
+        assert all(math.copysign(1.0, v) == 1.0 for v in values if v == 0.0)
 
 
 class TestTrustColumns:

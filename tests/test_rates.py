@@ -1,6 +1,7 @@
 """Holevo rates: numerics vs closed forms, faint limits, gains, properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,31 @@ class TestHolevoRate:
         res = holevo_rate(AMP_CELL, TransmitterSpec.epr(1.0), n_th=1.0)
         assert res.trace_deficit >= 1e-6
         assert res.cross_check_error <= 1e-3
+
+
+class TestCoherentCostGuard:
+    def test_memory_bounded_at_large_dim(self):
+        # one dense (d, d, d) Kraus stack at d = 240 alone takes 221 MB
+        tracemalloc.start()
+        try:
+            res = holevo_rate(AMP_CELL, TransmitterSpec.coherent(1.0), 5.0, dim=240)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert 0.0 < res.rate_bits < 1.0
+        assert res.trace_deficit < 1e-12
+
+
+class TestNoNegativeZero:
+    def test_certain_outcome_entropy_is_positive_zero(self):
+        assert math.copysign(1.0, shannon_entropy_d([0.0])) == 1.0
+
+    @pytest.mark.parametrize("tx", [TransmitterSpec.coherent(0.0), TransmitterSpec.epr(0.0)],
+                             ids=["coherent", "epr"])
+    def test_zero_rate_is_positive_zero(self, tx):
+        res = holevo_rate(AMP_CELL, tx, 0.0, dim=10)
+        assert res.rate_bits == 0.0 and math.copysign(1.0, res.rate_bits) == 1.0
 
 
 class TestFaintAgreement:
