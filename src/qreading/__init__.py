@@ -27,7 +27,6 @@ from .diffraction import (
     gram_matrix,
     overlap_matrix,
     rate_bounds,
-    rayleigh_length,
     tau_extrema,
     toeplitz_spectrum,
     toeplitz_symbol,
@@ -73,7 +72,7 @@ __all__ = [
     "apply_classical_noise", "apply_loss", "compose_with_attenuator",
     "gaussian_channel_action", "DiffractionGeometry", "RateBounds",
     "ToeplitzSpectrum", "gram_matrix", "overlap_matrix", "rate_bounds",
-    "rayleigh_length", "tau_extrema", "toeplitz_spectrum", "toeplitz_symbol",
+    "tau_extrema", "toeplitz_spectrum", "toeplitz_symbol",
     "transfer_matrix", "ConfigError", "ConvergenceError", "QReadingError",
     "StateValidationError", "TruncationError", "ConcavityReport",
     "GainResult", "RateResult", "coherent_capacity_faint",

@@ -65,9 +65,6 @@ class MarginalCell:
     def d(self) -> int:
         return len(self.probs)
 
-    def channel(self, u: int, n_th: float) -> ChannelParams:
-        return ChannelParams(self.reflectances[u], n_th)
-
 
 # ---------------------------------------------------------------------------
 # Fock-basis building blocks
@@ -164,38 +161,32 @@ def apply_cell_channel(rho: FockDensityMatrix, params: ChannelParams,
     return apply_classical_noise(out, params.n_th, mode)
 
 
-def pure_state_cell_output(vec: np.ndarray, dims: tuple[int, ...],
-                           params: ChannelParams, mode: int = 0) -> FockDensityMatrix:
-    """``apply_cell_channel`` on |vec><vec|, without the dense Kraus stacks.
+def pure_state_cell_output(vec: np.ndarray, params: ChannelParams) -> FockDensityMatrix:
+    """``apply_cell_channel`` on a single-mode |vec><vec|, without Kraus stacks.
 
     The loss output is one Gram product over the d shifted vectors; the
     amplifier adds that Gram shifted diagonally by j and scaled by
-    outer(b_j, b_j). O(d^3 r^2) time, O((d r)^2) memory, r the other modes' size.
+    outer(b_j, b_j). O(d^3) time, O(d^2) memory.
     """
-    dims = tuple(dims)
-    d = dims[mode]
-    tensor = np.moveaxis(np.asarray(vec, dtype=complex).reshape(dims), mode, 0)
-    psi = tensor.reshape(d, -1)
+    psi = np.asarray(vec, dtype=complex)
+    d = psi.size
     gain = 1.0 + params.n_th
     a = loss_amplitudes(complex(params.z) / math.sqrt(gain), d)
     b = amplifier_amplitudes(gain, d)
     k, n = np.arange(d)[:, None], np.arange(d)
     source = np.minimum(n + k, d - 1)  # branch k takes |n + k> to |n>
-    shifted = (np.where(n + k < d, a[k, source], 0.0)[..., None] * psi[source]).reshape(d, -1)
-    gram = (shifted.T @ shifted.conj()).reshape(psi.shape * 2)
+    shifted = np.where(n + k < d, a[k, source], 0.0) * psi[source]
+    gram = shifted.T @ shifted.conj()
     rho = np.zeros_like(gram)
     for j in np.flatnonzero(b.any(axis=1)):  # only branch 0 when n_th = 0
-        bj = b[j, :d - j, None]  # b_j b_j^T below, on the (d, rest, d, rest) axes
-        rho[j:, :, j:] += (bj[:, None, :, None] * bj) * gram[:d - j, :, :d - j]
-    m = len(dims)
-    rho = np.moveaxis(rho.reshape(tensor.shape * 2), (0, m), (mode, m + mode))
-    rho = rho.reshape(psi.size, psi.size)
-    return FockDensityMatrix(dims, 0.5 * (rho + rho.conj().T))
+        bj = b[j, :d - j]
+        rho[j:, j:] += np.outer(bj, bj) * gram[:d - j, :d - j]
+    return FockDensityMatrix((d,), 0.5 * (rho + rho.conj().T))
 
 
 def epr_output_blocks(schmidt: np.ndarray, params: ChannelParams,
                       idler_attenuation: float = 1.0) -> np.ndarray:
-    """``pure_state_cell_output`` of sum_m c_m |m, m> (then idler loss) by blocks.
+    """``apply_cell_channel`` on sum_m c_m |m, m> (then idler loss), by blocks.
 
     Each step commutes with exp(i phi (n_S - n_R)): loss branch k, amplifier
     branch j and idler-loss branch l send c_m |m, m> into block j - k + l.

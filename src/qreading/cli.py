@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .channels import MarginalCell
-from .diffraction import DiffractionGeometry, rate_bounds, tau_extrema
+from .diffraction import DiffractionGeometry, rate_bounds
 from .errors import ConfigError, QReadingError
 from .rates import (
     TransmitterSpec,
@@ -37,6 +37,7 @@ from .rates import (
     gains,
     holevo_rate,
 )
+from .states import DEFAULT_DIM_PER_MODE
 
 log = logging.getLogger("qreading")
 
@@ -78,14 +79,14 @@ _OPTIONS: dict[str, dict[str, Option]] = {
         "transmitter": Option(default="both", choices=("coherent", "epr", "both")),
     },
     "gain-map": {
-        **_common(30), **_P0,
+        **_common(DEFAULT_DIM_PER_MODE), **_P0,
         "z0-grid": Option(default="0"), "z1-grid": Option(default="1"),
         "n-grid": Option(required=True), "nth-grid": Option(required=True),
     },
     "diffraction": {
         **_common(None), **_CELL, **_probe(0.1, 1.0),
         "lxr-grid": Option(required=True), "d-over-ell": Option(float, 1.0),
-        "grid-size": Option(int, 4096), "both-sides": Option(bool, False),
+        "both-sides": Option(bool, False),
     },
 }
 
@@ -262,17 +263,14 @@ def cmd_diffraction(cfg: dict[str, Any]) -> list[dict[str, Any]]:
 
     def one(ratio: float) -> dict[str, Any]:
         geom = DiffractionGeometry.from_ratios(ratio, cfg["d-over-ell"])
-        tau_min, tau_max = tau_extrema(geom, cfg["grid-size"])  # memoised for rate_bounds
+        bounds = {kind: rate_bounds(cell, tx, geom, cfg["nth"], cfg["dim"],
+                                    attenuate_idler=cfg["both-sides"])
+                  for kind, tx in txs.items()}
         row = dict(echo, d_over_ell=cfg["d-over-ell"], ell_over_xr=ratio,
-                   tau_min=tau_min, tau_max=tau_max)
-        results = []
-        for kind, tx in txs.items():
-            bounds = rate_bounds(cell, tx, geom, cfg["nth"], cfg["dim"],
-                                 grid_size=cfg["grid-size"],
-                                 attenuate_idler=cfg["both-sides"])
-            row[f"{kind}_lower"] = bounds.lower_bits
-            row[f"{kind}_upper"] = bounds.upper_bits
-            results += [bounds.lower, bounds.upper]
+                   tau_min=bounds["epr"].tau_min, tau_max=bounds["epr"].tau_max)
+        for kind, b in bounds.items():
+            row[f"{kind}_lower"], row[f"{kind}_upper"] = b.lower_bits, b.upper_bits
+        results = [r for b in bounds.values() for r in (b.lower, b.upper)]
         row["trace_deficit"] = max(r.trace_deficit for r in results)
         row["cross_check_bits"] = max(r.cross_check_error for r in results)
         return row

@@ -22,6 +22,7 @@ from .rates import RateResult, TransmitterSpec, rate_after_attenuation
 
 _BOUNDARY_TOL = 1e-12
 _MAX_TERMS = 1 << 18  # (points x shifts) entries per aliased-sum chunk
+GRID_SIZE = 4096  # uniform symbol samples over [0, 2pi] before the extremum polish
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,6 @@ class DiffractionGeometry:
     @property
     def rayleigh_length(self) -> float:
         return self.wavelength * self.object_distance / self.pupil_halfwidth
-
-    @property
-    def magnification(self) -> float:
-        return self.image_distance / self.object_distance
 
     @property
     def ell_over_xr(self) -> float:
@@ -119,11 +116,6 @@ class RateBounds:
     @property
     def upper_bits(self) -> float:
         return self.upper.rate_bits
-
-
-def rayleigh_length(geom: DiffractionGeometry) -> float:
-    """lambda * D_o / R."""
-    return geom.rayleigh_length
 
 
 def _sinc(y: np.ndarray | float) -> np.ndarray | float:
@@ -241,12 +233,9 @@ def _symbol_unit_fill(t: np.ndarray, ratio: float) -> np.ndarray:
     return np.where(m_lo > m_hi, 0.0, f)
 
 
-def toeplitz_spectrum(geom: DiffractionGeometry,
-                      grid_size: int = 4096) -> ToeplitzSpectrum:
+def toeplitz_spectrum(geom: DiffractionGeometry) -> ToeplitzSpectrum:
     """Sample the symbol and locate its extrema (grid + local polish)."""
-    if grid_size < 1024:
-        raise ValueError("grid_size must be >= 1024")
-    z_grid = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=True)
+    z_grid = np.linspace(0.0, 2.0 * math.pi, GRID_SIZE, endpoint=True)
     samples = toeplitz_symbol(geom, z_grid)
 
     # candidate points: grid plus the window-edge breakpoints, straddled;
@@ -281,27 +270,25 @@ def toeplitz_spectrum(geom: DiffractionGeometry,
 
 
 @lru_cache(maxsize=256)
-def tau_extrema(geom: DiffractionGeometry,
-                grid_size: int = 4096) -> tuple[float, float]:
+def tau_extrema(geom: DiffractionGeometry) -> tuple[float, float]:
     """Extreme amplitude attenuations (tau_min, tau_max) of the optics.
 
     Memoised per process: a sweep that asks again for the same geometry
     reuses the spectrum search.
     """
-    spec = toeplitz_spectrum(geom, grid_size)
+    spec = toeplitz_spectrum(geom)
     return spec.tau_min, spec.tau_max
 
 
 def rate_bounds(cell: MarginalCell, tx: TransmitterSpec,
                 geom: DiffractionGeometry, n_th: float = 0.0,
-                dim: int | None = None, grid_size: int = 4096, *,
-                attenuate_idler: bool = False) -> RateBounds:
+                dim: int | None = None, *, attenuate_idler: bool = False) -> RateBounds:
     """Reading-rate bounds from the bounding channels at tau_min / tau_max.
 
     ``attenuate_idler`` extends the diffraction attenuation to the retained
     ancilla modes as well (both-sides variant).
     """
-    tau_min, tau_max = tau_extrema(geom, grid_size)
+    tau_min, tau_max = tau_extrema(geom)
     lower = rate_after_attenuation(cell, tx, n_th, tau_min, dim,
                                    attenuate_idler=attenuate_idler)
     upper = rate_after_attenuation(cell, tx, n_th, tau_max, dim,

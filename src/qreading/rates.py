@@ -2,8 +2,8 @@
 expressions, faint-signal approximations, information gains, and the
 concavity scan backing the classical-optimality conjecture.
 
-Coherent numerics use the single-mode optimum (s=1, r=0); EPR numerics use a
-single two-mode squeezed copy (s=1, r=1), whose outputs are block-diagonal in
+Coherent numerics use the single-mode optimum (one signal mode, no idler); EPR
+numerics use a single two-mode squeezed copy (s=1), whose outputs are block-diagonal in
 n_S - n_R and are built and diagonalised as 2d - 1 blocks of size <= d. The
 general-s noiseless phase rate is in closed form: :func:`epr_rate_noiseless_phase`.
 """
@@ -42,7 +42,7 @@ class RateResult:
     rate_bits: float
     truncation_dim: int
     trace_deficit: float
-    method: Literal["fock_numeric", "analytic_noiseless", "faint_approx"]
+    method: Literal["fock_numeric", "analytic_noiseless"]
     cross_check_error: float | None = None
 
 
@@ -91,7 +91,7 @@ def _symbol_blocks(tx: TransmitterSpec, params: ChannelParams, dim: int,
     """Symbol output as diagonal blocks: 1 for coherent, 2 dim - 1 for EPR."""
     vec = tx.fock_vector(dim)
     if tx.kind == "coherent":
-        return pure_state_cell_output(vec, (dim,), params).data[None]
+        return pure_state_cell_output(vec, params).data[None]
     return epr_output_blocks(np.diagonal(vec.reshape(dim, dim)), params, idler_attenuation)
 
 
@@ -146,7 +146,7 @@ def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
     bound = shannon_entropy_d(cell.probs[1:])
     if rate > bound + RATE_FLOOR:
         raise ConvergenceError(f"rate {rate} exceeds ensemble entropy {bound}")
-    return RateResult(max(rate, 0.0) + 0.0, dim, deficit, "fock_numeric", cross)  # no -0.0
+    return RateResult(max(rate, 0.0), dim, deficit, "fock_numeric", cross)
 
 
 # ---------------------------------------------------------------------------

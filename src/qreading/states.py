@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -42,6 +42,21 @@ def g_thermal(nbar: float) -> float:
 # Fock picture
 # ---------------------------------------------------------------------------
 
+def _check_states(blocks: np.ndarray) -> np.ndarray:
+    """Each state's trace in a (..., count, b, b) block stack, checked Hermitian and in (0, 1]."""
+    b, size = HERMITICITY_TILE, blocks.shape[-1]
+    dev = max(np.max(np.abs(blocks[..., i:i + b, j:j + b]
+                            - np.swapaxes(blocks[..., j:j + b, i:i + b], -1, -2).conj()))
+              for i in range(0, size, b) for j in range(i, size, b))
+    if dev > HERMITICITY_TOL:
+        raise StateValidationError(f"matrix not Hermitian: max deviation {dev:.3e}")
+    tr = np.trace(blocks, axis1=-2, axis2=-1).real.sum(axis=-1)
+    bad = tr[~((tr > 0.0) & (tr <= 1.0 + 1e-10))]
+    if bad.size:
+        raise StateValidationError(f"trace {bad[0]} outside (0, 1]")
+    return tr
+
+
 @dataclass
 class FockDensityMatrix:
     """Multi-mode density matrix in a truncated number basis.
@@ -53,7 +68,6 @@ class FockDensityMatrix:
 
     dims: tuple[int, ...]
     data: np.ndarray
-    eps_trunc: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.dims = tuple(int(d) for d in self.dims)
@@ -63,20 +77,8 @@ class FockDensityMatrix:
         self.data = np.asarray(self.data, dtype=complex)
         if self.data.shape != (size, size):
             raise StateValidationError(
-                f"data shape {self.data.shape} does not match dims {self.dims}"
-            )
-        a, b = self.data, HERMITICITY_TILE
-        dev = max(np.max(np.abs(a[i:i + b, j:j + b] - a[j:j + b, i:i + b].conj().T))
-                  for i in range(0, size, b) for j in range(i, size, b))
-        if dev > HERMITICITY_TOL:
-            raise StateValidationError(f"matrix not Hermitian: max deviation {dev:.3e}")
-        tr = float(np.real(np.trace(self.data)))
-        if not (0.0 < tr <= 1.0 + 1e-10):
-            raise StateValidationError(f"trace {tr} outside (0, 1]")
-        if self.eps_trunc is not None and self.trace_deficit > self.eps_trunc:
-            raise TruncationError(
-                f"trace deficit {self.trace_deficit:.3e} exceeds eps_trunc {self.eps_trunc:.1e}"
-            )
+                f"data shape {self.data.shape} does not match dims {self.dims}")
+        _check_states(self.data[None])
 
     @property
     def mode_count(self) -> int:
@@ -91,11 +93,9 @@ class FockDensityMatrix:
         return max(0.0, 1.0 - self.trace)
 
     @classmethod
-    def from_pure(cls, vec: np.ndarray, dims: Sequence[int],
-                  eps_trunc: float | None = None) -> "FockDensityMatrix":
+    def from_pure(cls, vec: np.ndarray, dims: Sequence[int]) -> "FockDensityMatrix":
         vec = np.asarray(vec, dtype=complex).reshape(-1)
-        rho = np.outer(vec, vec.conj())
-        return cls(tuple(dims), rho, eps_trunc)
+        return cls(tuple(dims), np.outer(vec, vec.conj()))
 
     def check_positive(self, floor: float = NEGATIVITY_TOL) -> None:
         """Raise unless all eigenvalues are above ``-floor``."""
@@ -163,15 +163,14 @@ def epr_state(n: float, s: int, dim: int,
     return vec
 
 
-def thermal_state(nbar: float, dim: int,
-                  eps_trunc: float | None = None) -> FockDensityMatrix:
+def thermal_state(nbar: float, dim: int) -> FockDensityMatrix:
     """Single-mode thermal state with weights nbar^m / (nbar+1)^(m+1)."""
     if nbar < 0:
         raise ValueError("nbar must be >= 0")
     m = np.arange(dim)
     weights = (nbar / (nbar + 1.0)) ** m / (nbar + 1.0) if nbar > 0 else \
         np.concatenate(([1.0], np.zeros(dim - 1)))
-    return FockDensityMatrix((dim,), np.diag(weights).astype(complex), eps_trunc)
+    return FockDensityMatrix((dim,), np.diag(weights).astype(complex))
 
 
 def von_neumann_entropy(rho: FockDensityMatrix) -> float:
@@ -183,19 +182,13 @@ def block_entropies(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropies in bits and trace deficits of states given as (..., count,
     b, b) stacks of diagonal blocks, zero-padded to one size b. Each state is
     checked like a :class:`FockDensityMatrix`; its spectrum is its blocks'
-    spectra, so one batched ``eigvalsh`` serves every state."""
-    dev = np.max(np.abs(blocks - np.swapaxes(blocks, -1, -2).conj()))
-    if dev > HERMITICITY_TOL:
-        raise StateValidationError(f"matrix not Hermitian: max deviation {dev:.3e}")
-    tr = np.trace(blocks, axis1=-2, axis2=-1).real.sum(axis=-1)
-    bad = tr[(tr <= 0.0) | (tr > 1.0 + 1e-10)]
-    if bad.size:
-        raise StateValidationError(f"trace {bad[0]} outside (0, 1]")
+    spectra, so one batched ``eigvalsh`` serves every state. A pure state reads +0.0."""
+    tr = _check_states(blocks)
     lam = np.linalg.eigvalsh(blocks).reshape(blocks.shape[:-3] + (-1,))
     if lam.min() < -NEGATIVITY_TOL:
         raise StateValidationError(f"eigenvalue {lam.min():.3e} below negativity floor")
     lam = np.where(lam > EIGENVALUE_FLOOR, lam, 1.0)
-    return np.maximum(0.0, -np.sum(lam * np.log2(lam), axis=-1)), np.maximum(0.0, 1.0 - tr)
+    return np.maximum(0.0, -np.sum(lam * np.log2(lam), axis=-1)) + 0.0, np.maximum(0.0, 1.0 - tr)
 
 
 def partial_trace(rho: FockDensityMatrix, keep: Sequence[int]) -> FockDensityMatrix:
@@ -324,29 +317,29 @@ class TransmitterSpec:
     kind: Literal["coherent", "epr"]
     n: float
     s: int = 1
-    r: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("mean photon number n must be >= 0")
-        if self.s < 1 or self.r < 0:
-            raise ValueError("need s >= 1 and r >= 0")
-        if self.kind == "epr" and self.r != self.s:
-            raise ValueError("EPR transmitter requires r == s")
+        if self.s < 1:
+            raise ValueError("need s >= 1")
         if self.kind not in ("coherent", "epr"):
             raise ValueError(f"unknown transmitter kind {self.kind!r}")
+        if self.kind == "coherent" and self.s != 1:
+            raise ValueError("a coherent probe has one signal mode: need s == 1")
 
     @classmethod
     def coherent(cls, n: float) -> "TransmitterSpec":
-        return cls("coherent", n, s=1, r=0)
+        return cls("coherent", n)
 
     @classmethod
     def epr(cls, n: float, s: int = 1) -> "TransmitterSpec":
-        return cls("epr", n, s=s, r=s)
+        return cls("epr", n, s=s)
 
     @property
     def mode_count(self) -> int:
-        return self.s + self.r
+        """One signal mode for coherent; s signal-idler pairs for EPR."""
+        return 2 * self.s if self.kind == "epr" else 1
 
     def fock_vector(self, dim: int,
                     eps_trunc: float = DEFAULT_EPS_TRUNC) -> np.ndarray:
@@ -365,9 +358,7 @@ class TransmitterSpec:
         return GaussianState.epr(self.n, self.s)
 
     def fock_dims(self, dim: int) -> tuple[int, ...]:
-        if self.kind == "coherent":
-            return (dim,)
-        return (dim,) * (2 * self.s)
+        return (dim,) * self.mode_count
 
     @property
     def signal_modes(self) -> tuple[int, ...]:

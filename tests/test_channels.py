@@ -53,7 +53,7 @@ class TestMarginalCell:
         cell = MarginalCell.binary(0.3, 0.0, 1.0)
         assert cell.d == 2
         assert cell.probs == (0.3, 0.7)
-        assert cell.channel(1, 0.2).z == 1.0 + 0j
+        assert cell.reflectances == (0j, 1.0 + 0j)
 
     def test_probability_validation(self):
         with pytest.raises(ValueError):
@@ -224,16 +224,24 @@ class TestCellChannel:
         assert np.max(np.abs(direct.data - staged.data)) < 1e-12
 
     def test_pure_fast_path_matches_generic(self):
-        vec = epr_state(0.6, 1, 10, eps_trunc=1e-3)
-        params = ChannelParams(0.5 * np.exp(0.3j), 0.7)
-        fast = pure_state_cell_output(vec, (10, 10), params, mode=0)
-        rho = FockDensityMatrix.from_pure(vec, (10, 10))
-        slow = apply_cell_channel(rho, params, mode=0)
-        assert np.max(np.abs(fast.data - slow.data)) < 1e-11
+        # the single-mode builder against the dense Kraus oracle; the random
+        # probe puts weight on every level up to the cutoff
+        rng = np.random.default_rng(17)
+        wide = rng.normal(size=12) + 1j * rng.normal(size=12)
+        probes = [coherent_state(0.9 * np.exp(0.4j), 16), wide / np.linalg.norm(wide)]
+        for vec in probes:
+            for params in (ChannelParams(0.5 * np.exp(0.3j), 0.0),
+                           ChannelParams(0.5 * np.exp(0.3j), 0.7),
+                           ChannelParams(0.8 * np.exp(-2.1j), 2.5)):
+                fast = pure_state_cell_output(vec, params)
+                slow = apply_cell_channel(FockDensityMatrix.from_pure(vec, (vec.size,)), params)
+                assert fast.dims == (vec.size,)
+                assert np.max(np.abs(fast.data - slow.data)) < 1e-11
 
     def test_epr_signal_killed_leaves_thermal_marginal(self):
         vec = epr_state(0.8, 1, 26)
-        out = pure_state_cell_output(vec, (26, 26), ChannelParams(0.0, 0.0))
+        rho = FockDensityMatrix.from_pure(vec, (26, 26))
+        out = apply_cell_channel(rho, ChannelParams(0.0, 0.0))
         signal = partial_trace(out, [0])
         vac = np.zeros((26, 26), dtype=complex)
         vac[0, 0] = 1.0
@@ -249,7 +257,10 @@ class TestCellChannel:
         ]
         params = ChannelParams(0.6 * np.exp(0.8j), 0.5)
         for vec, dims, gauss in tx_cases:
-            rho = pure_state_cell_output(vec, dims, params, mode=0)
+            if len(dims) == 1:
+                rho = pure_state_cell_output(vec, params)
+            else:  # two-mode EPR output: the dense oracle
+                rho = apply_cell_channel(FockDensityMatrix.from_pure(vec, dims), params, mode=0)
             mean, cov = fock_moments(rho)
             ref = gaussian_channel_action(gauss, params, mode=0)
             assert np.max(np.abs(mean - ref.mean)) < 1e-6

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qreading import (
     ChannelParams,
     DiffractionGeometry,
+    FockDensityMatrix,
     MarginalCell,
     TransmitterSpec,
     apply_cell_channel,
@@ -23,6 +25,8 @@ from qreading import (
     rate_bounds,
     rates,
     tau_extrema,
+    thermal_state,
+    toeplitz_spectrum,
 )
 from qreading.channels import pure_state_cell_output
 from qreading.cli import main, parse_grid
@@ -147,8 +151,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("section,line,argv", [
         ("rate", "transmitter = cohrent", ("--n", "0.1", "--dim", "8")),
         ("rate", "format = xml", ("--n", "0.1", "--dim", "8", "--transmitter", "coherent")),
-        ("diffraction", "both-sides = ture",
-         ("--lxr-grid", "1", "--dim", "8", "--grid-size", "1024")),
+        ("diffraction", "both-sides = ture", ("--lxr-grid", "1", "--dim", "8")),
     ])
     def test_values_checked_like_flags(self, capsys, tmp_path, section, line, argv):
         cfg = tmp_path / "run.ini"
@@ -160,7 +163,7 @@ class TestConfigFile:
         assert line.split(" = ")[0] in err
 
     def test_boolean_words_accepted(self, capsys, tmp_path):
-        argv = ("diffraction", "--lxr-grid", "1", "--dim", "8", "--grid-size", "1024")
+        argv = ("diffraction", "--lxr-grid", "1", "--dim", "8")
         cfg = tmp_path / "run.ini"
         cfg.write_text("[diffraction]\nboth-sides = yes\n", encoding="utf-8")
         code, from_file, _ = run(capsys, *argv, "--config", str(cfg))
@@ -247,7 +250,7 @@ class TestThinShell:
     """The diffraction command is a serial loop over the library's rate_bounds."""
 
     ARGS = ("diffraction", "--lxr-grid", "0.6:1.6:3", "--n", "0.1", "--nth", "0.5",
-            "--dim", "8", "--grid-size", "1024")
+            "--dim", "8")
 
     @pytest.mark.parametrize("extra", [(), ("--d-over-ell", "0.6"), ("--both-sides",)])
     def test_rows_equal_rate_bounds(self, capsys, extra):
@@ -265,7 +268,6 @@ class TestThinShell:
             for kind, tx in (("coherent", TransmitterSpec.coherent(0.1)),
                              ("epr", TransmitterSpec.epr(0.1))):
                 bounds = rate_bounds(cell, tx, geom, 0.5, dim=8,
-                                     grid_size=1024,
                                      attenuate_idler="--both-sides" in extra)
                 assert row["tau_min"] == f"{bounds.tau_min:.12g}"
                 assert row["tau_max"] == f"{bounds.tau_max:.12g}"
@@ -294,9 +296,11 @@ class TestThinShell:
 
 
 class TestRemovedKnobs:
-    """The quadrature order and thread count did nothing, and are gone."""
+    """The quadrature order and thread count did nothing, and are gone; the
+    symbol grid size, the idler count and the state-level truncation bound
+    had one value in use, and are constants or derived values now."""
 
-    @pytest.mark.parametrize("flag", ["--quad-order", "--threads"])
+    @pytest.mark.parametrize("flag", ["--quad-order", "--threads", "--grid-size"])
     @pytest.mark.parametrize("command", ["rate", "gain-map", "diffraction"])
     def test_flag_rejected(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
@@ -313,10 +317,34 @@ class TestRemovedKnobs:
         assert out == ""
         assert f"unknown config key {key!r}" in err
 
+    def test_grid_size_config_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[diffraction]\nlxr-grid = 1\ngrid-size = 4096\n", encoding="utf-8")
+        code, out, err = run(capsys, "diffraction", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "unknown config key 'grid-size'" in err
+
+    @pytest.mark.parametrize("call,keyword", [
+        (lambda: toeplitz_spectrum(DiffractionGeometry.from_ratios(1.0), grid_size=4096),
+         "grid_size"),
+        (lambda: tau_extrema(DiffractionGeometry.from_ratios(1.0), grid_size=4096), "grid_size"),
+        (lambda: rate_bounds(None, None, None, 0.1, grid_size=4096), "grid_size"),
+        (lambda: TransmitterSpec("epr", 1.0, s=1, r=1), "'r'"),
+        (lambda: FockDensityMatrix((2,), np.eye(2) / 2, eps_trunc=0.1), "eps_trunc"),
+        (lambda: FockDensityMatrix.from_pure(np.ones(1), (1,), eps_trunc=0.1), "eps_trunc"),
+        (lambda: thermal_state(0.5, 4, eps_trunc=0.1), "eps_trunc"),
+        (lambda: pure_state_cell_output(np.ones(1), ChannelParams(1.0), mode=0), "mode"),
+    ], ids=["toeplitz_spectrum", "tau_extrema", "rate_bounds", "TransmitterSpec.r",
+            "FockDensityMatrix", "from_pure", "thermal_state", "pure_state_cell_output"])
+    def test_single_value_settings_rejected(self, call, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            call()
+
     @pytest.mark.parametrize("call", [
         lambda: apply_classical_noise(None, 0.1, quad_order=14),
         lambda: apply_cell_channel(None, ChannelParams(1.0, 0.1), quad_order=14),
-        lambda: pure_state_cell_output(None, (4,), None, quad_order=14),
+        lambda: pure_state_cell_output(None, None, quad_order=14),
         lambda: holevo_rate(None, None, 0.1, quad_order=14),
         lambda: gains(None, 0.1, 0.1, quad_order=14),
         lambda: concavity_scan(None, [0.1, 0.2, 0.3], 0.1, quad_order=14),
@@ -333,7 +361,6 @@ class TestRemovedKnobs:
 class TestBoundaryExits:
     @pytest.mark.parametrize("argv", [
         ("diffraction", "--lxr-grid", "0"),
-        ("diffraction", "--lxr-grid", "1", "--grid-size", "10"),
         ("rate", "--n", "0.1", "--nth", "-1"),
         ("rate", "--n", "0.1", "--p0", "1.5"),
         ("rate", "--n", "0.1", "--dim", "1"),
@@ -421,7 +448,7 @@ class TestTrustColumns:
 
     def test_diffraction_rows(self, capsys):
         code, out, _ = run(capsys, "diffraction", "--lxr-grid", "0.6,1.2", "--n", "0.1",
-                           "--nth", "0.5", "--dim", "8", "--grid-size", "1024")
+                           "--nth", "0.5", "--dim", "8")
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 2
@@ -431,7 +458,7 @@ class TestTrustColumns:
             geom = DiffractionGeometry.from_ratios(float(row["ell_over_xr"]))
             results = []
             for tx in (TransmitterSpec.coherent(0.1), TransmitterSpec.epr(0.1)):
-                bounds = rate_bounds(cell, tx, geom, 0.5, dim=8, grid_size=1024)
+                bounds = rate_bounds(cell, tx, geom, 0.5, dim=8)
                 results += [bounds.lower, bounds.upper]
             self.assert_cells(row, max(r.trace_deficit for r in results),
                               max(r.cross_check_error for r in results))

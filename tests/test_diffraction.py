@@ -18,7 +18,6 @@ from qreading import (
     overlap_matrix,
     rate_after_attenuation,
     rate_bounds,
-    rayleigh_length,
     tau_extrema,
     toeplitz_spectrum,
     toeplitz_symbol,
@@ -84,7 +83,6 @@ class TestGeometry:
             focal=0.05, pupil_halfwidth=0.1 * 650e-9 / 1e-6,
             cell_spacing=1e-6, cell_width=1e-6, array_length=1e-3)
         assert abs(geom.rayleigh_length - 1e-6) < 1e-18
-        assert abs(rayleigh_length(geom) - 1e-6) < 1e-18
         assert abs(geom.ell_over_xr - 1.0) < 1e-12
 
     def test_rayleigh_scales_inversely_with_pupil(self):
@@ -313,8 +311,8 @@ class TestSpectrum:
                             lambda geom, z: points.append(np.size(z)) or real(geom, z))
         for ratio, d_over_ell in ((0.9, 1.0), (1.7, 0.6)):
             points.clear()
-            toeplitz_spectrum(DiffractionGeometry.from_ratios(ratio, d_over_ell), 1024)
-            assert 1024 < sum(points) < 1024 + 256
+            toeplitz_spectrum(DiffractionGeometry.from_ratios(ratio, d_over_ell))
+            assert diffraction.GRID_SIZE < sum(points) < diffraction.GRID_SIZE + 256
 
 
 class TestRateBounds:
@@ -355,7 +353,7 @@ class TestRateBounds:
         geom = DiffractionGeometry.from_ratios(0.7)
         tx = TransmitterSpec.epr(0.2)
         with pytest.raises(TypeError, match="positional"):
-            rate_bounds(AMP_CELL, tx, geom, 0.3, 8, 1024, True)
+            rate_bounds(AMP_CELL, tx, geom, 0.3, 8, True)
         with pytest.raises(TypeError, match="positional"):
             rate_after_attenuation(AMP_CELL, tx, 0.3, 0.5, 8, True)
 

@@ -22,7 +22,7 @@ from qreading import (
     thermal_state,
     von_neumann_entropy,
 )
-from qreading.states import symplectic_eigenvalues
+from qreading.states import block_entropies, symplectic_eigenvalues
 
 
 class TestCoherentState:
@@ -137,11 +137,6 @@ class TestFockDensityMatrix:
         with pytest.raises(StateValidationError):
             FockDensityMatrix((2,), 2.0 * np.eye(2))
 
-    def test_eps_trunc_enforced(self):
-        vec = np.array([0.9, 0.0], dtype=complex)  # norm^2 = 0.81
-        with pytest.raises(TruncationError):
-            FockDensityMatrix.from_pure(vec, (2,), eps_trunc=0.1)
-
     def test_trace_deficit_monotone_in_dim(self):
         deficits = []
         for dim in (10, 14, 18, 22, 30):
@@ -164,6 +159,13 @@ class TestEntropy:
     def test_pure_state_zero(self):
         rho = FockDensityMatrix.from_pure(coherent_state(0.8, 20), (20,))
         assert von_neumann_entropy(rho) < 1e-9
+
+    def test_pure_state_entropy_is_positive_zero(self):
+        vac = thermal_state(0.0, 5)
+        assert math.copysign(1.0, von_neumann_entropy(vac)) == 1.0
+        entropies, _ = block_entropies(np.stack([vac.data, vac.data])[:, None])
+        assert np.all(entropies == 0.0)
+        assert all(math.copysign(1.0, e) == 1.0 for e in entropies)
 
     def test_maximally_mixed(self):
         d = 7
@@ -260,9 +262,10 @@ class TestTransmitterSpec:
         assert tx.idler_modes == (1, 3)
         assert tx.fock_dims(8) == (8, 8, 8, 8)
 
-    def test_epr_requires_matched_idlers(self):
-        with pytest.raises(ValueError):
-            TransmitterSpec("epr", 1.0, s=2, r=1)
+    def test_coherent_probe_has_one_signal_mode(self):
+        with pytest.raises(ValueError, match="s == 1"):
+            TransmitterSpec("coherent", 0.1, s=2)
+        assert TransmitterSpec("coherent", 0.1, s=1) == TransmitterSpec.coherent(0.1)
 
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
