@@ -321,8 +321,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {cfg['out']}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -21,8 +21,11 @@ from .errors import ConvergenceError
 from .rates import RateResult, TransmitterSpec, rate_after_attenuation
 
 _BOUNDARY_TOL = 1e-12
+_QUAD_TOL = 1e-8  # absolute tolerance of each transfer-matrix quadrature
 _MAX_TERMS = 1 << 18  # (points x shifts) entries per aliased-sum chunk
 GRID_SIZE = 4096  # uniform symbol samples over [0, 2pi] before the extremum polish
+# B_2 .. B_14: for x >= 12 the first omitted term, B_16 / x^17, is < 4e-17 of psi'(x)
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
 @dataclass(frozen=True)
@@ -212,13 +215,26 @@ def toeplitz_symbol(geom: DiffractionGeometry, z: float | np.ndarray) -> float |
     return float(f) if np.ndim(z) == 0 else f
 
 
+def _trigamma(x: np.ndarray) -> np.ndarray:
+    """psi'(x) for x > 0: psi'(x) = psi'(x + 1) + 1/x^2 twelve times, then the
+    asymptotic series 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) (Abramowitz &
+    Stegun 6.4.6, 6.4.12); within 8 ulp of scipy's polygamma(1, x)."""
+    near = np.zeros(np.shape(x))
+    for _ in range(12):
+        near += 1.0 / x ** 2
+        x = x + 1.0
+    u, series = 1.0 / x ** 2, 0.0
+    for b in _BERNOULLI[::-1]:
+        series = series * u + b
+    return near + (1.0 + (0.5 + series / x) / x) / x
+
+
 def _symbol_unit_fill(t: np.ndarray, ratio: float) -> np.ndarray:
     """Symbol for d = ell via the trigamma tail sum (O(1) in the ratio).
 
     Uses sum_m sinc^2(pi(t-m)) = 1 and sinc^2(pi x) = sin^2(pi t)/(pi x)^2,
     so the out-of-window tail telescopes into trigamma values.
     """
-    import scipy.special
     hi_edge, lo_edge = t + ratio, t - ratio
     hi_on = np.abs(hi_edge - np.round(hi_edge)) <= _BOUNDARY_TOL
     lo_on = np.abs(lo_edge - np.round(lo_edge)) <= _BOUNDARY_TOL
@@ -227,36 +243,45 @@ def _symbol_unit_fill(t: np.ndarray, ratio: float) -> np.ndarray:
     correction = (np.where(hi_on, 0.5 * _sinc(math.pi * (t - m_hi)) ** 2, 0.0)
                   + np.where(lo_on, 0.5 * _sinc(math.pi * (t - m_lo)) ** 2, 0.0))
     sin2 = np.sin(math.pi * t) ** 2
-    tails = (scipy.special.polygamma(1, (m_hi + 1) - t)
-             + scipy.special.polygamma(1, t - (m_lo - 1)))
+    tails = _trigamma((m_hi + 1) - t) + _trigamma(t - (m_lo - 1))
     f = np.maximum(0.0, 1.0 - sin2 / math.pi ** 2 * tails - correction)
     return np.where(m_lo > m_hi, 0.0, f)
 
 
 def toeplitz_spectrum(geom: DiffractionGeometry) -> ToeplitzSpectrum:
-    """Sample the symbol and locate its extrema (grid + local polish)."""
+    """Sample the symbol and locate its extrema (grid + local polish).
+
+    M M^dag is real, symmetric and Toeplitz, so its symbol is even and
+    2pi-periodic: f(z) = f(-z) = f(2pi - z). Away from a window edge it is
+    smooth, hence stationary at z = 0, pi and 2pi, and an extremal candidate
+    there is the extremum itself: it is returned with no polish. A window
+    edge breaks the smoothness: an integer ratio puts one at z = 0, a
+    half-integer ratio one at z = pi, and those candidates are polished.
+    """
     z_grid = np.linspace(0.0, 2.0 * math.pi, GRID_SIZE, endpoint=True)
     samples = toeplitz_symbol(geom, z_grid)
 
-    # candidate points: grid plus the window-edge breakpoints, straddled;
-    # the stable merge keeps a grid point ahead of an equal edge point
+    # candidate points: grid, z = pi and the window-edge breakpoints,
+    # straddled; the stable merge keeps a grid point ahead of an equal one
     ratio = geom.ell_over_xr
     edges = np.concatenate((
         np.arange(math.floor(ratio) - 1, math.ceil(ratio) + 2) - ratio,     # lower edges
         np.arange(-math.ceil(ratio) - 1, -math.floor(ratio) + 2) + ratio))  # upper edges
     extra = (2.0 * math.pi * (edges[:, None] + np.array([-1e-9, 0.0, 1e-9]))).ravel()
-    extra = extra[(extra >= 0.0) & (extra <= 2.0 * math.pi)]
+    extra = np.append(extra[(extra >= 0.0) & (extra <= 2.0 * math.pi)], math.pi)
     cand = np.concatenate((z_grid, extra))
     vals = np.concatenate((samples, toeplitz_symbol(geom, extra)))
     order = np.argsort(cand, kind="stable")
     cand, vals = cand[order], vals[order]
 
     def polish(idx: int, sign: float) -> float:
-        import scipy.optimize  # deferred: importing it adds ~0.2 s to CLI start-up
         lo = cand[max(idx - 1, 0)]
         hi = cand[min(idx + 1, cand.size - 1)]
-        if hi - lo <= 0:
+        t = cand[idx] / (2.0 * math.pi)
+        if hi - lo <= 0 or (t in (0.0, 0.5, 1.0)
+                            and abs(ratio + t - round(ratio + t)) > _BOUNDARY_TOL):
             return sign * vals[idx]
+        import scipy.optimize  # deferred: importing it adds ~0.2 s to CLI start-up
         res = scipy.optimize.minimize_scalar(
             lambda zz: sign * toeplitz_symbol(geom, zz),
             bounds=(lo, hi), method="bounded",
@@ -301,7 +326,7 @@ def rate_bounds(cell: MarginalCell, tx: TransmitterSpec,
 
 
 def transfer_matrix(geom: DiffractionGeometry, k_range: Sequence[int],
-                    h_range: Sequence[int], quad_tol: float = 1e-8) -> np.ndarray:
+                    h_range: Sequence[int]) -> np.ndarray:
     """Mode-to-mode transfer matrix T_kh of the slit-pupil thin lens.
 
     The pupil integral reduces to T_kh = int du sinc(pi(k+u)) sinc(pi(h+u))
@@ -319,8 +344,8 @@ def transfer_matrix(geom: DiffractionGeometry, k_range: Sequence[int],
             return float(_sinc(math.pi * (k + u)) * _sinc(math.pi * (h + u)))
 
         val, err = scipy.integrate.quad(integrand, -band, band,
-                                        epsabs=quad_tol, limit=2000)
-        if err > max(100.0 * quad_tol, 1e-6):
+                                        epsabs=_QUAD_TOL, limit=2000)
+        if err > max(100.0 * _QUAD_TOL, 1e-6):
             raise ConvergenceError(f"transfer entry ({k},{h}) error {err:.3e}")
         return val
 

@@ -97,10 +97,10 @@ class FockDensityMatrix:
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         return cls(tuple(dims), np.outer(vec, vec.conj()))
 
-    def check_positive(self, floor: float = NEGATIVITY_TOL) -> None:
-        """Raise unless all eigenvalues are above ``-floor``."""
+    def check_positive(self) -> None:
+        """Raise unless all eigenvalues are above ``-NEGATIVITY_TOL``."""
         lo = float(np.min(np.linalg.eigvalsh(self.data)))
-        if lo < -floor:
+        if lo < -NEGATIVITY_TOL:
             raise StateValidationError(f"negative eigenvalue {lo:.3e} below floor")
 
 

@@ -27,6 +27,7 @@ from qreading import (
     tau_extrema,
     thermal_state,
     toeplitz_spectrum,
+    transfer_matrix,
 )
 from qreading.channels import pure_state_cell_output
 from qreading.cli import main, parse_grid
@@ -226,6 +227,20 @@ class TestDiffractionCommand:
         assert "lxr-grid" in err
 
 
+def _fresh_interpreter(code: str) -> list[str]:
+    """Stdout lines of ``code`` run in a new interpreter on this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()
+
+
+_SCIPY_LOADED = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+
+
 class TestStartup:
     def test_rate_never_imports_scipy(self):
         # scipy is imported only where diffraction needs it, so the rate
@@ -234,16 +249,26 @@ class TestStartup:
         code = ("import sys, qreading.cli as c; "
                 "codes = [c.main(['rate', '--n', '0.5', '--nth', '0.5', '--dim', '12']), "
                 "c.main(['rate', '--n', '0.5', '--nth', '0.5'])]; "
-                "print(codes); print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        codes, loaded = proc.stdout.strip().splitlines()[-2:]
+                "print(codes); " + _SCIPY_LOADED)
+        codes, loaded = _fresh_interpreter(code)[-2:]
         assert codes in ("[0, 0]", "[1, 0]")
         assert loaded == "[]"
+
+    def test_symbol_grid_never_imports_scipy(self):
+        # the d = ell branch sums its tails with a numpy trigamma
+        code = ("import sys, numpy as np; from qreading import diffraction as D; "
+                "z = np.linspace(0.0, 2.0 * np.pi, D.GRID_SIZE); "
+                "[D.toeplitz_symbol(D.DiffractionGeometry.from_ratios(1.3, dl), z) "
+                "for dl in (1.0, 0.7)]; " + _SCIPY_LOADED)
+        assert _fresh_interpreter(code)[-1] == "[]"
+
+    def test_diffraction_at_symmetry_points_never_imports_scipy(self):
+        # every extremum of these ratios sits at z = 0 or pi, away from a
+        # window edge, so no Brent polish and no scipy.optimize
+        code = ("import sys, qreading.cli as c; "
+                "print(c.main(['diffraction', '--lxr-grid', '0.9,1.2', '--n', '0.01', "
+                "'--nth', '0.1', '--dim', '12'])); " + _SCIPY_LOADED)
+        assert _fresh_interpreter(code)[-2:] == ["0", "[]"]
 
 
 class TestThinShell:
@@ -335,8 +360,12 @@ class TestRemovedKnobs:
         (lambda: FockDensityMatrix.from_pure(np.ones(1), (1,), eps_trunc=0.1), "eps_trunc"),
         (lambda: thermal_state(0.5, 4, eps_trunc=0.1), "eps_trunc"),
         (lambda: pure_state_cell_output(np.ones(1), ChannelParams(1.0), mode=0), "mode"),
+        (lambda: transfer_matrix(DiffractionGeometry.from_ratios(1.0), [0], [0], quad_tol=1e-8),
+         "quad_tol"),
+        (lambda: thermal_state(0.5, 4).check_positive(floor=1e-10), "floor"),
     ], ids=["toeplitz_spectrum", "tau_extrema", "rate_bounds", "TransmitterSpec.r",
-            "FockDensityMatrix", "from_pure", "thermal_state", "pure_state_cell_output"])
+            "FockDensityMatrix", "from_pure", "thermal_state", "pure_state_cell_output",
+            "transfer_matrix", "check_positive"])
     def test_single_value_settings_rejected(self, call, keyword):
         with pytest.raises(TypeError, match=keyword):
             call()
@@ -377,6 +406,15 @@ class TestBoundaryExits:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "rate", "--n", "0.1", "--dim", "8",
+                             "--transmitter", "coherent", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+        assert not path.exists()
 
     def test_non_finite_config_value_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.ini"

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from qreading import (
     transfer_matrix,
 )
 from qreading import diffraction
+from qreading.cli import parse_grid
 from qreading.diffraction import gram_coefficient
 
 AMP_CELL = MarginalCell.binary(0.5, 0.0, 1.0)
@@ -74,6 +76,34 @@ def reference_points(ratio: float) -> np.ndarray:
     t = [e + off for e in edges for off in (-1e-9, 0.0, 1e-9)] + [0.0, 1.0]
     t = [x for x in t if 0.0 <= x <= 1.0]
     return np.concatenate((np.linspace(0.0, 2.0 * math.pi, 4096), 2.0 * math.pi * np.array(t)))
+
+
+def spectrum_ref(geom: DiffractionGeometry) -> tuple[float, float]:
+    """(tau_min, tau_max) with a scipy bounded-Brent polish of every extremum,
+    symmetry point or not, over the grid and the straddled window edges."""
+    z_grid = np.linspace(0.0, 2.0 * math.pi, diffraction.GRID_SIZE)
+    ratio = geom.ell_over_xr
+    edges = np.concatenate((
+        np.arange(math.floor(ratio) - 1, math.ceil(ratio) + 2) - ratio,
+        np.arange(-math.ceil(ratio) - 1, -math.floor(ratio) + 2) + ratio))
+    extra = (2.0 * math.pi * (edges[:, None] + np.array([-1e-9, 0.0, 1e-9]))).ravel()
+    cand = np.concatenate((z_grid, extra[(extra >= 0.0) & (extra <= 2.0 * math.pi)]))
+    vals = toeplitz_symbol(geom, cand)
+    order = np.argsort(cand, kind="stable")
+    cand, vals = cand[order], vals[order]
+
+    def polish(idx: int, sign: float) -> float:
+        lo, hi = cand[max(idx - 1, 0)], cand[min(idx + 1, cand.size - 1)]
+        if hi - lo <= 0:
+            return sign * vals[idx]
+        res = scipy.optimize.minimize_scalar(
+            lambda zz: sign * toeplitz_symbol(geom, zz), bounds=(lo, hi),
+            method="bounded", options={"xatol": 1e-12})
+        return min(sign * vals[idx], float(res.fun))
+
+    f_min = min(max(polish(int(np.argmin(vals)), 1.0), 0.0), 1.0)
+    f_max = min(max(-polish(int(np.argmax(vals)), -1.0), 0.0), 1.0)
+    return math.sqrt(f_min), math.sqrt(f_max)
 
 
 class TestGeometry:
@@ -257,6 +287,21 @@ class TestSymbol:
         assert np.array_equal(out.ravel(), toeplitz_symbol(geom, z.ravel()))
         assert toeplitz_symbol(geom, np.empty(0)).shape == (0,)
 
+    def test_trigamma_matches_scipy(self):
+        x = np.concatenate((np.geomspace(1e-3, 40.0, 4001), [1e3, 2e5]))
+        ref = scipy.special.polygamma(1, x)
+        assert np.all(np.abs(diffraction._trigamma(x) - ref) <= 8 * np.spacing(ref))
+
+    @pytest.mark.parametrize("d_over_ell", [1.0, 0.7])
+    def test_even_about_pi(self, d_over_ell):
+        # the Gram matrix is real symmetric Toeplitz, so f(z) = f(2pi - z);
+        # a seeded sample keeps every draw off the window edges
+        z = np.random.default_rng(11).uniform(0.0, 2.0 * math.pi, 2000)
+        for ratio in (0.3, 0.7, 1.3, 2.6, 4.2):
+            geom = DiffractionGeometry.from_ratios(ratio, d_over_ell)
+            diff = toeplitz_symbol(geom, z) - toeplitz_symbol(geom, 2.0 * math.pi - z)
+            assert np.max(np.abs(diff)) <= 1e-14
+
     @given(st.floats(min_value=0.1, max_value=5.0),
            st.floats(min_value=0.1, max_value=1.0),
            st.floats(min_value=0.0, max_value=2.0 * math.pi))
@@ -313,6 +358,41 @@ class TestSpectrum:
             points.clear()
             toeplitz_spectrum(DiffractionGeometry.from_ratios(ratio, d_over_ell))
             assert diffraction.GRID_SIZE < sum(points) < diffraction.GRID_SIZE + 256
+
+    @pytest.mark.parametrize("d_over_ell", np.round(np.linspace(0.55, 1.0, 10), 2))
+    def test_extrema_match_brent_everywhere(self, d_over_ell):
+        # skipping the polish at z = 0, pi, 2pi moves no tau: against a
+        # Brent polish of every extremum, including ratios whose window
+        # edge sits on a symmetry point (integers at 0, half-integers at pi)
+        for ratio in [*np.linspace(0.2, 5.0, 63), 0.5, 1.0, 1.5, 2.0, 3.0]:
+            geom = DiffractionGeometry.from_ratios(ratio, d_over_ell)
+            spec = toeplitz_spectrum(geom)
+            for got, ref in zip((spec.tau_min, spec.tau_max), spectrum_ref(geom)):
+                assert abs(got - ref) <= 1e-15 * ref
+                assert f"{got:.12g}" == f"{ref:.12g}"
+
+    def test_maximum_beside_an_edge_at_a_symmetry_point(self):
+        # an integer ratio puts a window edge, and a kink, at z = 0; just
+        # below d = ell the maximum sits beside it, 1e-13 above f(0), and
+        # the straddled edge candidates and their polish must find it
+        for ratio in (1.0, 2.0, 3.0):
+            geom = DiffractionGeometry.from_ratios(ratio, 0.9999)
+            tau_max = toeplitz_spectrum(geom).tau_max
+            assert abs(tau_max - spectrum_ref(geom)[1]) <= 1e-15 * tau_max
+            assert tau_max > math.sqrt(toeplitz_symbol(geom, 0.0)) + 1e-14
+
+    @pytest.mark.parametrize("d_over_ell,budget", [(1.0, 64), (0.7, 160)])
+    def test_symbol_call_budget(self, monkeypatch, d_over_ell, budget):
+        # extrema at the symmetry points need no polish, so a sweep makes
+        # few symbol calls beyond the grid and edge calls (426 and 368 when
+        # every extremum was polished)
+        calls = []
+        real = diffraction.toeplitz_symbol
+        monkeypatch.setattr(diffraction, "toeplitz_symbol",
+                            lambda geom, z: calls.append(1) or real(geom, z))
+        for ratio in parse_grid("0.6:2.7:8"):
+            toeplitz_spectrum(DiffractionGeometry.from_ratios(ratio, d_over_ell))
+        assert len(calls) <= budget
 
 
 class TestRateBounds:
