@@ -151,7 +151,7 @@ def overlap_matrix(geom: DiffractionGeometry, i_range: Sequence[int],
 
 def _cos_tail(a: float, w: float) -> float:
     """int_{-w}^{w} (1 - cos(a x)) / x^2 dx, via the sine integral."""
-    import scipy.special  # deferred, like every scipy import: rate never needs it
+    import scipy.special  # deferred, like every scipy import: no CLI command needs it
     a = abs(a)
     if a == 0.0:
         return 0.0
@@ -248,6 +248,66 @@ def _symbol_unit_fill(t: np.ndarray, ratio: float) -> np.ndarray:
     return np.where(m_lo > m_hi, 0.0, f)
 
 
+def _brent_bounded(func, lo: float, hi: float) -> tuple[float, float]:
+    """Minimise ``func`` over [lo, hi] by Brent's bounded method (Brent 1973,
+    ch. 5), golden-section and parabolic steps: a plain-float, step-for-step
+    port of scipy's ``minimize_scalar(method="bounded")`` at xatol = 1e-12,
+    capped at 500 evaluations. Returns (x, func(x)) at the best point."""
+    xatol, sqrt_eps = 1e-12, math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(lo), float(hi)
+    xf = fulc = nfc = a + golden_mean * (b - a)
+    fx = ffulc = fnfc = func(xf)
+    rat = e = 0.0
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < 500:
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf, fx
+
+
 def toeplitz_spectrum(geom: DiffractionGeometry) -> ToeplitzSpectrum:
     """Sample the symbol and locate its extrema (grid + local polish).
 
@@ -281,13 +341,8 @@ def toeplitz_spectrum(geom: DiffractionGeometry) -> ToeplitzSpectrum:
         if hi - lo <= 0 or (t in (0.0, 0.5, 1.0)
                             and abs(ratio + t - round(ratio + t)) > _BOUNDARY_TOL):
             return sign * vals[idx]
-        import scipy.optimize  # deferred: importing it adds ~0.2 s to CLI start-up
-        res = scipy.optimize.minimize_scalar(
-            lambda zz: sign * toeplitz_symbol(geom, zz),
-            bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return min(sign * vals[idx], float(res.fun))
+        _, fun = _brent_bounded(lambda zz: sign * toeplitz_symbol(geom, zz), lo, hi)
+        return min(sign * vals[idx], fun)
 
     f_min = min(max(polish(int(np.argmin(vals)), 1.0), 0.0), 1.0)
     f_max = min(max(-polish(int(np.argmax(vals)), -1.0), 0.0), 1.0)

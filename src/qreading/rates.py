@@ -29,6 +29,7 @@ from .errors import ConvergenceError
 from .states import (
     DEFAULT_DIM_PER_MODE,
     DEFAULT_DIM_SINGLE,
+    GaussianState,
     TransmitterSpec,
     block_entropies,
     symplectic_entropy,
@@ -95,9 +96,9 @@ def _symbol_blocks(tx: TransmitterSpec, params: ChannelParams, dim: int,
     return epr_output_blocks(np.diagonal(vec.reshape(dim, dim)), params, idler_attenuation)
 
 
-def _symbol_gaussian_entropy(tx: TransmitterSpec, params: ChannelParams,
+def _symbol_gaussian_entropy(probe: GaussianState, params: ChannelParams,
                              idler_attenuation: float) -> float:
-    state = gaussian_channel_action(tx.gaussian(), params, mode=0)
+    state = gaussian_channel_action(probe, params, mode=0)
     if idler_attenuation < 1.0:
         for mode in range(1, state.mode_count):
             state = gaussian_channel_action(
@@ -122,13 +123,14 @@ def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
         )
     if dim is None:
         dim = _default_dim(tx)
+    probe = tx.gaussian()
 
     def compute(d: int) -> tuple[float, float, float]:
         symbols = [ChannelParams(z, n_th) for z in cell.reflectances]
         blocks = [_symbol_blocks(tx, params, d, idler_attenuation) for params in symbols]
         mixture = sum(p * b for p, b in zip(cell.probs, blocks))
         entropies, deficits = block_entropies(np.stack(blocks + [mixture]))
-        cross = max(abs(ent - _symbol_gaussian_entropy(tx, params, idler_attenuation))
+        cross = max(abs(ent - _symbol_gaussian_entropy(probe, params, idler_attenuation))
                     for ent, params in zip(entropies, symbols))
         cond = float(np.dot(cell.probs, entropies[:-1]))
         return float(entropies[-1]) - cond, float(cross), float(max(deficits[:-1]))

@@ -32,10 +32,13 @@ DEFAULT_EPS_TRUNC = 1e-8
 
 
 def g_thermal(nbar: float) -> float:
-    """Entropy in bits of a thermal state with mean photon number ``nbar``."""
+    """Entropy in bits of a thermal state with mean photon number ``nbar``:
+    (n+1) log(n+1) - n log n, summed as log1p(n) + n log(1 + 1/n) so no large
+    terms cancel; below n = 1 that log is log1p(n) - log(n) (1/n overflows)."""
     if nbar <= 0.0:
         return 0.0
-    return (nbar + 1.0) * math.log2(nbar + 1.0) - nbar * math.log2(nbar)
+    tail = math.log1p(1.0 / nbar) if nbar >= 1.0 else math.log1p(nbar) - math.log(nbar)
+    return (math.log1p(nbar) + nbar * tail) / math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +245,12 @@ def _embed_operator(op: np.ndarray, dims: Sequence[int], mode: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def symplectic_form(mode_count: int) -> np.ndarray:
-    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(mode_count), omega)
+    """Block-diagonal Omega with one [[0, 1], [-1, 0]] block per mode."""
+    omega = np.zeros((2 * mode_count, 2 * mode_count))
+    x = np.arange(0, 2 * mode_count, 2)
+    omega[x, x + 1] = 1.0
+    omega[x + 1, x] = -1.0
+    return omega
 
 
 @dataclass

@@ -243,9 +243,9 @@ _SCIPY_LOADED = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
 
 class TestStartup:
     def test_rate_never_imports_scipy(self):
-        # scipy is imported only where diffraction needs it, so the rate
-        # command runs on numpy alone; at --dim 12 the EPR row exits 1 on
-        # its truncation check, so the default dims run as well
+        # scipy serves only library oracles, so the rate command runs on
+        # numpy alone; at --dim 12 the EPR row exits 1 on its truncation
+        # check, so the default dims run as well
         code = ("import sys, qreading.cli as c; "
                 "codes = [c.main(['rate', '--n', '0.5', '--nth', '0.5', '--dim', '12']), "
                 "c.main(['rate', '--n', '0.5', '--nth', '0.5'])]; "
@@ -269,6 +269,16 @@ class TestStartup:
                 "print(c.main(['diffraction', '--lxr-grid', '0.9,1.2', '--n', '0.01', "
                 "'--nth', '0.1', '--dim', '12'])); " + _SCIPY_LOADED)
         assert _fresh_interpreter(code)[-2:] == ["0", "[]"]
+
+    def test_diffraction_and_gain_map_never_import_scipy(self):
+        # at d/ell = 0.7 the extrema sit off the symmetry points and take the
+        # plain-Python Brent polish; gain-map runs on the same numpy core
+        code = ("import sys, qreading.cli as c; "
+                "print([c.main(['diffraction', '--lxr-grid', '0.6:2.7:8', '--n', '0.01', "
+                "'--nth', '0.1', '--dim', '12', '--d-over-ell', '0.7', '--both-sides']), "
+                "c.main(['gain-map', '--n-grid', '0.05,0.5', '--nth-grid', '0,0.2', "
+                "'--dim', '24'])]); " + _SCIPY_LOADED)
+        assert _fresh_interpreter(code)[-2:] == ["[0, 0]", "[]"]
 
 
 class TestThinShell:
@@ -458,6 +468,15 @@ class TestTrustColumns:
                 else TransmitterSpec.epr(0.3)
             res = holevo_rate(cell, tx, 0.2, 16)
             self.assert_cells(row, res.trace_deficit, res.cross_check_error)
+
+    def test_cross_check_sees_a_state_truncated_away(self, capsys):
+        # at n_th = 1e300 the Fock-basis state is truncated away entirely; the
+        # Gaussian entropy, about 998 bits, must show it rather than cancel to 0
+        code, out, _ = run(capsys, "rate", "--n", "0.1", "--nth", "1e300")
+        assert code == 0
+        (row,) = [r for r in parse_csv(out) if r["transmitter"] == "coherent"]
+        assert float(row["trace_deficit"]) == 1.0
+        assert float(row["cross_check_bits"]) > 900
 
     def test_analytic_rows_read_zero(self, capsys):
         code, out, _ = run(capsys, "rate", "--n", "0.5", "--transmitter", "coherent",

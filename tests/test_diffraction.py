@@ -395,6 +395,47 @@ class TestSpectrum:
         assert len(calls) <= budget
 
 
+class TestBrentPort:
+    """_brent_bounded takes scipy's bounded-Brent steps: the same points, the
+    same x and f(x), the same evaluation count, bit for bit."""
+
+    @staticmethod
+    def assert_matches_scipy(func, lo, hi):
+        ours, theirs = [], []
+        x, fun = diffraction._brent_bounded(lambda v: ours.append(v) or func(v), lo, hi)
+        res = scipy.optimize.minimize_scalar(
+            lambda v: theirs.append(v) or func(v), bounds=(lo, hi), method="bounded",
+            options={"xatol": 1e-12})
+        assert (x, fun, len(ours)) == (res.x, res.fun, res.nfev)
+        assert ours == theirs
+
+    @pytest.mark.parametrize("func,lo,hi", [
+        (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
+        (math.cos, 1.0, 5.0),
+        (lambda x: 2.0 * x + 1.0, 0.0, 1.0),  # minimum at the lower edge
+        (lambda x: 3.0, -2.0, 2.0),
+        (lambda x: abs(x - 0.37), 0.0, 1.0),
+        (lambda x: (x - 1.1) ** 4, 0.0, 3.0),
+    ], ids=["quadratic", "cos", "linear", "constant", "abs", "quartic"])
+    def test_matches_scipy_on_test_functions(self, func, lo, hi):
+        self.assert_matches_scipy(func, lo, hi)
+
+    @pytest.mark.parametrize("d_over_ell", [0.7, 0.55])
+    def test_matches_scipy_on_polish_brackets(self, monkeypatch, d_over_ell):
+        # every bracket the spectrum search polishes, with its +-symbol
+        brackets = []
+        real = diffraction._brent_bounded
+        monkeypatch.setattr(diffraction, "_brent_bounded",
+                            lambda func, lo, hi: brackets.append((func, lo, hi))
+                            or real(func, lo, hi))
+        for ratio in parse_grid("0.6:2.7:8"):
+            toeplitz_spectrum(DiffractionGeometry.from_ratios(ratio, d_over_ell))
+        monkeypatch.undo()
+        assert brackets
+        for func, lo, hi in brackets:
+            self.assert_matches_scipy(func, lo, hi)
+
+
 class TestRateBounds:
     def test_bounds_ordered_and_sandwiched(self):
         geom = DiffractionGeometry.from_ratios(0.8)

@@ -1,6 +1,7 @@
 """Fock and Gaussian state machinery: constructors, entropies, reductions."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qreading import (
     thermal_state,
     von_neumann_entropy,
 )
-from qreading.states import block_entropies, symplectic_eigenvalues
+from qreading.states import block_entropies, symplectic_eigenvalues, symplectic_form
 
 
 class TestCoherentState:
@@ -121,6 +122,17 @@ class TestThermalState:
         p = (nbar / (nbar + 1.0)) ** m / (nbar + 1.0)
         direct = -np.sum(p * np.log2(p))
         assert abs(g_thermal(nbar) - direct) < 1e-10
+
+    def test_g_thermal_matches_decimal_reference(self):
+        # (n+1) ln(n+1) - n ln n at 400 digits, where its two terms cancel
+        # harmlessly out to n = 1e300; a float difference of the two reads 0
+        # from n = 1e16 on, and 1/n overflows for a subnormal n
+        with localcontext() as ctx:
+            ctx.prec = 400
+            for nbar in [*np.geomspace(1e-300, 1e300, 61), 5e-324, 1e-310, 0.999, 1.001]:
+                n = Decimal(float(nbar))
+                ref = float(((n + 1) * (n + 1).ln() - n * n.ln()) / Decimal(2).ln())
+                assert abs(g_thermal(float(nbar)) - ref) <= 1e-15 * ref
 
 
 class TestFockDensityMatrix:
@@ -245,6 +257,11 @@ class TestGaussianPicture:
     def test_thermal_symplectic_eigenvalue(self, nbar):
         nus = symplectic_eigenvalues(GaussianState.thermal(nbar).cov)
         assert abs(nus[0] - (2.0 * nbar + 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_symplectic_form_matches_kron(self, modes):
+        kron = np.kron(np.eye(modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert np.array_equal(symplectic_form(modes), kron)
 
 
 class TestTransmitterSpec:
