@@ -161,18 +161,20 @@ def apply_cell_channel(rho: FockDensityMatrix, params: ChannelParams,
     return apply_classical_noise(out, params.n_th, mode)
 
 
-def pure_state_cell_output(vec: np.ndarray, params: ChannelParams) -> FockDensityMatrix:
+def pure_state_cell_output(vec: np.ndarray, params: ChannelParams, *,
+                           amplifier: np.ndarray | None = None) -> FockDensityMatrix:
     """``apply_cell_channel`` on a single-mode |vec><vec|, without Kraus stacks.
 
     The loss output is one Gram product over the d shifted vectors; the
     amplifier adds that Gram shifted diagonally by j and scaled by
-    outer(b_j, b_j). O(d^3) time, O(d^2) memory.
+    outer(b_j, b_j). O(d^3) time, O(d^2) memory. ``amplifier`` is
+    ``amplifier_amplitudes(1 + n_th, d)`` when the caller holds it already.
     """
     psi = np.asarray(vec, dtype=complex)
     d = psi.size
     gain = 1.0 + params.n_th
     a = loss_amplitudes(complex(params.z) / math.sqrt(gain), d)
-    b = amplifier_amplitudes(gain, d)
+    b = amplifier_amplitudes(gain, d) if amplifier is None else amplifier
     k, n = np.arange(d)[:, None], np.arange(d)
     source = np.minimum(n + k, d - 1)  # branch k takes |n + k> to |n>
     shifted = np.where(n + k < d, a[k, source], 0.0) * psi[source]
@@ -185,28 +187,34 @@ def pure_state_cell_output(vec: np.ndarray, params: ChannelParams) -> FockDensit
 
 
 def epr_output_blocks(schmidt: np.ndarray, params: ChannelParams,
-                      idler_attenuation: float = 1.0) -> np.ndarray:
+                      idler_attenuation: float = 1.0, *,
+                      amplifier: np.ndarray | None = None,
+                      idler_loss: np.ndarray | None = None) -> np.ndarray:
     """``apply_cell_channel`` on sum_m c_m |m, m> (then idler loss), by blocks.
 
     Each step commutes with exp(i phi (n_S - n_R)): loss branch k, amplifier
     branch j and idler-loss branch l send c_m |m, m> into block j - k + l.
-    Entry [delta + d - 1, r, r'] of the (2d - 1, d, d) result is
-    <r + delta, r| rho |r' + delta, r'>, 0 past the cutoff. Cost O(d^4), not O(d^6).
+    Entry [delta % d, r, r'] of the (d, d, d) result is
+    <r + delta, r| rho |r' + delta, r'>, 0 past the cutoff. Fold i holds
+    delta = i on idler levels r < d - i and delta = i - d on r >= d - i
+    (where n_S = r + delta fits below d), so the two never share an entry
+    and the fold's spectrum is the union of theirs. Cost O(d^4), not O(d^6).
+    ``amplifier`` and ``idler_loss`` are ``amplifier_amplitudes(1 + n_th, d)``
+    and ``loss_amplitudes(idler_attenuation, d)`` when the caller holds them.
     """
     d = len(schmidt)
     gain = 1.0 + params.n_th
     a = loss_amplitudes(complex(params.z) / math.sqrt(gain), d)
-    b = amplifier_amplitudes(gain, d)
-    delta, k, m = np.ogrid[1 - d:d, :d, :d]
-    j = k + delta  # the amplifier branch that takes loss branch k into block delta
-    branches = np.where((j >= 0) & (j < d), schmidt * a[k, m] * b[j % d, (m - k) % d], 0)
+    b = amplifier_amplitudes(gain, d) if amplifier is None else amplifier
+    fold, k, m = np.ogrid[:d, :d, :d]  # amplifier branch (k + fold) % d takes loss branch k
+    branches = schmidt * a[k, m] * b[(k + fold) % d, (m - k) % d]
     blocks = np.swapaxes(branches, 1, 2) @ branches.conj()
     if idler_attenuation < 1.0:
-        c = loss_amplitudes(complex(idler_attenuation), d)
+        c = loss_amplitudes(complex(idler_attenuation), d) if idler_loss is None else idler_loss
         lossy = np.zeros_like(blocks)
         for l in range(d):
-            w = np.outer(c[l, l:], c[l, l:].conj())  # idler r -> r - l, block +l
-            lossy[l:, :d - l, :d - l] += w * blocks[:2 * d - 1 - l, l:, l:]
+            w = np.outer(c[l, l:], c[l, l:].conj())  # idler r -> r - l, fold +l
+            lossy[:, :d - l, :d - l] += w * blocks[(np.arange(d) - l) % d, l:, l:]
         blocks = lossy
     return 0.5 * (blocks + np.swapaxes(blocks, 1, 2).conj())
 

@@ -4,8 +4,8 @@ concavity scan backing the classical-optimality conjecture.
 
 Coherent numerics use the single-mode optimum (one signal mode, no idler); EPR
 numerics use a single two-mode squeezed copy (s=1), whose outputs are block-diagonal in
-n_S - n_R and are built and diagonalised as 2d - 1 blocks of size <= d. The
-general-s noiseless phase rate is in closed form: :func:`epr_rate_noiseless_phase`.
+n_S - n_R and are built and diagonalised as d blocks of size d, one per (n_S - n_R)
+mod d. The general-s noiseless phase rate is in closed form: :func:`epr_rate_noiseless_phase`.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ import numpy as np
 from .channels import (
     ChannelParams,
     MarginalCell,
+    amplifier_amplitudes,
     compose_with_attenuator,
     epr_output_blocks,
     gaussian_channel_action,
+    loss_amplitudes,
     pure_state_cell_output,
 )
 from .errors import ConvergenceError
@@ -87,13 +89,20 @@ def _default_dim(tx: TransmitterSpec) -> int:
     return DEFAULT_DIM_SINGLE if tx.kind == "coherent" else DEFAULT_DIM_PER_MODE
 
 
-def _symbol_blocks(tx: TransmitterSpec, params: ChannelParams, dim: int,
-                   idler_attenuation: float) -> np.ndarray:
-    """Symbol output as diagonal blocks: 1 for coherent, 2 dim - 1 for EPR."""
+def _symbol_blocks(tx: TransmitterSpec, symbols: list[ChannelParams], n_th: float,
+                   dim: int, idler_attenuation: float) -> list[np.ndarray]:
+    """Each symbol's output as diagonal blocks, 1 for coherent and dim for EPR.
+    The probe and the noise tables depend on no reflectance: built once."""
     vec = tx.fock_vector(dim)
+    amplifier = amplifier_amplitudes(1.0 + n_th, dim)
     if tx.kind == "coherent":
-        return pure_state_cell_output(vec, params).data[None]
-    return epr_output_blocks(np.diagonal(vec.reshape(dim, dim)), params, idler_attenuation)
+        return [pure_state_cell_output(vec, params, amplifier=amplifier).data[None]
+                for params in symbols]
+    schmidt = np.diagonal(vec.reshape(dim, dim))
+    idler_loss = (loss_amplitudes(complex(idler_attenuation), dim)
+                  if idler_attenuation < 1.0 else None)
+    return [epr_output_blocks(schmidt, params, idler_attenuation, amplifier=amplifier,
+                              idler_loss=idler_loss) for params in symbols]
 
 
 def _symbol_gaussian_entropy(probe: GaussianState, params: ChannelParams,
@@ -127,7 +136,7 @@ def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
 
     def compute(d: int) -> tuple[float, float, float]:
         symbols = [ChannelParams(z, n_th) for z in cell.reflectances]
-        blocks = [_symbol_blocks(tx, params, d, idler_attenuation) for params in symbols]
+        blocks = _symbol_blocks(tx, symbols, n_th, d, idler_attenuation)
         mixture = sum(p * b for p, b in zip(cell.probs, blocks))
         entropies, deficits = block_entropies(np.stack(blocks + [mixture]))
         cross = max(abs(ent - _symbol_gaussian_entropy(probe, params, idler_attenuation))

@@ -43,17 +43,17 @@ def dense_output(vec, d, params, tau):
 
 
 def embed(blocks, d):
-    """Dense (d^2, d^2) matrix of the blocks, and the mask of in-block entries."""
+    """Dense (d^2, d^2) matrix of the folded blocks, and the mask of in-block entries."""
     dense = np.zeros((d,) * 4, dtype=complex)  # indices (s, r, s', r')
     inside = np.zeros((d,) * 4, dtype=bool)
-    for i, delta in enumerate(range(1 - d, d)):
+    for delta in range(1 - d, d):
         r = np.arange(max(0, -delta), min(d, d - delta))
         rr, cc = np.meshgrid(r, r, indexing="ij")
-        dense[rr + delta, rr, cc + delta, cc] = blocks[i][np.ix_(r, r)]
+        dense[rr + delta, rr, cc + delta, cc] = blocks[delta % d][np.ix_(r, r)]
         inside[rr + delta, rr, cc + delta, cc] = True
-        outside = np.ones((d, d), dtype=bool)
-        outside[np.ix_(r, r)] = False
-        assert np.all(blocks[i][outside] == 0.0)  # padding past the truncation
+    for i in range(d):  # fold i: delta = i on rows < d - i, delta = i - d on the rest
+        low = np.arange(d) < d - i
+        assert np.all(blocks[i][low[:, None] != low] == 0.0)  # between its two sub-blocks
     return dense.reshape(d * d, d * d), inside.reshape(d * d, d * d)
 
 
@@ -84,7 +84,7 @@ class TestBlockOracle:
         params = ChannelParams(z, n_th)
         dense = dense_output(vec, d, params, tau).data
         blocks = epr_output_blocks(np.diagonal(vec.reshape(d, d)), params, tau)
-        assert blocks.shape == (2 * d - 1, d, d)
+        assert blocks.shape == (d, d, d)
         embedded, inside = embed(blocks, d)
         assert np.max(np.abs(embedded - dense)) < 1e-12
         assert np.all(dense[~inside] == 0.0)
@@ -117,6 +117,18 @@ class TestCostGuard:
                     0.4, dim=d, idler_attenuation=tau)
         assert shapes
         assert all(s[-2] <= d and s[-1] <= d for s in shapes), shapes
+
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    def test_epr_batch_is_d_folds(self, monkeypatch, tau):
+        # two symbols and their mixture, each as d folds of (n_S - n_R) mod d
+        d = 20
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args: shapes.append(np.shape(a)) or eigvalsh(a, *args))
+        holevo_rate(MarginalCell.binary(0.5, 0.0, 1.0), TransmitterSpec.epr(0.3),
+                    0.4, dim=d, idler_attenuation=tau)
+        assert shapes == [(3, d, d, d)]
 
 
 reflectance = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
