@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import ctypes
 import io
 import json
 import logging
@@ -40,6 +41,30 @@ from .rates import (
 from .states import DEFAULT_DIM_PER_MODE
 
 log = logging.getLogger("qreading")
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+_HEAP_RETAIN_BYTES = 32 << 20
+
+
+def _retain_freed_heap() -> None:
+    """Have glibc keep freed memory for reuse instead of returning it to the kernel.
+
+    A rate call allocates and frees numpy temporaries of a few hundred KB (a
+    (3, d, d, d) EPR batch is 660 KB at d = 24). Past glibc's default
+    thresholds each is mapped afresh, or trimmed off the heap top once freed,
+    so the next one page-faults its memory back in: a dim-24 gain-map spent
+    about a fifth of its wall in those faults. glibc's self-adjusting
+    threshold also flips between faulting and reusing as sizes change, so a
+    run of such ops switched between two speeds about 1.5x apart. The CLI
+    owns its process, so it pins both thresholds; blocks above
+    _HEAP_RETAIN_BYTES are still mapped on their own. A no-op off Linux.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_RETAIN_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_RETAIN_BYTES)
 
 
 @dataclass(frozen=True)
@@ -307,6 +332,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _retain_freed_heap()
     try:
         cfg = _merge_config(args.command, args)
         log.info("running %s with %s", args.command, cfg)

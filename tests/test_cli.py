@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -279,6 +280,23 @@ class TestStartup:
                 "c.main(['gain-map', '--n-grid', '0.05,0.5', '--nth-grid', '0,0.2', "
                 "'--dim', '24'])]); " + _SCIPY_LOADED)
         assert _fresh_interpreter(code)[-2:] == ["[0, 0]", "[]"]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_warm_gain_map_reuses_freed_heap(self):
+        # each op allocates and frees EPR batches of a few hundred KB; with
+        # glibc's default thresholds every op faulted about 3000 pages back in
+        code = ("import io, contextlib, resource, qreading.cli as c; "
+                "argv = ['gain-map', '--n-grid', '0.05,0.5', '--nth-grid', '0,0.2', "
+                "'--dim', '24']; "
+                "ops = lambda k: [c.main(argv) for _ in range(k)]; "
+                "out = contextlib.redirect_stdout(io.StringIO()); out.__enter__(); "
+                "ops(2); f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+                "codes = ops(5); "
+                "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0; "
+                "out.__exit__(None, None, None); print(codes, faults / 5)")
+        codes, per_op = _fresh_interpreter(code)[-1].rsplit(" ", 1)
+        assert codes == "[0, 0, 0, 0, 0]"
+        assert float(per_op) < 100
 
 
 class TestThinShell:
