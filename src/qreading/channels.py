@@ -9,9 +9,9 @@ of gain G = 1 + n_th; weight the amplifier pushes past the truncation is
 dropped and shows up as the output's trace deficit. Both stages are shifts
 (Ivan, Sabapathy and Simon, PRA 84, 042311 (2011)): loss branch k sends |m>
 to a[k, m] |m - k> and amplifier branch j sends |m> to b[j, m] |m + j>.
-Every Fock-basis result is built from these two (d, d) tables, so a pure
-single-mode output costs O(d^3) time and O(d^2) memory; the dense Kraus
-stacks serve only the ``apply_*`` oracles.
+Every Fock-basis result is built from these two (d, d) tables (float64 when z
+is real), so a pure single-mode output costs O(d^3) time and O(d^2) memory and
+the dense Kraus stacks serve only the ``apply_*`` oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .states import FockDensityMatrix, GaussianState, log_factorials
+from .states import FockDensityMatrix, GaussianState, log_factorials, phase_powers
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,12 @@ def _binomial_amplitudes(p: float, q: float, k: np.ndarray, n: np.ndarray,
 
 def loss_amplitudes(z: complex, dim: int) -> np.ndarray:
     """a[k, m]: loss branch k sends |m> to a[k, m] |m - k>, with eta = |z|^2 and
-    a[k, m] = sqrt(C(m, k) (1-eta)^k eta^(m-k)) exp(i arg(z) (m - k))."""
+    a[k, m] = sqrt(C(m, k) (1-eta)^k eta^(m-k)) exp(i arg(z) (m - k)), real for real z."""
     eta = abs(z) ** 2
     if eta > 1.0 + 1e-12:
         raise ValueError(f"|z| = {abs(z)} exceeds 1")
     eta = min(eta, 1.0)
-    phase = np.exp(1j * np.angle(z) * np.arange(dim))
+    phase = phase_powers(z, dim)
     k, m = np.arange(dim)[:, None], np.arange(dim)
     return _binomial_amplitudes(1.0 - eta, eta, k, m, dim) * phase[np.abs(m - k)]
 
@@ -162,15 +162,16 @@ def apply_cell_channel(rho: FockDensityMatrix, params: ChannelParams,
 
 
 def pure_state_cell_output(vec: np.ndarray, params: ChannelParams, *,
-                           amplifier: np.ndarray | None = None) -> FockDensityMatrix:
-    """``apply_cell_channel`` on a single-mode |vec><vec|, without Kraus stacks.
+                           amplifier: np.ndarray | None = None) -> np.ndarray:
+    """The (d, d) array of ``apply_cell_channel`` on |vec><vec|, without Kraus stacks.
 
     The loss output is one Gram product over the d shifted vectors; the
     amplifier adds that Gram shifted diagonally by j and scaled by
-    outer(b_j, b_j). O(d^3) time, O(d^2) memory. ``amplifier`` is
-    ``amplifier_amplitudes(1 + n_th, d)`` when the caller holds it already.
+    outer(b_j, b_j). O(d^3) time, O(d^2) memory; float64 when ``vec`` and z
+    are real. ``amplifier`` is ``amplifier_amplitudes(1 + n_th, d)`` when the
+    caller holds it already.
     """
-    psi = np.asarray(vec, dtype=complex)
+    psi = np.asarray(vec)
     d = psi.size
     gain = 1.0 + params.n_th
     a = loss_amplitudes(complex(params.z) / math.sqrt(gain), d)
@@ -183,7 +184,7 @@ def pure_state_cell_output(vec: np.ndarray, params: ChannelParams, *,
     for j in np.flatnonzero(b.any(axis=1)):  # only branch 0 when n_th = 0
         bj = b[j, :d - j]
         rho[j:, j:] += np.outer(bj, bj) * gram[:d - j, :d - j]
-    return FockDensityMatrix((d,), 0.5 * (rho + rho.conj().T))
+    return 0.5 * (rho + rho.conj().T)
 
 
 def epr_output_blocks(schmidt: np.ndarray, params: ChannelParams,

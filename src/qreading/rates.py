@@ -96,7 +96,7 @@ def _symbol_blocks(tx: TransmitterSpec, symbols: list[ChannelParams], n_th: floa
     vec = tx.fock_vector(dim)
     amplifier = amplifier_amplitudes(1.0 + n_th, dim)
     if tx.kind == "coherent":
-        return [pure_state_cell_output(vec, params, amplifier=amplifier).data[None]
+        return [pure_state_cell_output(vec, params, amplifier=amplifier)[None]
                 for params in symbols]
     schmidt = np.diagonal(vec.reshape(dim, dim))
     idler_loss = (loss_amplitudes(complex(idler_attenuation), dim)

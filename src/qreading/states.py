@@ -117,9 +117,16 @@ def log_factorials(count: int) -> np.ndarray:
     return total + np.cumsum((before - (total - step)) + (terms - step))
 
 
+def phase_powers(x: complex, count: int) -> np.ndarray:
+    """exp(i arg(x) m) for m < ``count``; float64 (+-1)^m when x is real (arg 0 = 0)."""
+    if x.imag == 0.0:
+        return (-1.0 if x.real < 0 else 1.0) ** np.arange(count)
+    return np.exp(1j * np.angle(x) * np.arange(count))
+
+
 def coherent_state(amplitude: complex, dim: int,
                    eps_trunc: float = DEFAULT_EPS_TRUNC) -> np.ndarray:
-    """Fock coefficients of |alpha>, c_m = exp(-|a|^2/2) a^m / sqrt(m!)."""
+    """Fock coefficients of |alpha>, c_m = exp(-|a|^2/2) a^m / sqrt(m!); real for real a."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
     if abs(amplitude) ** 2 > dim / 4.0:
@@ -127,13 +134,10 @@ def coherent_state(amplitude: complex, dim: int,
             f"|amplitude|^2 = {abs(amplitude)**2:.3g} too large for dim {dim}"
         )
     if amplitude == 0:
-        vec = np.zeros(dim, dtype=complex)
-        vec[0] = 1.0
-        return vec
+        return np.eye(1, dim)[0]
     m = np.arange(dim)
     log_mag = -abs(amplitude) ** 2 / 2 + m * np.log(abs(amplitude)) - log_factorials(dim) / 2
-    phase = np.exp(1j * np.angle(amplitude) * m)
-    vec = np.exp(log_mag) * phase
+    vec = np.exp(log_mag) * phase_powers(amplitude, dim)
     deficit = 1.0 - float(np.vdot(vec, vec).real)
     if deficit > eps_trunc:
         raise TruncationError(f"coherent-state norm deficit {deficit:.3e} > {eps_trunc:.1e}")
@@ -155,7 +159,7 @@ def epr_state(n: float, s: int, dim: int,
     tanh2 = nbar / (nbar + 1.0)
     m = np.arange(dim)
     schmidt = np.sqrt(tanh2 ** m / (nbar + 1.0))
-    copy = np.zeros((dim, dim), dtype=complex)
+    copy = np.zeros((dim, dim))
     copy[m, m] = schmidt
     vec = copy.reshape(-1)
     for _ in range(s - 1):

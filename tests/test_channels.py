@@ -120,6 +120,37 @@ class TestShiftTables:
         assert np.array_equal(loss_amplitudes(1 + 0j, 9), only_branch_0)
         assert np.array_equal(amplifier_amplitudes(1.0, 9), only_branch_0)
 
+    # np.exp(1j * pi * m) carries about m * 1.2e-16 in its imaginary part
+    # (4.9e-15 at m = 11); the real tables hold the exact +-1 powers
+    @pytest.mark.parametrize("z", [0.6, -0.6, 0.0, 1.0, -1.0])
+    def test_real_reflectance_gives_real_table(self, z):
+        k, m = np.ogrid[:12, :12]
+        a = loss_amplitudes(complex(z), 12)
+        mags = loss_amplitudes(complex(abs(z)), 12)
+        assert a.dtype == np.float64 and mags.dtype == np.float64
+        assert np.array_equal(a, mags * (-1.0 if z < 0 else 1.0) ** abs(m - k))
+        assert np.max(np.abs(a - mags * np.exp(1j * np.angle(z) * abs(m - k)))) < 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.8, -0.8])
+    def test_real_amplitude_gives_real_coherent_state(self, alpha):
+        m = np.arange(12)
+        vec, mags = coherent_state(alpha, 12), coherent_state(abs(alpha), 12)
+        assert vec.dtype == np.float64 and mags.dtype == np.float64
+        assert np.max(np.abs(vec - mags * np.exp(1j * np.angle(alpha) * m))) < 1e-15
+        assert coherent_state(0.0, 12).dtype == np.float64
+
+    def test_complex_phase_is_the_exp_formula(self):
+        z, m = 0.6 * np.exp(0.4j), np.arange(12)
+        k = m[:, None]
+        a = loss_amplitudes(complex(z), 12)
+        assert a.dtype == np.complex128
+        assert np.array_equal(
+            a, loss_amplitudes(complex(abs(z)), 12) * np.exp(1j * np.angle(z) * m)[abs(m - k)])
+        alpha = 0.8 * np.exp(0.4j)
+        vec = coherent_state(alpha, 12)
+        assert np.array_equal(
+            vec, coherent_state(abs(alpha), 12) * np.exp(1j * np.angle(alpha) * m))
+
     @pytest.mark.parametrize("z", [0.6, 0.6 * np.exp(0.4j), 0.95],
                              ids=["eta036", "eta036-complex", "eta09"])
     def test_large_dim_stays_finite_and_complete(self, z):
@@ -235,8 +266,8 @@ class TestCellChannel:
                            ChannelParams(0.8 * np.exp(-2.1j), 2.5)):
                 fast = pure_state_cell_output(vec, params)
                 slow = apply_cell_channel(FockDensityMatrix.from_pure(vec, (vec.size,)), params)
-                assert fast.dims == (vec.size,)
-                assert np.max(np.abs(fast.data - slow.data)) < 1e-11
+                assert fast.shape == (vec.size, vec.size)
+                assert np.max(np.abs(fast - slow.data)) < 1e-11
 
     def test_epr_signal_killed_leaves_thermal_marginal(self):
         vec = epr_state(0.8, 1, 26)
@@ -258,7 +289,7 @@ class TestCellChannel:
         params = ChannelParams(0.6 * np.exp(0.8j), 0.5)
         for vec, dims, gauss in tx_cases:
             if len(dims) == 1:
-                rho = pure_state_cell_output(vec, params)
+                rho = FockDensityMatrix(dims, pure_state_cell_output(vec, params))
             else:  # two-mode EPR output: the dense oracle
                 rho = apply_cell_channel(FockDensityMatrix.from_pure(vec, dims), params, mode=0)
             mean, cov = fock_moments(rho)

@@ -130,6 +130,23 @@ class TestCostGuard:
                     0.4, dim=d, idler_attenuation=tau)
         assert shapes == [(3, d, d, d)]
 
+    @pytest.mark.parametrize("cell,dtype", [
+        (MarginalCell.binary(0.5, 0.0, 1.0), np.float64),
+        (MarginalCell.binary(0.5, 1.0, -1.0), np.float64),
+        (MarginalCell.binary(0.5, 0.9 * cmath.exp(0.7j), 0.5 * cmath.exp(-1.2j)), np.complex128),
+    ], ids=["amplitude", "phase", "complex"])
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    @pytest.mark.parametrize("tx", [TransmitterSpec.coherent(0.3), TransmitterSpec.epr(0.3)],
+                             ids=["coherent", "epr"])
+    def test_real_cell_solves_in_float64(self, monkeypatch, tx, tau, cell, dtype):
+        # every z real: probe, tables, outputs and eigensolve stay float64
+        dtypes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *args: dtypes.append(a.dtype) or eigvalsh(a, *args))
+        rate_after_attenuation.__wrapped__(cell, tx, 0.4, tau, 20, attenuate_idler=True)
+        assert dtypes and all(t == dtype for t in dtypes), dtypes
+
 
 reflectance = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
 

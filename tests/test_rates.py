@@ -144,12 +144,12 @@ class TestHolevoRate:
         assert abs(res.rate_bits - 0.9182958340544896) < 1e-8
         assert res.cross_check_error is not None and res.cross_check_error < 1e-6
 
-    def test_global_phase_invariance(self):
-        phase = np.exp(0.9j)
-        a = holevo_rate(MarginalCell.binary(0.5, 0.2, 0.9),
-                        TransmitterSpec.coherent(0.5), 0.3, dim=25)
-        b = holevo_rate(MarginalCell.binary(0.5, 0.2 * phase, 0.9 * phase),
-                        TransmitterSpec.coherent(0.5), 0.3, dim=25)
+    @pytest.mark.parametrize("phase", [np.exp(0.9j), -1.0], ids=["complex", "minus-one"])
+    @pytest.mark.parametrize("tx", [TransmitterSpec.coherent(0.5), TransmitterSpec.epr(0.5)],
+                             ids=["coherent", "epr"])
+    def test_global_phase_invariance(self, tx, phase):
+        a = holevo_rate(MarginalCell.binary(0.5, 0.2, 0.9), tx, 0.3, dim=25)
+        b = holevo_rate(MarginalCell.binary(0.5, 0.2 * phase, 0.9 * phase), tx, 0.3, dim=25)
         assert abs(a.rate_bits - b.rate_bits) < 1e-8
 
     def test_bounded_by_ensemble_entropy(self):
