@@ -14,9 +14,6 @@ Core pieces:
 from .channels import (
     ChannelParams,
     MarginalCell,
-    apply_cell_channel,
-    apply_classical_noise,
-    apply_loss,
     compose_with_attenuator,
     gaussian_channel_action,
 )
@@ -25,12 +22,10 @@ from .diffraction import (
     RateBounds,
     ToeplitzSpectrum,
     gram_matrix,
-    overlap_matrix,
     rate_bounds,
     tau_extrema,
     toeplitz_spectrum,
     toeplitz_symbol,
-    transfer_matrix,
 )
 from .errors import (
     ConfigError,
@@ -59,29 +54,23 @@ from .states import (
     TransmitterSpec,
     coherent_state,
     epr_state,
-    fock_moments,
     g_thermal,
-    partial_trace,
     symplectic_entropy,
-    thermal_state,
     von_neumann_entropy,
 )
 
 __all__ = [
-    "ChannelParams", "MarginalCell", "apply_cell_channel",
-    "apply_classical_noise", "apply_loss", "compose_with_attenuator",
+    "ChannelParams", "MarginalCell", "compose_with_attenuator",
     "gaussian_channel_action", "DiffractionGeometry", "RateBounds",
-    "ToeplitzSpectrum", "gram_matrix", "overlap_matrix", "rate_bounds",
-    "tau_extrema", "toeplitz_spectrum", "toeplitz_symbol",
-    "transfer_matrix", "ConfigError", "ConvergenceError", "QReadingError",
-    "StateValidationError", "TruncationError", "ConcavityReport",
-    "GainResult", "RateResult", "coherent_capacity_faint",
+    "ToeplitzSpectrum", "gram_matrix", "rate_bounds", "tau_extrema",
+    "toeplitz_spectrum", "toeplitz_symbol", "ConfigError", "ConvergenceError",
+    "QReadingError", "StateValidationError", "TruncationError",
+    "ConcavityReport", "GainResult", "RateResult", "coherent_capacity_faint",
     "coherent_capacity_noiseless", "concavity_scan", "epr_rate_faint",
     "epr_rate_noiseless_phase", "gains", "holevo_rate",
     "rate_after_attenuation", "shannon_entropy_d", "FockDensityMatrix",
     "GaussianState", "TransmitterSpec", "coherent_state", "epr_state",
-    "fock_moments", "g_thermal", "partial_trace", "symplectic_entropy",
-    "thermal_state", "von_neumann_entropy",
+    "g_thermal", "symplectic_entropy", "von_neumann_entropy",
 ]
 
 __version__ = "0.1.0"

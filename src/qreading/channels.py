@@ -9,18 +9,20 @@ of gain G = 1 + n_th; weight the amplifier pushes past the truncation is
 dropped and shows up as the output's trace deficit. Both stages are shifts
 (Ivan, Sabapathy and Simon, PRA 84, 042311 (2011)): loss branch k sends |m>
 to a[k, m] |m - k> and amplifier branch j sends |m> to b[j, m] |m + j>.
-Every Fock-basis result is built from these two (d, d) tables (float64 when z
-is real), so a pure single-mode output costs O(d^3) time and O(d^2) memory and
-the dense Kraus stacks serve only the ``apply_*`` oracles.
+Every Fock-basis result is built from these (d, d) tables (float64 when z
+is real), one loss table per symbol and one amplifier table per ensemble, so
+a pure single-mode output costs O(d^3) time and O(d^2) memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
-from .states import FockDensityMatrix, GaussianState, log_factorials, phase_powers
+from .states import GaussianState, log_factorials, phase_powers
 
 
 @dataclass(frozen=True)
@@ -106,118 +108,63 @@ def amplifier_amplitudes(gain: float, dim: int) -> np.ndarray:
         / math.sqrt(gain)
 
 
-def _kraus_stack(table: np.ndarray, sign: int) -> np.ndarray:
-    """Dense stack (k, dim, dim) with ops[k] |m> = table[k, m] |m + sign k>."""
-    k, m = np.nonzero(table)
-    ops = np.zeros((len(table),) * 3, dtype=table.dtype)
-    ops[k, m + sign * k, m] = table[k, m]
-    return ops
+def _loss_tables(reflectances: Sequence[complex], gain: float, dim: int) -> np.ndarray:
+    """(u, dim, dim) stack of each symbol's loss table at z / sqrt(gain)."""
+    return np.stack([loss_amplitudes(complex(z) / math.sqrt(gain), dim) for z in reflectances])
 
 
-def loss_kraus(z: complex, dim: int) -> np.ndarray:
-    """Kraus stack (k, dim, dim) of the attenuation channel, from ``loss_amplitudes``."""
-    return _kraus_stack(loss_amplitudes(z, dim), -1)
+def pure_state_cell_output(vec: np.ndarray, reflectances: Sequence[complex],
+                           n_th: float) -> np.ndarray:
+    """The (u, d, d) stack of cell-channel outputs on |vec><vec|, one per reflectance.
 
-
-def amplifier_kraus(gain: float, dim: int) -> np.ndarray:
-    """Kraus stack (k, dim, dim) of the amplifier, from ``amplifier_amplitudes``."""
-    return _kraus_stack(amplifier_amplitudes(gain, dim), 1)
-
-
-def _apply_kraus_mode(rho: FockDensityMatrix, ops: np.ndarray,
-                      mode: int) -> FockDensityMatrix:
-    """sum_k O_k rho O_k^dag with each O_k acting on one mode."""
-    m = rho.mode_count
-    if not (0 <= mode < m):
-        raise ValueError(f"mode {mode} out of range for {m} modes")
-    tensor = np.moveaxis(rho.data.reshape(rho.dims * 2), (mode, m + mode), (0, 1))
-    out = np.einsum("kia,ab...,kjb->ij...", ops, tensor, ops.conj(), optimize=True)
-    data = np.moveaxis(out, (0, 1), (mode, m + mode)).reshape(rho.data.shape)
-    return FockDensityMatrix(rho.dims, 0.5 * (data + data.conj().T))
-
-
-def apply_loss(rho: FockDensityMatrix, z: complex, mode: int = 0) -> FockDensityMatrix:
-    """Attenuation by |z|^2 plus phase rotation arg z on one mode."""
-    return _apply_kraus_mode(rho, loss_kraus(complex(z), rho.dims[mode]), mode)
-
-
-def apply_classical_noise(rho: FockDensityMatrix, n_th: float,
-                          mode: int = 0) -> FockDensityMatrix:
-    """Add ``n_th`` thermal photons on one mode, exactly: the Gaussian
-    displacement average is a loss to 1/G then the amplifier of gain 1 + n_th."""
-    if n_th < 0:
-        raise ValueError("n_th must be >= 0")
-    if n_th == 0:
-        return rho
-    gain = 1.0 + n_th
-    out = apply_loss(rho, 1.0 / math.sqrt(gain), mode)
-    return _apply_kraus_mode(out, amplifier_kraus(gain, rho.dims[mode]), mode)
-
-
-def apply_cell_channel(rho: FockDensityMatrix, params: ChannelParams,
-                       mode: int = 0) -> FockDensityMatrix:
-    """Loss by z then classical noise n_th on the designated mode."""
-    out = apply_loss(rho, params.z, mode)
-    return apply_classical_noise(out, params.n_th, mode)
-
-
-def pure_state_cell_output(vec: np.ndarray, params: ChannelParams, *,
-                           amplifier: np.ndarray | None = None) -> np.ndarray:
-    """The (d, d) array of ``apply_cell_channel`` on |vec><vec|, without Kraus stacks.
-
-    The loss output is one Gram product over the d shifted vectors; the
-    amplifier adds that Gram shifted diagonally by j and scaled by
-    outer(b_j, b_j). O(d^3) time, O(d^2) memory; float64 when ``vec`` and z
-    are real. ``amplifier`` is ``amplifier_amplitudes(1 + n_th, d)`` when the
-    caller holds it already.
+    Each loss output is one Gram product over the d shifted vectors, batched
+    over symbols; the amplifier adds that Gram shifted diagonally by j and
+    scaled by outer(b_j, b_j). O(d^3) time and O(d^2) memory per symbol;
+    float64 when ``vec`` and every z are real.
     """
     psi = np.asarray(vec)
     d = psi.size
-    gain = 1.0 + params.n_th
-    a = loss_amplitudes(complex(params.z) / math.sqrt(gain), d)
-    b = amplifier_amplitudes(gain, d) if amplifier is None else amplifier
+    gain = 1.0 + n_th
+    a = _loss_tables(reflectances, gain, d)
+    b = amplifier_amplitudes(gain, d)
     k, n = np.arange(d)[:, None], np.arange(d)
     source = np.minimum(n + k, d - 1)  # branch k takes |n + k> to |n>
-    shifted = np.where(n + k < d, a[k, source], 0.0) * psi[source]
-    gram = shifted.T @ shifted.conj()
+    shifted = np.where(n + k < d, np.take_along_axis(a, source[None], 2), 0.0) * psi[source]
+    gram = np.swapaxes(shifted, 1, 2) @ shifted.conj()
     rho = np.zeros_like(gram)
     for j in np.flatnonzero(b.any(axis=1)):  # only branch 0 when n_th = 0
         bj = b[j, :d - j]
-        rho[j:, j:] += np.outer(bj, bj) * gram[:d - j, :d - j]
-    return 0.5 * (rho + rho.conj().T)
+        rho[:, j:, j:] += np.outer(bj, bj) * gram[:, :d - j, :d - j]
+    return 0.5 * (rho + np.swapaxes(rho, 1, 2).conj())
 
 
-def epr_output_blocks(schmidt: np.ndarray, params: ChannelParams,
-                      idler_attenuation: float = 1.0, *,
-                      amplifier: np.ndarray | None = None,
-                      idler_loss: np.ndarray | None = None) -> np.ndarray:
-    """``apply_cell_channel`` on sum_m c_m |m, m> (then idler loss), by blocks.
+def epr_output_blocks(schmidt: np.ndarray, reflectances: Sequence[complex], n_th: float,
+                      idler_attenuation: float) -> np.ndarray:
+    """The cell channel on sum_m c_m |m, m> (then idler loss), by blocks, per reflectance.
 
     Each step commutes with exp(i phi (n_S - n_R)): loss branch k, amplifier
     branch j and idler-loss branch l send c_m |m, m> into block j - k + l.
-    Entry [delta % d, r, r'] of the (d, d, d) result is
+    Entry [u, delta % d, r, r'] of the (u, d, d, d) result is symbol u's
     <r + delta, r| rho |r' + delta, r'>, 0 past the cutoff. Fold i holds
     delta = i on idler levels r < d - i and delta = i - d on r >= d - i
     (where n_S = r + delta fits below d), so the two never share an entry
     and the fold's spectrum is the union of theirs. Cost O(d^4), not O(d^6).
-    ``amplifier`` and ``idler_loss`` are ``amplifier_amplitudes(1 + n_th, d)``
-    and ``loss_amplitudes(idler_attenuation, d)`` when the caller holds them.
     """
     d = len(schmidt)
-    gain = 1.0 + params.n_th
-    a = loss_amplitudes(complex(params.z) / math.sqrt(gain), d)
-    b = amplifier_amplitudes(gain, d) if amplifier is None else amplifier
+    gain = 1.0 + n_th
+    a = _loss_tables(reflectances, gain, d)
+    b = amplifier_amplitudes(gain, d)
     fold, k, m = np.ogrid[:d, :d, :d]  # amplifier branch (k + fold) % d takes loss branch k
-    branches = schmidt * a[k, m] * b[(k + fold) % d, (m - k) % d]
-    blocks = np.swapaxes(branches, 1, 2) @ branches.conj()
+    branches = schmidt * a[:, None] * b[(k + fold) % d, (m - k) % d]
+    blocks = np.swapaxes(branches, -1, -2) @ branches.conj()
     if idler_attenuation < 1.0:
-        c = loss_amplitudes(complex(idler_attenuation), d) if idler_loss is None else idler_loss
+        c = loss_amplitudes(complex(idler_attenuation), d)
         lossy = np.zeros_like(blocks)
         for l in range(d):
             w = np.outer(c[l, l:], c[l, l:].conj())  # idler r -> r - l, fold +l
-            lossy[:, :d - l, :d - l] += w * blocks[(np.arange(d) - l) % d, l:, l:]
+            lossy[..., :d - l, :d - l] += w * blocks[:, (np.arange(d) - l) % d, l:, l:]
         blocks = lossy
-    return 0.5 * (blocks + np.swapaxes(blocks, 1, 2).conj())
+    return 0.5 * (blocks + np.swapaxes(blocks, -1, -2).conj())
 
 
 # ---------------------------------------------------------------------------
@@ -244,4 +191,4 @@ def compose_with_attenuator(params: ChannelParams, tau: float) -> ChannelParams:
     """Cell channel followed by a tau-attenuator: z -> tau z, n_th -> tau^2 n_th."""
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau must lie in [0, 1]")
-    return ChannelParams(tau * params.z, tau * tau * params.n_th)
+    return ChannelParams(tau * params.z, params.n_th * tau * tau)

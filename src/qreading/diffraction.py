@@ -1,6 +1,6 @@
-"""Near-field diffraction of the collection optics: Rayleigh length, cell
-overlap matrix, its Toeplitz Gram matrix and Fourier symbol, the extreme
-attenuation amplitudes, and the resulting reading-rate bounds.
+"""Near-field diffraction of the collection optics: Rayleigh length, the
+Toeplitz Gram matrix M M^dag of the cell overlaps M and its Fourier symbol,
+the extreme attenuation amplitudes, and the resulting reading-rate bounds.
 
 Amplitude convention: the eigenvalues of M M^dag are the *squared*
 attenuations tau^2; the amplitudes tau in [0, 1] are the factors entering
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .errors import ConvergenceError
 from .rates import RateResult, TransmitterSpec, rate_after_attenuation
 
 _BOUNDARY_TOL = 1e-12
-_QUAD_TOL = 1e-8  # absolute tolerance of each transfer-matrix quadrature
 _MAX_TERMS = 1 << 18  # (points x shifts) entries per aliased-sum chunk
 GRID_SIZE = 4096  # uniform symbol samples over [0, 2pi] before the extremum polish
 # B_2 .. B_14: for x >= 12 the first omitted term, B_16 / x^17, is < 4e-17 of psi'(x)
@@ -67,11 +65,6 @@ class DiffractionGeometry:
     @property
     def d_over_ell(self) -> float:
         return self.cell_width / self.cell_spacing
-
-    @property
-    def paraxial_ok(self) -> bool:
-        """Phase factor constant across a cell: d^2 << lambda D_o."""
-        return self.cell_width ** 2 < 0.01 * self.wavelength * self.object_distance
 
     @classmethod
     def from_ratios(cls, ell_over_xr: float, d_over_ell: float = 1.0,
@@ -126,32 +119,9 @@ def _sinc(y: np.ndarray | float) -> np.ndarray | float:
     return np.sinc(np.asarray(y) / math.pi)
 
 
-def overlap_matrix(geom: DiffractionGeometry, i_range: Sequence[int],
-                   j_range: Sequence[int]) -> np.ndarray:
-    """Cell-to-normal-mode overlap M_ij over the given index ranges.
-
-    Rows i index the transmitted Fourier modes (|i| <= L/x_R), columns j
-    index cell positions (|j| <= L/(2 ell)).
-    """
-    i_arr = np.asarray(list(i_range), dtype=int)
-    j_arr = np.asarray(list(j_range), dtype=int)
-    band = geom.array_length / geom.rayleigh_length
-    if np.any(np.abs(i_arr) > band):
-        raise ValueError(f"mode index outside the transmitted band |i| <= {band:.3g}")
-    if np.any(np.abs(j_arr) > geom.array_length / (2.0 * geom.cell_spacing)):
-        raise ValueError("cell index outside the array")
-    d, ell, length = geom.cell_width, geom.cell_spacing, geom.array_length
-    theta = (np.pi * (j_arr * ell) ** 2 / (geom.wavelength * geom.object_distance)
-             + 2.0 * np.pi * geom.object_distance / geom.wavelength)
-    amp = math.sqrt(d / length) * _sinc(np.pi * i_arr * d / length)
-    phase = np.exp(-1j * (theta[None, :] + 2.0 * np.pi
-                          * np.outer(i_arr, j_arr) * ell / length))
-    return amp[:, None] * phase
-
-
 def _cos_tail(a: float, w: float) -> float:
     """int_{-w}^{w} (1 - cos(a x)) / x^2 dx, via the sine integral."""
-    import scipy.special  # deferred, like every scipy import: no CLI command needs it
+    import scipy.special  # deferred: the package's one scipy import; no CLI command needs it
     a = abs(a)
     if a == 0.0:
         return 0.0
@@ -379,32 +349,3 @@ def rate_bounds(cell: MarginalCell, tx: TransmitterSpec,
         )
     return RateBounds(lower, upper, tau_min, tau_max)
 
-
-def transfer_matrix(geom: DiffractionGeometry, k_range: Sequence[int],
-                    h_range: Sequence[int]) -> np.ndarray:
-    """Mode-to-mode transfer matrix T_kh of the slit-pupil thin lens.
-
-    The pupil integral reduces to T_kh = int du sinc(pi(k+u)) sinc(pi(h+u))
-    over |u| <= L/x_R; in the near field this tends to a 0/1 diagonal step
-    at |h| = L/x_R. Used as a validation oracle for the step profile.
-    """
-    import scipy.integrate  # deferred: only this oracle integrates
-    k_arr = list(k_range)
-    h_arr = list(h_range)
-    band = geom.array_length / geom.rayleigh_length
-    out = np.zeros((len(k_arr), len(h_arr)))
-
-    def entry(k: int, h: int) -> float:
-        def integrand(u: float) -> float:
-            return float(_sinc(math.pi * (k + u)) * _sinc(math.pi * (h + u)))
-
-        val, err = scipy.integrate.quad(integrand, -band, band,
-                                        epsabs=_QUAD_TOL, limit=2000)
-        if err > max(100.0 * _QUAD_TOL, 1e-6):
-            raise ConvergenceError(f"transfer entry ({k},{h}) error {err:.3e}")
-        return val
-
-    for a, k in enumerate(k_arr):
-        for b, h in enumerate(h_arr):
-            out[a, b] = entry(k, h)
-    return out

@@ -13,18 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .channels import (
     ChannelParams,
     MarginalCell,
-    amplifier_amplitudes,
     compose_with_attenuator,
     epr_output_blocks,
     gaussian_channel_action,
-    loss_amplitudes,
     pure_state_cell_output,
 )
 from .errors import ConvergenceError
@@ -45,8 +43,7 @@ class RateResult:
     rate_bits: float
     truncation_dim: int
     trace_deficit: float
-    method: Literal["fock_numeric", "analytic_noiseless"]
-    cross_check_error: float | None = None
+    cross_check_error: float
 
 
 @dataclass(frozen=True)
@@ -89,22 +86,6 @@ def _default_dim(tx: TransmitterSpec) -> int:
     return DEFAULT_DIM_SINGLE if tx.kind == "coherent" else DEFAULT_DIM_PER_MODE
 
 
-def _symbol_blocks(tx: TransmitterSpec, symbols: list[ChannelParams], n_th: float,
-                   dim: int, idler_attenuation: float) -> list[np.ndarray]:
-    """Each symbol's output as diagonal blocks, 1 for coherent and dim for EPR.
-    The probe and the noise tables depend on no reflectance: built once."""
-    vec = tx.fock_vector(dim)
-    amplifier = amplifier_amplitudes(1.0 + n_th, dim)
-    if tx.kind == "coherent":
-        return [pure_state_cell_output(vec, params, amplifier=amplifier)[None]
-                for params in symbols]
-    schmidt = np.diagonal(vec.reshape(dim, dim))
-    idler_loss = (loss_amplitudes(complex(idler_attenuation), dim)
-                  if idler_attenuation < 1.0 else None)
-    return [epr_output_blocks(schmidt, params, idler_attenuation, amplifier=amplifier,
-                              idler_loss=idler_loss) for params in symbols]
-
-
 def _symbol_gaussian_entropy(probe: GaussianState, params: ChannelParams,
                              idler_attenuation: float) -> float:
     state = gaussian_channel_action(probe, params, mode=0)
@@ -130,15 +111,22 @@ def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
             "numeric EPR rates are restricted to s=1; use "
             "epr_rate_noiseless_phase for general s"
         )
+    if not 0.0 <= idler_attenuation <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
     if dim is None:
         dim = _default_dim(tx)
     probe = tx.gaussian()
+    symbols = [ChannelParams(z, n_th) for z in cell.reflectances]
 
     def compute(d: int) -> tuple[float, float, float]:
-        symbols = [ChannelParams(z, n_th) for z in cell.reflectances]
-        blocks = _symbol_blocks(tx, symbols, n_th, d, idler_attenuation)
-        mixture = sum(p * b for p, b in zip(cell.probs, blocks))
-        entropies, deficits = block_entropies(np.stack(blocks + [mixture]))
+        vec = tx.fock_vector(d)
+        if tx.kind == "coherent":
+            outputs = pure_state_cell_output(vec, cell.reflectances, n_th)[:, None]
+        else:
+            outputs = epr_output_blocks(np.diagonal(vec.reshape(d, d)), cell.reflectances,
+                                        n_th, idler_attenuation)
+        mixture = sum(p * b for p, b in zip(cell.probs, outputs))
+        entropies, deficits = block_entropies(np.concatenate((outputs, mixture[None])))
         cross = max(abs(ent - _symbol_gaussian_entropy(probe, params, idler_attenuation))
                     for ent, params in zip(entropies, symbols))
         cond = float(np.dot(cell.probs, entropies[:-1]))
@@ -157,7 +145,7 @@ def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
     bound = shannon_entropy_d(cell.probs[1:])
     if rate > bound + RATE_FLOOR:
         raise ConvergenceError(f"rate {rate} exceeds ensemble entropy {bound}")
-    return RateResult(max(rate, 0.0), dim, deficit, "fock_numeric", cross)
+    return RateResult(max(rate, 0.0), dim, deficit, cross)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +248,7 @@ def rate_after_attenuation(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
     Memoised per process: bound sweeps meet the same tau (tau_max = 1 at
     d = ell) at many ratios and compute each rate once.
     """
-    composed = MarginalCell(
-        cell.probs,
-        tuple(compose_with_attenuator(ChannelParams(z, n_th), tau).z
-              for z in cell.reflectances),
-    )
-    return holevo_rate(composed, tx, n_th * tau * tau, dim,
+    symbols = [compose_with_attenuator(ChannelParams(z, n_th), tau) for z in cell.reflectances]
+    composed = MarginalCell(cell.probs, tuple(params.z for params in symbols))
+    return holevo_rate(composed, tx, symbols[0].n_th, dim,
                        idler_attenuation=tau if attenuate_idler else 1.0)

@@ -100,12 +100,6 @@ class FockDensityMatrix:
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         return cls(tuple(dims), np.outer(vec, vec.conj()))
 
-    def check_positive(self) -> None:
-        """Raise unless all eigenvalues are above ``-NEGATIVITY_TOL``."""
-        lo = float(np.min(np.linalg.eigvalsh(self.data)))
-        if lo < -NEGATIVITY_TOL:
-            raise StateValidationError(f"negative eigenvalue {lo:.3e} below floor")
-
 
 def log_factorials(count: int) -> np.ndarray:
     """log(m!) for m < ``count``: a running sum of log i, each step's rounding
@@ -170,16 +164,6 @@ def epr_state(n: float, s: int, dim: int,
     return vec
 
 
-def thermal_state(nbar: float, dim: int) -> FockDensityMatrix:
-    """Single-mode thermal state with weights nbar^m / (nbar+1)^(m+1)."""
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
-    m = np.arange(dim)
-    weights = (nbar / (nbar + 1.0)) ** m / (nbar + 1.0) if nbar > 0 else \
-        np.concatenate(([1.0], np.zeros(dim - 1)))
-    return FockDensityMatrix((dim,), np.diag(weights).astype(complex))
-
-
 def von_neumann_entropy(rho: FockDensityMatrix) -> float:
     """-sum lambda log2 lambda over the eigenvalues of ``rho``, in bits."""
     return float(block_entropies(rho.data[None])[0])
@@ -196,52 +180,6 @@ def block_entropies(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise StateValidationError(f"eigenvalue {lam.min():.3e} below negativity floor")
     lam = np.where(lam > EIGENVALUE_FLOOR, lam, 1.0)
     return np.maximum(0.0, -np.sum(lam * np.log2(lam), axis=-1)) + 0.0, np.maximum(0.0, 1.0 - tr)
-
-
-def partial_trace(rho: FockDensityMatrix, keep: Sequence[int]) -> FockDensityMatrix:
-    """Reduced state on the mode subset ``keep`` (order preserved)."""
-    keep = list(keep)
-    m = rho.mode_count
-    if not keep or any(k < 0 or k >= m for k in keep) or len(set(keep)) != len(keep):
-        raise ValueError(f"keep {keep} is not a valid subset of modes 0..{m - 1}")
-    order = keep + [k for k in range(m) if k not in keep]
-    new_dims = tuple(rho.dims[k] for k in keep)
-    size = int(np.prod(new_dims))
-    tensor = np.transpose(rho.data.reshape(rho.dims * 2), order + [m + k for k in order])
-    tensor = tensor.reshape(size, -1, size, rho.data.shape[0] // size)
-    return FockDensityMatrix(new_dims, np.einsum("itjt->ij", tensor))
-
-
-def fock_moments(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature mean vector and symmetrized covariance of a Fock state.
-
-    Returned in the same (x_1, p_1, x_2, p_2, ...) ordering and vacuum = I
-    normalization as :class:`GaussianState`; useful as a cross-picture check.
-    """
-    m = rho.mode_count
-    quads = []
-    for k, d in enumerate(rho.dims):
-        a = np.diag(np.sqrt(np.arange(1, d)), 1)
-        x = a + a.conj().T
-        p = -1j * (a - a.conj().T)
-        quads.append(_embed_operator(x, rho.dims, k))
-        quads.append(_embed_operator(p, rho.dims, k))
-    tr = rho.trace
-    mean = np.array([np.real(np.trace(q @ rho.data)) / tr for q in quads])
-    cov = np.zeros((2 * m, 2 * m))
-    for i in range(2 * m):
-        for j in range(i, 2 * m):
-            anti = quads[i] @ quads[j] + quads[j] @ quads[i]
-            val = np.real(np.trace(anti @ rho.data)) / (2.0 * tr) - mean[i] * mean[j]
-            cov[i, j] = cov[j, i] = val
-    return mean, cov
-
-
-def _embed_operator(op: np.ndarray, dims: Sequence[int], mode: int) -> np.ndarray:
-    full = np.array([[1.0 + 0j]])
-    for k, d in enumerate(dims):
-        full = np.kron(full, op if k == mode else np.eye(d))
-    return full
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,191 @@
+"""Reference oracles for the tests: the cell channel as dense Kraus stacks on
+a full density matrix, Fock-state helpers, and the diffraction overlap and
+transfer matrices. The library computes none of these."""
+
+import math
+from typing import Sequence
+
+import numpy as np
+import scipy.integrate
+
+from qreading import ChannelParams, DiffractionGeometry, FockDensityMatrix
+from qreading.channels import amplifier_amplitudes, loss_amplitudes
+from qreading.errors import ConvergenceError, StateValidationError
+from qreading.states import NEGATIVITY_TOL
+
+_QUAD_TOL = 1e-8  # absolute tolerance of each transfer-matrix quadrature
+
+
+def _kraus_stack(table: np.ndarray, sign: int) -> np.ndarray:
+    """Dense stack (k, dim, dim) with ops[k] |m> = table[k, m] |m + sign k>."""
+    k, m = np.nonzero(table)
+    ops = np.zeros((len(table),) * 3, dtype=table.dtype)
+    ops[k, m + sign * k, m] = table[k, m]
+    return ops
+
+
+def loss_kraus(z: complex, dim: int) -> np.ndarray:
+    """Kraus stack (k, dim, dim) of the attenuation channel, from ``loss_amplitudes``."""
+    return _kraus_stack(loss_amplitudes(z, dim), -1)
+
+
+def amplifier_kraus(gain: float, dim: int) -> np.ndarray:
+    """Kraus stack (k, dim, dim) of the amplifier, from ``amplifier_amplitudes``."""
+    return _kraus_stack(amplifier_amplitudes(gain, dim), 1)
+
+
+def _apply_kraus_mode(rho: FockDensityMatrix, ops: np.ndarray,
+                      mode: int) -> FockDensityMatrix:
+    """sum_k O_k rho O_k^dag with each O_k acting on one mode."""
+    m = rho.mode_count
+    if not (0 <= mode < m):
+        raise ValueError(f"mode {mode} out of range for {m} modes")
+    tensor = np.moveaxis(rho.data.reshape(rho.dims * 2), (mode, m + mode), (0, 1))
+    out = np.einsum("kia,ab...,kjb->ij...", ops, tensor, ops.conj(), optimize=True)
+    data = np.moveaxis(out, (0, 1), (mode, m + mode)).reshape(rho.data.shape)
+    return FockDensityMatrix(rho.dims, 0.5 * (data + data.conj().T))
+
+
+def apply_loss(rho: FockDensityMatrix, z: complex, mode: int = 0) -> FockDensityMatrix:
+    """Attenuation by |z|^2 plus phase rotation arg z on one mode."""
+    return _apply_kraus_mode(rho, loss_kraus(complex(z), rho.dims[mode]), mode)
+
+
+def apply_classical_noise(rho: FockDensityMatrix, n_th: float,
+                          mode: int = 0) -> FockDensityMatrix:
+    """Add ``n_th`` thermal photons on one mode, exactly: the Gaussian
+    displacement average is a loss to 1/G then the amplifier of gain 1 + n_th."""
+    if n_th < 0:
+        raise ValueError("n_th must be >= 0")
+    if n_th == 0:
+        return rho
+    gain = 1.0 + n_th
+    out = apply_loss(rho, 1.0 / math.sqrt(gain), mode)
+    return _apply_kraus_mode(out, amplifier_kraus(gain, rho.dims[mode]), mode)
+
+
+def apply_cell_channel(rho: FockDensityMatrix, params: ChannelParams,
+                       mode: int = 0) -> FockDensityMatrix:
+    """Loss by z then classical noise n_th on the designated mode."""
+    out = apply_loss(rho, params.z, mode)
+    return apply_classical_noise(out, params.n_th, mode)
+
+
+def check_positive(rho: FockDensityMatrix) -> None:
+    """Raise unless all eigenvalues of ``rho`` are above ``-NEGATIVITY_TOL``."""
+    lo = float(np.min(np.linalg.eigvalsh(rho.data)))
+    if lo < -NEGATIVITY_TOL:
+        raise StateValidationError(f"negative eigenvalue {lo:.3e} below floor")
+
+
+def thermal_state(nbar: float, dim: int) -> FockDensityMatrix:
+    """Single-mode thermal state with weights nbar^m / (nbar+1)^(m+1)."""
+    if nbar < 0:
+        raise ValueError("nbar must be >= 0")
+    m = np.arange(dim)
+    weights = (nbar / (nbar + 1.0)) ** m / (nbar + 1.0) if nbar > 0 else \
+        np.concatenate(([1.0], np.zeros(dim - 1)))
+    return FockDensityMatrix((dim,), np.diag(weights).astype(complex))
+
+
+def partial_trace(rho: FockDensityMatrix, keep: Sequence[int]) -> FockDensityMatrix:
+    """Reduced state on the mode subset ``keep`` (order preserved)."""
+    keep = list(keep)
+    m = rho.mode_count
+    if not keep or any(k < 0 or k >= m for k in keep) or len(set(keep)) != len(keep):
+        raise ValueError(f"keep {keep} is not a valid subset of modes 0..{m - 1}")
+    order = keep + [k for k in range(m) if k not in keep]
+    new_dims = tuple(rho.dims[k] for k in keep)
+    size = int(np.prod(new_dims))
+    tensor = np.transpose(rho.data.reshape(rho.dims * 2), order + [m + k for k in order])
+    tensor = tensor.reshape(size, -1, size, rho.data.shape[0] // size)
+    return FockDensityMatrix(new_dims, np.einsum("itjt->ij", tensor))
+
+
+def fock_moments(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature mean vector and symmetrized covariance of a Fock state.
+
+    Returned in the same (x_1, p_1, x_2, p_2, ...) ordering and vacuum = I
+    normalization as ``GaussianState``; a cross-picture check.
+    """
+    m = rho.mode_count
+    quads = []
+    for k, d in enumerate(rho.dims):
+        a = np.diag(np.sqrt(np.arange(1, d)), 1)
+        x = a + a.conj().T
+        p = -1j * (a - a.conj().T)
+        quads.append(_embed_operator(x, rho.dims, k))
+        quads.append(_embed_operator(p, rho.dims, k))
+    tr = rho.trace
+    mean = np.array([np.real(np.trace(q @ rho.data)) / tr for q in quads])
+    cov = np.zeros((2 * m, 2 * m))
+    for i in range(2 * m):
+        for j in range(i, 2 * m):
+            anti = quads[i] @ quads[j] + quads[j] @ quads[i]
+            val = np.real(np.trace(anti @ rho.data)) / (2.0 * tr) - mean[i] * mean[j]
+            cov[i, j] = cov[j, i] = val
+    return mean, cov
+
+
+def _embed_operator(op: np.ndarray, dims: Sequence[int], mode: int) -> np.ndarray:
+    full = np.array([[1.0 + 0j]])
+    for k, d in enumerate(dims):
+        full = np.kron(full, op if k == mode else np.eye(d))
+    return full
+
+
+def paraxial_ok(geom: DiffractionGeometry) -> bool:
+    """Phase factor constant across a cell: d^2 << lambda D_o."""
+    return geom.cell_width ** 2 < 0.01 * geom.wavelength * geom.object_distance
+
+
+def overlap_matrix(geom: DiffractionGeometry, i_range: Sequence[int],
+                   j_range: Sequence[int]) -> np.ndarray:
+    """Cell-to-normal-mode overlap M_ij over the given index ranges.
+
+    Rows i index the transmitted Fourier modes (|i| <= L/x_R), columns j
+    index cell positions (|j| <= L/(2 ell)).
+    """
+    i_arr = np.asarray(list(i_range), dtype=int)
+    j_arr = np.asarray(list(j_range), dtype=int)
+    band = geom.array_length / geom.rayleigh_length
+    if np.any(np.abs(i_arr) > band):
+        raise ValueError(f"mode index outside the transmitted band |i| <= {band:.3g}")
+    if np.any(np.abs(j_arr) > geom.array_length / (2.0 * geom.cell_spacing)):
+        raise ValueError("cell index outside the array")
+    d, ell, length = geom.cell_width, geom.cell_spacing, geom.array_length
+    theta = (np.pi * (j_arr * ell) ** 2 / (geom.wavelength * geom.object_distance)
+             + 2.0 * np.pi * geom.object_distance / geom.wavelength)
+    amp = math.sqrt(d / length) * np.sinc(i_arr * d / length)
+    phase = np.exp(-1j * (theta[None, :] + 2.0 * np.pi
+                          * np.outer(i_arr, j_arr) * ell / length))
+    return amp[:, None] * phase
+
+
+def transfer_matrix(geom: DiffractionGeometry, k_range: Sequence[int],
+                    h_range: Sequence[int]) -> np.ndarray:
+    """Mode-to-mode transfer matrix T_kh of the slit-pupil thin lens.
+
+    The pupil integral reduces to T_kh = int du sinc(pi(k+u)) sinc(pi(h+u))
+    over |u| <= L/x_R; in the near field this tends to a 0/1 diagonal step
+    at |h| = L/x_R.
+    """
+    k_arr = list(k_range)
+    h_arr = list(h_range)
+    band = geom.array_length / geom.rayleigh_length
+    out = np.zeros((len(k_arr), len(h_arr)))
+
+    def entry(k: int, h: int) -> float:
+        def integrand(u: float) -> float:
+            return float(np.sinc(k + u) * np.sinc(h + u))
+
+        val, err = scipy.integrate.quad(integrand, -band, band,
+                                        epsabs=_QUAD_TOL, limit=2000)
+        if err > max(100.0 * _QUAD_TOL, 1e-6):
+            raise ConvergenceError(f"transfer entry ({k},{h}) error {err:.3e}")
+        return val
+
+    for a, k in enumerate(k_arr):
+        for b, h in enumerate(h_arr):
+            out[a, b] = entry(k, h)
+    return out

@@ -12,23 +12,28 @@ from qreading import (
     FockDensityMatrix,
     GaussianState,
     MarginalCell,
-    apply_cell_channel,
-    apply_classical_noise,
-    apply_loss,
     coherent_state,
     compose_with_attenuator,
     epr_state,
-    fock_moments,
     gaussian_channel_action,
-    partial_trace,
-    thermal_state,
 )
 from qreading.channels import (
     amplifier_amplitudes,
-    amplifier_kraus,
+    epr_output_blocks,
     loss_amplitudes,
-    loss_kraus,
     pure_state_cell_output,
+)
+
+from oracles import (
+    amplifier_kraus,
+    apply_cell_channel,
+    apply_classical_noise,
+    apply_loss,
+    check_positive,
+    fock_moments,
+    loss_kraus,
+    partial_trace,
+    thermal_state,
 )
 
 
@@ -242,7 +247,7 @@ class TestClassicalNoise:
     def test_output_positive(self):
         rng = np.random.default_rng(11)
         rho = random_density(rng, 10)
-        apply_classical_noise(rho, 1.2).check_positive()
+        check_positive(apply_classical_noise(rho, 1.2))
 
 
 class TestCellChannel:
@@ -264,10 +269,25 @@ class TestCellChannel:
             for params in (ChannelParams(0.5 * np.exp(0.3j), 0.0),
                            ChannelParams(0.5 * np.exp(0.3j), 0.7),
                            ChannelParams(0.8 * np.exp(-2.1j), 2.5)):
-                fast = pure_state_cell_output(vec, params)
+                fast = pure_state_cell_output(vec, [params.z], params.n_th)[0]
                 slow = apply_cell_channel(FockDensityMatrix.from_pure(vec, (vec.size,)), params)
                 assert fast.shape == (vec.size, vec.size)
                 assert np.max(np.abs(fast - slow.data)) < 1e-11
+
+    @pytest.mark.parametrize("zs", [(0.0, 1.0), (0.9 * np.exp(0.7j), 0.5 * np.exp(-1.2j)),
+                                    (0.3j, 0.6, -0.2)], ids=["real", "complex", "mixed"])
+    def test_builders_stack_the_ensemble(self, zs):
+        # one call per ensemble gives each symbol's one-symbol output, in order
+        d, n_th = 12, 0.4
+        vec, schmidt = coherent_state(0.7, d), np.diagonal(epr_state(0.2, 1, d).reshape(d, d))
+        for stack, single in (
+                (pure_state_cell_output(vec, zs, n_th),
+                 lambda z: pure_state_cell_output(vec, [z], n_th)[0]),
+                (epr_output_blocks(schmidt, zs, n_th, 0.7),
+                 lambda z: epr_output_blocks(schmidt, [z], n_th, 0.7)[0])):
+            assert stack.shape[0] == len(zs)
+            for out, z in zip(stack, zs):
+                assert np.max(np.abs(out - single(z))) < 1e-15
 
     def test_epr_signal_killed_leaves_thermal_marginal(self):
         vec = epr_state(0.8, 1, 26)
@@ -289,7 +309,8 @@ class TestCellChannel:
         params = ChannelParams(0.6 * np.exp(0.8j), 0.5)
         for vec, dims, gauss in tx_cases:
             if len(dims) == 1:
-                rho = FockDensityMatrix(dims, pure_state_cell_output(vec, params))
+                out = pure_state_cell_output(vec, [params.z], params.n_th)[0]
+                rho = FockDensityMatrix(dims, out)
             else:  # two-mode EPR output: the dense oracle
                 rho = apply_cell_channel(FockDensityMatrix.from_pure(vec, dims), params, mode=0)
             mean, cov = fock_moments(rho)

@@ -17,8 +17,6 @@ from qreading import (
     FockDensityMatrix,
     MarginalCell,
     TransmitterSpec,
-    apply_cell_channel,
-    apply_classical_noise,
     concavity_scan,
     gains,
     holevo_rate,
@@ -26,13 +24,19 @@ from qreading import (
     rate_bounds,
     rates,
     tau_extrema,
-    thermal_state,
     toeplitz_spectrum,
-    transfer_matrix,
 )
 from qreading.channels import pure_state_cell_output
 from qreading.cli import main, parse_grid
 from qreading.errors import ConfigError
+
+from oracles import (
+    apply_cell_channel,
+    apply_classical_noise,
+    check_positive,
+    thermal_state,
+    transfer_matrix,
+)
 
 
 def run(capsys, *argv):
@@ -390,7 +394,7 @@ class TestRemovedKnobs:
         (lambda: pure_state_cell_output(np.ones(1), ChannelParams(1.0), mode=0), "mode"),
         (lambda: transfer_matrix(DiffractionGeometry.from_ratios(1.0), [0], [0], quad_tol=1e-8),
          "quad_tol"),
-        (lambda: thermal_state(0.5, 4).check_positive(floor=1e-10), "floor"),
+        (lambda: check_positive(thermal_state(0.5, 4), floor=1e-10), "floor"),
     ], ids=["toeplitz_spectrum", "tau_extrema", "rate_bounds", "TransmitterSpec.r",
             "FockDensityMatrix", "from_pure", "thermal_state", "pure_state_cell_output",
             "transfer_matrix", "check_positive"])

@@ -13,8 +13,6 @@ from qreading import (
     FockDensityMatrix,
     MarginalCell,
     TransmitterSpec,
-    apply_cell_channel,
-    apply_loss,
     epr_state,
     gaussian_channel_action,
     holevo_rate,
@@ -24,6 +22,8 @@ from qreading import (
     von_neumann_entropy,
 )
 from qreading.channels import epr_output_blocks
+
+from oracles import apply_cell_channel, apply_loss
 
 CASES = [  # (z, n_th, idler attenuation)
     (0.6 * cmath.exp(0.7j), 0.4, 1.0),
@@ -83,7 +83,7 @@ class TestBlockOracle:
         vec = epr_state(0.6, 1, d, eps_trunc=1e-2)  # weight reaches the cutoff
         params = ChannelParams(z, n_th)
         dense = dense_output(vec, d, params, tau).data
-        blocks = epr_output_blocks(np.diagonal(vec.reshape(d, d)), params, tau)
+        blocks = epr_output_blocks(np.diagonal(vec.reshape(d, d)), [z], n_th, tau)[0]
         assert blocks.shape == (d, d, d)
         embedded, inside = embed(blocks, d)
         assert np.max(np.abs(embedded - dense)) < 1e-12

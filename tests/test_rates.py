@@ -166,6 +166,13 @@ class TestHolevoRate:
         with pytest.raises(NotImplementedError):
             holevo_rate(AMP_CELL, TransmitterSpec.epr(1.0, s=2))
 
+    @pytest.mark.parametrize("tau", [1.5, -0.1])
+    @pytest.mark.parametrize("tx", [TransmitterSpec.coherent(0.1), TransmitterSpec.epr(0.1)],
+                             ids=["coherent", "epr"])
+    def test_idler_attenuation_outside_unit_interval_rejected(self, tx, tau):
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+            holevo_rate(AMP_CELL, tx, 0.1, 10, idler_attenuation=tau)
+
     def test_convergence_guard_fires(self):
         # strong noise leaks past a dim-10 truncation; the dim+10 recheck sees it
         with pytest.raises(ConvergenceError):
@@ -179,7 +186,6 @@ class TestHolevoRate:
     def test_result_metadata(self):
         res = holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.5), 0.2,
                           dim=30)
-        assert res.method == "fock_numeric"
         assert res.truncation_dim == 30
         assert 0.0 <= res.trace_deficit < 1e-6
 

