@@ -2,9 +2,9 @@
 
 Core pieces:
 
-* :mod:`qreading.states` — truncated-Fock and Gaussian state machinery;
+* :mod:`qreading.states` — truncated-Fock states and their entropies;
 * :mod:`qreading.channels` — the memory-cell channel (loss + classical
-  Gaussian displacement noise) in both pictures;
+  Gaussian displacement noise) in the Fock basis;
 * :mod:`qreading.rates` — Holevo rates, closed forms, gains;
 * :mod:`qreading.diffraction` — near-field interbit interference and the
   resulting rate bounds;
@@ -15,7 +15,6 @@ from .channels import (
     ChannelParams,
     MarginalCell,
     compose_with_attenuator,
-    gaussian_channel_action,
 )
 from .diffraction import (
     DiffractionGeometry,
@@ -50,27 +49,24 @@ from .rates import (
 )
 from .states import (
     FockDensityMatrix,
-    GaussianState,
     TransmitterSpec,
     coherent_state,
     epr_state,
     g_thermal,
-    symplectic_entropy,
     von_neumann_entropy,
 )
 
 __all__ = [
     "ChannelParams", "MarginalCell", "compose_with_attenuator",
-    "gaussian_channel_action", "DiffractionGeometry", "RateBounds",
-    "ToeplitzSpectrum", "gram_matrix", "rate_bounds", "tau_extrema",
-    "toeplitz_spectrum", "toeplitz_symbol", "ConfigError", "ConvergenceError",
-    "QReadingError", "StateValidationError", "TruncationError",
-    "ConcavityReport", "GainResult", "RateResult", "coherent_capacity_faint",
-    "coherent_capacity_noiseless", "concavity_scan", "epr_rate_faint",
-    "epr_rate_noiseless_phase", "gains", "holevo_rate",
+    "DiffractionGeometry", "RateBounds", "ToeplitzSpectrum", "gram_matrix",
+    "rate_bounds", "tau_extrema", "toeplitz_spectrum", "toeplitz_symbol",
+    "ConfigError", "ConvergenceError", "QReadingError", "StateValidationError",
+    "TruncationError", "ConcavityReport", "GainResult", "RateResult",
+    "coherent_capacity_faint", "coherent_capacity_noiseless", "concavity_scan",
+    "epr_rate_faint", "epr_rate_noiseless_phase", "gains", "holevo_rate",
     "rate_after_attenuation", "shannon_entropy_d", "FockDensityMatrix",
-    "GaussianState", "TransmitterSpec", "coherent_state", "epr_state",
-    "g_thermal", "symplectic_entropy", "von_neumann_entropy",
+    "TransmitterSpec", "coherent_state", "epr_state", "g_thermal",
+    "von_neumann_entropy",
 ]
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """The memory-cell channel: attenuation by a complex reflectance plus
-classical Gaussian displacement noise, in both Fock and Gaussian pictures.
+classical Gaussian displacement noise, in the Fock basis.
 
 The Heisenberg-picture map is a -> z a + sqrt(1 - |z|^2) v + nu, with v a
 vacuum mode and nu a complex circular Gaussian of variance n_th (so the
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import GaussianState, log_factorials, phase_powers
+from .states import log_factorials, phase_powers
 
 
 @dataclass(frozen=True)
@@ -168,24 +168,8 @@ def epr_output_blocks(schmidt: np.ndarray, reflectances: Sequence[complex], n_th
 
 
 # ---------------------------------------------------------------------------
-# Gaussian picture and channel algebra
+# Channel algebra
 # ---------------------------------------------------------------------------
-
-def gaussian_channel_action(state: GaussianState, params: ChannelParams,
-                            mode: int = 0) -> GaussianState:
-    """Exact covariance-level action of the cell channel on one mode."""
-    m = state.mode_count
-    if not (0 <= mode < m):
-        raise ValueError(f"mode {mode} out of range for {m} modes")
-    mag, phi = abs(params.z), np.angle(params.z)
-    block = slice(2 * mode, 2 * mode + 2)
-    scale = np.eye(2 * m)
-    scale[block, block] = mag * np.array([[math.cos(phi), -math.sin(phi)],
-                                          [math.sin(phi), math.cos(phi)]])
-    noise = np.zeros((2 * m, 2 * m))
-    noise[block, block] = ((1.0 - mag * mag) + 2.0 * params.n_th) * np.eye(2)
-    return GaussianState(m, scale @ state.mean, scale @ state.cov @ scale.T + noise)
-
 
 def compose_with_attenuator(params: ChannelParams, tau: float) -> ChannelParams:
     """Cell channel followed by a tau-attenuator: z -> tau z, n_th -> tau^2 n_th."""

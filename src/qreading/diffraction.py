@@ -282,11 +282,14 @@ def toeplitz_spectrum(geom: DiffractionGeometry) -> ToeplitzSpectrum:
     """Sample the symbol and locate its extrema (grid + local polish).
 
     M M^dag is real, symmetric and Toeplitz, so its symbol is even and
-    2pi-periodic: f(z) = f(-z) = f(2pi - z). Away from a window edge it is
-    smooth, hence stationary at z = 0, pi and 2pi, and an extremal candidate
-    there is the extremum itself: it is returned with no polish. A window
-    edge breaks the smoothness: an integer ratio puts one at z = 0, a
-    half-integer ratio one at z = pi, and those candidates are polished.
+    2pi-periodic: f(z) = f(-z) = f(2pi - z), even about each of z = 0, pi
+    and 2pi. An extremal candidate at one of them is returned with no
+    polish. Where f is smooth there, the point is stationary and is the
+    extremum itself. Where a window edge sits on it (an integer ratio at
+    z = 0, a half-integer one at z = pi), f is still even about it. If f
+    moves away from the point in the sought direction (up, for the maximum),
+    the edge candidates straddled at +-1e-9 beat the point and are polished
+    instead; otherwise the point is itself the local extremum.
     """
     z_grid = np.linspace(0.0, 2.0 * math.pi, GRID_SIZE, endpoint=True)
     samples = toeplitz_symbol(geom, z_grid)
@@ -308,8 +311,7 @@ def toeplitz_spectrum(geom: DiffractionGeometry) -> ToeplitzSpectrum:
         lo = cand[max(idx - 1, 0)]
         hi = cand[min(idx + 1, cand.size - 1)]
         t = cand[idx] / (2.0 * math.pi)
-        if hi - lo <= 0 or (t in (0.0, 0.5, 1.0)
-                            and abs(ratio + t - round(ratio + t)) > _BOUNDARY_TOL):
+        if hi - lo <= 0 or t in (0.0, 0.5, 1.0):
             return sign * vals[idx]
         _, fun = _brent_bounded(lambda zz: sign * toeplitz_symbol(geom, zz), lo, hi)
         return min(sign * vals[idx], fun)

@@ -1,17 +1,22 @@
 """Reference oracles for the tests: the cell channel as dense Kraus stacks on
-a full density matrix, Fock-state helpers, and the diffraction overlap and
-transfer matrices. The library computes none of these."""
+a full density matrix, Fock-state helpers, the general Gaussian phase-space
+picture (covariance matrices, the channel on them, symplectic spectra), and
+the diffraction overlap and transfer matrices. The library computes none of
+these."""
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.integrate
 
-from qreading import ChannelParams, DiffractionGeometry, FockDensityMatrix
+from qreading import ChannelParams, DiffractionGeometry, FockDensityMatrix, TransmitterSpec
 from qreading.channels import amplifier_amplitudes, loss_amplitudes
 from qreading.errors import ConvergenceError, StateValidationError
-from qreading.states import NEGATIVITY_TOL
+from qreading.states import HERMITICITY_TOL, NEGATIVITY_TOL, g_thermal
+
+SYMPLECTIC_TOL = 1e-9
 
 _QUAD_TOL = 1e-8  # absolute tolerance of each transfer-matrix quadrature
 
@@ -106,7 +111,7 @@ def fock_moments(rho: FockDensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature mean vector and symmetrized covariance of a Fock state.
 
     Returned in the same (x_1, p_1, x_2, p_2, ...) ordering and vacuum = I
-    normalization as ``GaussianState``; a cross-picture check.
+    normalization as :class:`GaussianState`; a cross-picture check.
     """
     m = rho.mode_count
     quads = []
@@ -132,6 +137,104 @@ def _embed_operator(op: np.ndarray, dims: Sequence[int], mode: int) -> np.ndarra
     for k, d in enumerate(dims):
         full = np.kron(full, op if k == mode else np.eye(d))
     return full
+
+
+def symplectic_form(mode_count: int) -> np.ndarray:
+    """Block-diagonal Omega with one [[0, 1], [-1, 0]] block per mode."""
+    omega = np.zeros((2 * mode_count, 2 * mode_count))
+    x = np.arange(0, 2 * mode_count, 2)
+    omega[x, x + 1] = 1.0
+    omega[x + 1, x] = -1.0
+    return omega
+
+
+def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    """Williamson eigenvalues of ``cov``, ascending (vacuum value 1)."""
+    cov = np.asarray(cov, dtype=float)
+    ev = np.linalg.eigvals(1j * symplectic_form(cov.shape[0] // 2) @ cov)
+    return np.sort(np.abs(ev))[::2]
+
+
+@dataclass
+class GaussianState:
+    """Mean vector and covariance matrix, vacuum covariance = identity."""
+
+    mode_count: int
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        self.cov = np.asarray(self.cov, dtype=float)
+        n = 2 * self.mode_count
+        if self.mean.shape != (n,) or self.cov.shape != (n, n):
+            raise StateValidationError("mean/cov shape mismatch with mode_count")
+        if np.max(np.abs(self.cov - self.cov.T)) > HERMITICITY_TOL:
+            raise StateValidationError("covariance not symmetric")
+        if np.min(symplectic_eigenvalues(self.cov)) < 1.0 - SYMPLECTIC_TOL:
+            raise StateValidationError("covariance violates the uncertainty bound")
+
+    @classmethod
+    def vacuum(cls, mode_count: int) -> "GaussianState":
+        return cls(mode_count, np.zeros(2 * mode_count), np.eye(2 * mode_count))
+
+    @classmethod
+    def coherent(cls, amplitude: complex) -> "GaussianState":
+        return cls(1, [2.0 * amplitude.real, 2.0 * amplitude.imag], np.eye(2))
+
+    @classmethod
+    def thermal(cls, nbar: float) -> "GaussianState":
+        return cls(1, np.zeros(2), (2.0 * nbar + 1.0) * np.eye(2))
+
+    @classmethod
+    def epr(cls, n: float, s: int = 1) -> "GaussianState":
+        """s interleaved TMSV copies with n/s mean signal photons each."""
+        mu = 2.0 * (n / s) + 1.0
+        c = math.sqrt(max(mu * mu - 1.0, 0.0)) * np.diag([1.0, -1.0])
+        block = np.block([[mu * np.eye(2), c], [c, mu * np.eye(2)]])
+        return cls(2 * s, np.zeros(4 * s), np.kron(np.eye(s), block))
+
+
+def gaussian_probe(tx: TransmitterSpec) -> GaussianState:
+    """The transmitter's probe state in phase space."""
+    if tx.kind == "coherent":
+        return GaussianState.coherent(complex(math.sqrt(tx.n)))
+    return GaussianState.epr(tx.n, tx.s)
+
+
+def symplectic_entropy(state: GaussianState) -> float:
+    """Entropy in bits from the symplectic spectrum: sum g((nu - 1)/2)."""
+    nus = symplectic_eigenvalues(state.cov)
+    if np.min(nus) < 1.0 - SYMPLECTIC_TOL:
+        raise StateValidationError(f"symplectic eigenvalue {np.min(nus)} below 1")
+    return float(sum(g_thermal(max(nu - 1.0, 0.0) / 2.0) for nu in nus))
+
+
+def gaussian_channel_action(state: GaussianState, params: ChannelParams,
+                            mode: int = 0) -> GaussianState:
+    """Exact covariance-level action of the cell channel on one mode."""
+    m = state.mode_count
+    if not (0 <= mode < m):
+        raise ValueError(f"mode {mode} out of range for {m} modes")
+    mag, phi = abs(params.z), np.angle(params.z)
+    block = slice(2 * mode, 2 * mode + 2)
+    scale = np.eye(2 * m)
+    scale[block, block] = mag * np.array([[math.cos(phi), -math.sin(phi)],
+                                          [math.sin(phi), math.cos(phi)]])
+    noise = np.zeros((2 * m, 2 * m))
+    noise[block, block] = ((1.0 - mag * mag) + 2.0 * params.n_th) * np.eye(2)
+    return GaussianState(m, scale @ state.mean, scale @ state.cov @ scale.T + noise)
+
+
+def symplectic_output_entropy(tx: TransmitterSpec, z: complex, n_th: float,
+                              idler_attenuation: float) -> float:
+    """One symbol's Gaussian output entropy by a general eigensolve: the cell
+    channel on the signal, loss on each idler, then the symplectic spectrum."""
+    state = gaussian_channel_action(gaussian_probe(tx), ChannelParams(z, n_th), 0)
+    if idler_attenuation < 1.0:
+        for mode in range(1, state.mode_count):
+            state = gaussian_channel_action(state, ChannelParams(idler_attenuation, 0.0), mode)
+    return symplectic_entropy(state)
 
 
 def paraxial_ok(geom: DiffractionGeometry) -> bool:

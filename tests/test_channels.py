@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from qreading import (
     ChannelParams,
     FockDensityMatrix,
-    GaussianState,
     MarginalCell,
     coherent_state,
     compose_with_attenuator,
     epr_state,
-    gaussian_channel_action,
 )
 from qreading.channels import (
     amplifier_amplitudes,
@@ -25,12 +23,14 @@ from qreading.channels import (
 )
 
 from oracles import (
+    GaussianState,
     amplifier_kraus,
     apply_cell_channel,
     apply_classical_noise,
     apply_loss,
     check_positive,
     fock_moments,
+    gaussian_channel_action,
     loss_kraus,
     partial_trace,
     thermal_state,

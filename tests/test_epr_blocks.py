@@ -14,16 +14,20 @@ from qreading import (
     MarginalCell,
     TransmitterSpec,
     epr_state,
-    gaussian_channel_action,
     holevo_rate,
     rate_after_attenuation,
     shannon_entropy_d,
-    symplectic_entropy,
     von_neumann_entropy,
 )
 from qreading.channels import epr_output_blocks
 
-from oracles import apply_cell_channel, apply_loss
+from oracles import (
+    apply_cell_channel,
+    apply_loss,
+    gaussian_channel_action,
+    gaussian_probe,
+    symplectic_entropy,
+)
 
 CASES = [  # (z, n_th, idler attenuation)
     (0.6 * cmath.exp(0.7j), 0.4, 1.0),
@@ -64,7 +68,7 @@ def dense_rate(cell, tx, n_th, d, tau):
     for p, z in zip(cell.probs, cell.reflectances):
         params = ChannelParams(z, n_th)
         rho = dense_output(vec, d, params, tau)
-        gauss = gaussian_channel_action(tx.gaussian(), params, 0)
+        gauss = gaussian_channel_action(gaussian_probe(tx), params, 0)
         if tau < 1.0:
             gauss = gaussian_channel_action(gauss, ChannelParams(tau, 0.0), 1)
         s_fock = von_neumann_entropy(rho)

@@ -1,5 +1,6 @@
 """Holevo rates: numerics vs closed forms, faint limits, gains, properties."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -17,11 +18,15 @@ from qreading import (
     concavity_scan,
     epr_rate_faint,
     epr_rate_noiseless_phase,
+    g_thermal,
     gains,
     holevo_rate,
     rate_after_attenuation,
     shannon_entropy_d,
 )
+from qreading.rates import gaussian_output_entropy
+
+from oracles import symplectic_output_entropy
 
 AMP_CELL = MarginalCell.binary(0.5, 0.0, 1.0)
 PHASE_CELL = MarginalCell.binary(0.5, 1.0, -1.0)
@@ -209,6 +214,45 @@ class TestCoherentCostGuard:
         assert peak < 32e6
         assert 0.0 < res.rate_bits < 1.0
         assert res.trace_deficit < 1e-12
+
+
+class TestGaussianOracle:
+    @given(st.sampled_from(["coherent", "epr"]), st.floats(0.0, 50.0), st.floats(0.0, 1.0),
+           st.floats(-math.pi, math.pi), st.floats(0.0, 5.0), st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_matches_symplectic_eigensolve(self, kind, n, mag, phase, n_th, tau):
+        tx, z = TransmitterSpec(kind, n), cmath.rect(mag, phase)
+        ref = symplectic_output_entropy(tx, z, n_th, tau)
+        assert abs(gaussian_output_entropy(tx, z, n_th, tau) - ref) < 1e-10
+
+    def test_pure_output_reads_exact_zero(self):
+        assert gaussian_output_entropy(TransmitterSpec.epr(39.08), 1j, 0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("n,n_th,tau", [(1.3, 0.7, 0.6), (0.2, 3.0, 0.3), (39.08, 0.0, 1.0),
+                                            (0.0, 0.5, 1.0), (2.0, 0.0, 0.0)])
+    def test_signal_killed_leaves_two_thermal_modes(self, n, n_th, tau):
+        ent = gaussian_output_entropy(TransmitterSpec.epr(n), 0.0, n_th, tau)
+        assert ent == pytest.approx(g_thermal(n_th) + g_thermal(n * tau * tau), rel=1e-14)
+
+    @pytest.mark.parametrize("z", [0.0, 0.6j, 1.0])
+    def test_coherent_output_is_thermal(self, z):
+        assert gaussian_output_entropy(TransmitterSpec.coherent(2.0), z, 0.4, 1.0) == g_thermal(0.4)
+
+    @pytest.mark.parametrize("tx,tau", [(TransmitterSpec.coherent(0.1), 1.0),
+                                        (TransmitterSpec.epr(0.1), 1.0),
+                                        (TransmitterSpec.epr(0.1), 0.7)],
+                             ids=["coherent", "epr", "epr-idler-loss"])
+    def test_cost_guard_no_general_eigensolve(self, monkeypatch, tx, tau):
+        def refuse(*_):
+            raise AssertionError("general eigensolve on the rate path")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        res = holevo_rate(AMP_CELL, tx, 0.3, dim=12, idler_attenuation=tau)
+        assert 0.0 < res.rate_bits < 1.0 and res.cross_check_error < 1e-3
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ValueError, match="n_th must be >= 0"):
+            holevo_rate(AMP_CELL, TransmitterSpec.epr(0.5), -0.1, dim=10)
 
 
 class TestNoNegativeZero:

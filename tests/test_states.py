@@ -10,19 +10,26 @@ from hypothesis import strategies as st
 
 from qreading import (
     FockDensityMatrix,
-    GaussianState,
     StateValidationError,
     TransmitterSpec,
     TruncationError,
     coherent_state,
     epr_state,
     g_thermal,
-    symplectic_entropy,
     von_neumann_entropy,
 )
-from qreading.states import block_entropies, symplectic_eigenvalues, symplectic_form
+from qreading.states import block_entropies
 
-from oracles import check_positive, fock_moments, partial_trace, thermal_state
+from oracles import (
+    GaussianState,
+    check_positive,
+    fock_moments,
+    partial_trace,
+    symplectic_eigenvalues,
+    symplectic_entropy,
+    symplectic_form,
+    thermal_state,
+)
 
 
 class TestCoherentState:
@@ -265,20 +272,6 @@ class TestGaussianPicture:
 
 
 class TestTransmitterSpec:
-    def test_coherent_layout(self):
-        tx = TransmitterSpec.coherent(0.5)
-        assert tx.mode_count == 1
-        assert tx.signal_modes == (0,)
-        assert tx.idler_modes == ()
-        assert tx.fock_dims(12) == (12,)
-
-    def test_epr_layout(self):
-        tx = TransmitterSpec.epr(1.0, 2)
-        assert tx.mode_count == 4
-        assert tx.signal_modes == (0, 2)
-        assert tx.idler_modes == (1, 3)
-        assert tx.fock_dims(8) == (8, 8, 8, 8)
-
     def test_coherent_probe_has_one_signal_mode(self):
         with pytest.raises(ValueError, match="s == 1"):
             TransmitterSpec("coherent", 0.1, s=2)
