@@ -2,12 +2,13 @@
 
 Core pieces:
 
-* :mod:`qreading.states` — truncated-Fock states and their entropies;
+* :mod:`qreading.states` — truncated-Fock probe states and block-diagonal
+  entropies;
 * :mod:`qreading.channels` — the memory-cell channel (loss + classical
   Gaussian displacement noise) in the Fock basis;
 * :mod:`qreading.rates` — Holevo rates, closed forms, gains;
-* :mod:`qreading.diffraction` — near-field interbit interference and the
-  resulting rate bounds;
+* :mod:`qreading.diffraction` — near-field interbit interference, the
+  extrema of its Toeplitz symbol and the resulting rate bounds;
 * :mod:`qreading.cli` — the ``qreading`` command.
 """
 
@@ -19,11 +20,8 @@ from .channels import (
 from .diffraction import (
     DiffractionGeometry,
     RateBounds,
-    ToeplitzSpectrum,
-    gram_matrix,
     rate_bounds,
     tau_extrema,
-    toeplitz_spectrum,
     toeplitz_symbol,
 )
 from .errors import (
@@ -48,25 +46,21 @@ from .rates import (
     shannon_entropy_d,
 )
 from .states import (
-    FockDensityMatrix,
     TransmitterSpec,
     coherent_state,
     epr_state,
     g_thermal,
-    von_neumann_entropy,
 )
 
 __all__ = [
     "ChannelParams", "MarginalCell", "compose_with_attenuator",
-    "DiffractionGeometry", "RateBounds", "ToeplitzSpectrum", "gram_matrix",
-    "rate_bounds", "tau_extrema", "toeplitz_spectrum", "toeplitz_symbol",
-    "ConfigError", "ConvergenceError", "QReadingError", "StateValidationError",
-    "TruncationError", "ConcavityReport", "GainResult", "RateResult",
-    "coherent_capacity_faint", "coherent_capacity_noiseless", "concavity_scan",
-    "epr_rate_faint", "epr_rate_noiseless_phase", "gains", "holevo_rate",
-    "rate_after_attenuation", "shannon_entropy_d", "FockDensityMatrix",
+    "DiffractionGeometry", "RateBounds", "rate_bounds", "tau_extrema",
+    "toeplitz_symbol", "ConfigError", "ConvergenceError", "QReadingError",
+    "StateValidationError", "TruncationError", "ConcavityReport", "GainResult",
+    "RateResult", "coherent_capacity_faint", "coherent_capacity_noiseless",
+    "concavity_scan", "epr_rate_faint", "epr_rate_noiseless_phase", "gains",
+    "holevo_rate", "rate_after_attenuation", "shannon_entropy_d",
     "TransmitterSpec", "coherent_state", "epr_state", "g_thermal",
-    "von_neumann_entropy",
 ]
 
 __version__ = "0.1.0"

@@ -1,6 +1,8 @@
 """Near-field diffraction of the collection optics: Rayleigh length, the
-Toeplitz Gram matrix M M^dag of the cell overlaps M and its Fourier symbol,
+Fourier symbol of the Toeplitz Gram matrix M M^dag of the cell overlaps M,
 the extreme attenuation amplitudes, and the resulting reading-rate bounds.
+The finite Gram matrix itself is a test oracle: its spectrum lies between
+the symbol's extrema (Szego), which are all the bounds need.
 
 Amplitude convention: the eigenvalues of M M^dag are the *squared*
 attenuations tau^2; the amplitudes tau in [0, 1] are the factors entering
@@ -89,16 +91,6 @@ class DiffractionGeometry:
 
 
 @dataclass(frozen=True)
-class ToeplitzSpectrum:
-    """Symbol samples on a uniform grid over [0, 2pi] and the tau extrema."""
-
-    z_grid: np.ndarray
-    symbol_samples: np.ndarray
-    tau_min: float
-    tau_max: float
-
-
-@dataclass(frozen=True)
 class RateBounds:
     lower: RateResult
     upper: RateResult
@@ -117,43 +109,6 @@ class RateBounds:
 def _sinc(y: np.ndarray | float) -> np.ndarray | float:
     """sin(y)/y with sinc(0) = 1 (unnormalized argument)."""
     return np.sinc(np.asarray(y) / math.pi)
-
-
-def _cos_tail(a: float, w: float) -> float:
-    """int_{-w}^{w} (1 - cos(a x)) / x^2 dx, via the sine integral."""
-    import scipy.special  # deferred: the package's one scipy import; no CLI command needs it
-    a = abs(a)
-    if a == 0.0:
-        return 0.0
-    si, _ = scipy.special.sici(a * w)
-    return 2.0 * (a * si - (1.0 - math.cos(a * w)) / w)
-
-
-def gram_coefficient(geom: DiffractionGeometry, q: int) -> float:
-    """Toeplitz coefficient (M M^dag)_q = (d/ell) int sinc^2 e^{i 2 pi q x} dx.
-
-    The oscillatory sinc^2 integral over |x| <= ell/x_R is evaluated in
-    closed form: splitting sin^2 into cosines reduces it to three
-    (1 - cos)/x^2 tails, each a sine-integral expression.
-    """
-    ratio = geom.ell_over_xr
-    dl = geom.d_over_ell
-    two_pi = 2.0 * math.pi
-    val = (0.5 * _cos_tail(two_pi * (q + dl), ratio)
-           + 0.5 * _cos_tail(two_pi * (q - dl), ratio)
-           - _cos_tail(two_pi * q, ratio))
-    return val / (2.0 * math.pi ** 2 * dl)
-
-
-def gram_matrix(geom: DiffractionGeometry, size: int) -> np.ndarray:
-    """Hermitian Toeplitz Gram matrix M M^dag in the continuum limit.
-
-    Valid for L/x_R >> 1 and ell/L << 1; entries depend on q = j - k only.
-    """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    col = np.array([gram_coefficient(geom, q) for q in range(size)])
-    return col[np.abs(np.arange(size)[:, None] - np.arange(size))]
 
 
 def toeplitz_symbol(geom: DiffractionGeometry, z: float | np.ndarray) -> float | np.ndarray:
@@ -278,8 +233,13 @@ def _brent_bounded(func, lo: float, hi: float) -> tuple[float, float]:
     return xf, fx
 
 
-def toeplitz_spectrum(geom: DiffractionGeometry) -> ToeplitzSpectrum:
-    """Sample the symbol and locate its extrema (grid + local polish).
+@lru_cache(maxsize=256)
+def tau_extrema(geom: DiffractionGeometry) -> tuple[float, float]:
+    """Extreme amplitude attenuations (tau_min, tau_max) of the optics: the
+    square roots of the symbol's extrema, found on a grid and then polished.
+
+    Memoised per process: a sweep that asks again for the same geometry
+    reuses the search.
 
     M M^dag is real, symmetric and Toeplitz, so its symbol is even and
     2pi-periodic: f(z) = f(-z) = f(2pi - z), even about each of z = 0, pi
@@ -291,11 +251,9 @@ def toeplitz_spectrum(geom: DiffractionGeometry) -> ToeplitzSpectrum:
     the edge candidates straddled at +-1e-9 beat the point and are polished
     instead; otherwise the point is itself the local extremum.
     """
-    z_grid = np.linspace(0.0, 2.0 * math.pi, GRID_SIZE, endpoint=True)
-    samples = toeplitz_symbol(geom, z_grid)
-
     # candidate points: grid, z = pi and the window-edge breakpoints,
     # straddled; the stable merge keeps a grid point ahead of an equal one
+    z_grid = np.linspace(0.0, 2.0 * math.pi, GRID_SIZE, endpoint=True)
     ratio = geom.ell_over_xr
     edges = np.concatenate((
         np.arange(math.floor(ratio) - 1, math.ceil(ratio) + 2) - ratio,     # lower edges
@@ -303,7 +261,7 @@ def toeplitz_spectrum(geom: DiffractionGeometry) -> ToeplitzSpectrum:
     extra = (2.0 * math.pi * (edges[:, None] + np.array([-1e-9, 0.0, 1e-9]))).ravel()
     extra = np.append(extra[(extra >= 0.0) & (extra <= 2.0 * math.pi)], math.pi)
     cand = np.concatenate((z_grid, extra))
-    vals = np.concatenate((samples, toeplitz_symbol(geom, extra)))
+    vals = np.concatenate((toeplitz_symbol(geom, z_grid), toeplitz_symbol(geom, extra)))
     order = np.argsort(cand, kind="stable")
     cand, vals = cand[order], vals[order]
 
@@ -318,18 +276,7 @@ def toeplitz_spectrum(geom: DiffractionGeometry) -> ToeplitzSpectrum:
 
     f_min = min(max(polish(int(np.argmin(vals)), 1.0), 0.0), 1.0)
     f_max = min(max(-polish(int(np.argmax(vals)), -1.0), 0.0), 1.0)
-    return ToeplitzSpectrum(z_grid, samples, math.sqrt(f_min), math.sqrt(f_max))
-
-
-@lru_cache(maxsize=256)
-def tau_extrema(geom: DiffractionGeometry) -> tuple[float, float]:
-    """Extreme amplitude attenuations (tau_min, tau_max) of the optics.
-
-    Memoised per process: a sweep that asks again for the same geometry
-    reuses the spectrum search.
-    """
-    spec = toeplitz_spectrum(geom)
-    return spec.tau_min, spec.tau_max
+    return math.sqrt(f_min), math.sqrt(f_max)
 
 
 def rate_bounds(cell: MarginalCell, tx: TransmitterSpec,

@@ -1,5 +1,7 @@
-"""Probe states in a truncated Fock basis, their entropies, and the thermal
-entropy g(n) that the closed-form Gaussian entropies are built from.
+"""Probe states in a truncated Fock basis, the entropies of states given as
+stacks of diagonal blocks, and the thermal entropy g(n) that the closed-form
+Gaussian entropies are built from. No full multi-mode density matrix is
+built here; the dense one is a test oracle.
 
 Conventions used throughout the package:
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -54,47 +56,6 @@ def _check_states(blocks: np.ndarray) -> np.ndarray:
     if bad.size:
         raise StateValidationError(f"trace {bad[0]} outside (0, 1]")
     return tr
-
-
-@dataclass
-class FockDensityMatrix:
-    """Multi-mode density matrix in a truncated number basis.
-
-    ``dims`` holds the truncation dimension of each mode; ``data`` is the
-    full matrix of size prod(dims). The trace may fall short of 1: the
-    deficit is the recorded truncation loss.
-    """
-
-    dims: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.dims = tuple(int(d) for d in self.dims)
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise StateValidationError(f"invalid mode dimensions {self.dims}")
-        size = int(np.prod(self.dims))
-        self.data = np.asarray(self.data, dtype=complex)
-        if self.data.shape != (size, size):
-            raise StateValidationError(
-                f"data shape {self.data.shape} does not match dims {self.dims}")
-        _check_states(self.data[None])
-
-    @property
-    def mode_count(self) -> int:
-        return len(self.dims)
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.data)))
-
-    @property
-    def trace_deficit(self) -> float:
-        return max(0.0, 1.0 - self.trace)
-
-    @classmethod
-    def from_pure(cls, vec: np.ndarray, dims: Sequence[int]) -> "FockDensityMatrix":
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        return cls(tuple(dims), np.outer(vec, vec.conj()))
 
 
 def log_factorials(count: int) -> np.ndarray:
@@ -160,15 +121,10 @@ def epr_state(n: float, s: int, dim: int,
     return vec
 
 
-def von_neumann_entropy(rho: FockDensityMatrix) -> float:
-    """-sum lambda log2 lambda over the eigenvalues of ``rho``, in bits."""
-    return float(block_entropies(rho.data[None])[0])
-
-
 def block_entropies(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropies in bits and trace deficits of states given as (..., count,
     b, b) stacks of diagonal blocks, zero-padded to one size b. Each state is
-    checked like a :class:`FockDensityMatrix`; its spectrum is its blocks'
+    checked Hermitian with its trace in (0, 1]; its spectrum is its blocks'
     spectra, so one batched ``eigvalsh`` serves every state. A pure state reads +0.0."""
     tr = _check_states(blocks)
     lam = np.linalg.eigvalsh(blocks).reshape(blocks.shape[:-3] + (-1,))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qreading import (
     ChannelParams,
-    FockDensityMatrix,
     MarginalCell,
     coherent_state,
     compose_with_attenuator,
@@ -23,6 +22,7 @@ from qreading.channels import (
 )
 
 from oracles import (
+    FockDensityMatrix,
     GaussianState,
     amplifier_kraus,
     apply_cell_channel,

@@ -14,7 +14,6 @@ import pytest
 from qreading import (
     ChannelParams,
     DiffractionGeometry,
-    FockDensityMatrix,
     MarginalCell,
     TransmitterSpec,
     concavity_scan,
@@ -24,13 +23,13 @@ from qreading import (
     rate_bounds,
     rates,
     tau_extrema,
-    toeplitz_spectrum,
 )
 from qreading.channels import pure_state_cell_output
 from qreading.cli import main, parse_grid
 from qreading.errors import ConfigError
 
 from oracles import (
+    FockDensityMatrix,
     apply_cell_channel,
     apply_classical_noise,
     check_positive,
@@ -243,12 +242,14 @@ def _fresh_interpreter(code: str) -> list[str]:
     return proc.stdout.strip().splitlines()
 
 
+# scipy is a test-only dependency: these runs of the CLI and the library, in
+# a fresh interpreter, must leave it unloaded
 _SCIPY_LOADED = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
 
 
 class TestStartup:
     def test_rate_never_imports_scipy(self):
-        # scipy serves only library oracles, so the rate command runs on
+        # scipy serves only the test oracles, so the rate command runs on
         # numpy alone; at --dim 12 the EPR row exits 1 on its truncation
         # check, so the default dims run as well
         code = ("import sys, qreading.cli as c; "
@@ -383,8 +384,6 @@ class TestRemovedKnobs:
         assert "unknown config key 'grid-size'" in err
 
     @pytest.mark.parametrize("call,keyword", [
-        (lambda: toeplitz_spectrum(DiffractionGeometry.from_ratios(1.0), grid_size=4096),
-         "grid_size"),
         (lambda: tau_extrema(DiffractionGeometry.from_ratios(1.0), grid_size=4096), "grid_size"),
         (lambda: rate_bounds(None, None, None, 0.1, grid_size=4096), "grid_size"),
         (lambda: TransmitterSpec("epr", 1.0, s=1, r=1), "'r'"),
@@ -395,7 +394,7 @@ class TestRemovedKnobs:
         (lambda: transfer_matrix(DiffractionGeometry.from_ratios(1.0), [0], [0], quad_tol=1e-8),
          "quad_tol"),
         (lambda: check_positive(thermal_state(0.5, 4), floor=1e-10), "floor"),
-    ], ids=["toeplitz_spectrum", "tau_extrema", "rate_bounds", "TransmitterSpec.r",
+    ], ids=["tau_extrema", "rate_bounds", "TransmitterSpec.r",
             "FockDensityMatrix", "from_pure", "thermal_state", "pure_state_cell_output",
             "transfer_matrix", "check_positive"])
     def test_single_value_settings_rejected(self, call, keyword):

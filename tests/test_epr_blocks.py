@@ -10,23 +10,23 @@ from hypothesis import strategies as st
 
 from qreading import (
     ChannelParams,
-    FockDensityMatrix,
     MarginalCell,
     TransmitterSpec,
     epr_state,
     holevo_rate,
     rate_after_attenuation,
     shannon_entropy_d,
-    von_neumann_entropy,
 )
 from qreading.channels import epr_output_blocks
 
 from oracles import (
+    FockDensityMatrix,
     apply_cell_channel,
     apply_loss,
     gaussian_channel_action,
     gaussian_probe,
     symplectic_entropy,
+    von_neumann_entropy,
 )
 
 CASES = [  # (z, n_th, idler attenuation)

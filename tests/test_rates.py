@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qreading import (
@@ -220,6 +220,10 @@ class TestGaussianOracle:
     @given(st.sampled_from(["coherent", "epr"]), st.floats(0.0, 50.0), st.floats(0.0, 1.0),
            st.floats(-math.pi, math.pi), st.floats(0.0, 5.0), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
+    # pure EPR outputs, exact 0: a float64 eigensolve of i Omega V read up to
+    # 1.2e-10 bits here, the point depending on the LAPACK build
+    @example("epr", 48.37, 1.0, math.pi / 2, 0.0, 1.0)
+    @example("epr", 48.33, 1.0, 0.0, 0.0, 1.0)
     def test_closed_form_matches_symplectic_eigensolve(self, kind, n, mag, phase, n_th, tau):
         tx, z = TransmitterSpec(kind, n), cmath.rect(mag, phase)
         ref = symplectic_output_entropy(tx, z, n_th, tau)

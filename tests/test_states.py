@@ -9,18 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qreading import (
-    FockDensityMatrix,
     StateValidationError,
     TransmitterSpec,
     TruncationError,
     coherent_state,
     epr_state,
     g_thermal,
-    von_neumann_entropy,
 )
 from qreading.states import block_entropies
 
 from oracles import (
+    FockDensityMatrix,
     GaussianState,
     check_positive,
     fock_moments,
@@ -29,6 +28,7 @@ from oracles import (
     symplectic_entropy,
     symplectic_form,
     thermal_state,
+    von_neumann_entropy,
 )
 
 
