@@ -29,12 +29,10 @@ def main() -> None:
     writer.writerow(["ell_over_xr", "tau_min", "tau_max",
                      "coherent_lower", "coherent_upper",
                      "epr_lower", "epr_upper"])
-    for ratio in RATIOS:
-        geom = DiffractionGeometry.from_ratios(float(ratio))
-        coh = rate_bounds(CELL, TransmitterSpec.coherent(N), geom, NTH,
-                          dim=24)
-        epr = rate_bounds(CELL, TransmitterSpec.epr(N), geom, NTH,
-                          dim=24)
+    geoms = [DiffractionGeometry.from_ratios(float(ratio)) for ratio in RATIOS]
+    coherent = rate_bounds(CELL, TransmitterSpec.coherent(N), geoms, NTH, dim=24)
+    epr_sweep = rate_bounds(CELL, TransmitterSpec.epr(N), geoms, NTH, dim=24)
+    for ratio, coh, epr in zip(RATIOS, coherent, epr_sweep):
         writer.writerow([f"{v:.6g}" for v in (
             float(ratio), coh.tau_min, coh.tau_max,
             coh.lower_bits, coh.upper_bits, epr.lower_bits, epr.upper_bits)])

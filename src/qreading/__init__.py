@@ -35,6 +35,7 @@ from .rates import (
     ConcavityReport,
     GainResult,
     RateResult,
+    bounding_rates,
     coherent_capacity_faint,
     coherent_capacity_noiseless,
     concavity_scan,
@@ -42,7 +43,6 @@ from .rates import (
     epr_rate_noiseless_phase,
     gains,
     holevo_rate,
-    rate_after_attenuation,
     shannon_entropy_d,
 )
 from .states import (
@@ -57,9 +57,9 @@ __all__ = [
     "DiffractionGeometry", "RateBounds", "rate_bounds", "tau_extrema",
     "toeplitz_symbol", "ConfigError", "ConvergenceError", "QReadingError",
     "StateValidationError", "TruncationError", "ConcavityReport", "GainResult",
-    "RateResult", "coherent_capacity_faint", "coherent_capacity_noiseless",
+    "RateResult", "bounding_rates", "coherent_capacity_faint", "coherent_capacity_noiseless",
     "concavity_scan", "epr_rate_faint", "epr_rate_noiseless_phase", "gains",
-    "holevo_rate", "rate_after_attenuation", "shannon_entropy_d",
+    "holevo_rate", "shannon_entropy_d",
     "TransmitterSpec", "coherent_state", "epr_state", "g_thermal",
 ]
 

@@ -10,8 +10,9 @@ dropped and shows up as the output's trace deficit. Both stages are shifts
 (Ivan, Sabapathy and Simon, PRA 84, 042311 (2011)): loss branch k sends |m>
 to a[k, m] |m - k> and amplifier branch j sends |m> to b[j, m] |m + j>.
 Every Fock-basis result is built from these (d, d) tables (float64 when z
-is real), one loss table per symbol and one amplifier table per ensemble, so
-a pure single-mode output costs O(d^3) time and O(d^2) memory.
+is real). The builders take a stack of entries (a row of reflectances with
+its n_th and idler loss) and build all their tables in one array call per
+kind; a pure single-mode output costs O(d^3) time and O(d^2) memory.
 """
 
 from __future__ import annotations
@@ -72,98 +73,110 @@ class MarginalCell:
 # Fock-basis building blocks
 # ---------------------------------------------------------------------------
 
-def _binomial_amplitudes(p: float, q: float, k: np.ndarray, n: np.ndarray,
+def _binomial_amplitudes(p: np.ndarray, q: np.ndarray, k: np.ndarray, n: np.ndarray,
                          count: int) -> np.ndarray:
-    """sqrt(C(n, k) p^k q^(n-k)) where 0 <= k <= n < count, else 0, as one exp
-    of a log sum: C(n, k) never overflows, and p or q = 0 takes no log of 0."""
+    """sqrt(C(n, k) p^k q^(n-k)) where 0 <= k <= n < count, else 0, one table per
+    entry of the equal-shaped arrays p and q, as one exp of a log sum: C(n, k)
+    never overflows, and p or q = 0 takes no log of 0."""
     i = np.arange(2 * count)  # n < 2 count; entries with k > n use |n - k|
-    p_log, q_log = (i * math.log(x) if x > 0 else np.where(i == 0, 0.0, -np.inf)
-                    for x in (p, q))  # i log x, with 0 log 0 = 0
+    # i log x, with 0 log 0 = 0; each log is math.log's, as for a scalar x
+    logs = [[math.log(x) if x > 0 else -math.inf for x in xs.ravel().tolist()] for xs in (p, q)]
+    p_log, q_log = (np.maximum(i, 1) * np.array(row).reshape(p.shape + (1,)) for row in logs)
+    p_log[..., 0] = q_log[..., 0] = 0.0
     log_fact = log_factorials(2 * count)
     r = np.abs(n - k)
-    log_amp = log_fact[n] - log_fact[k] - log_fact[r] + p_log[k] + q_log[r]
+    log_amp = (log_fact[n] - log_fact[k] - log_fact[r]
+               + np.take(p_log, k, axis=-1) + np.take(q_log, r, axis=-1))
     return np.where((k <= n) & (n < count), np.exp(0.5 * log_amp), 0.0)
 
 
-def loss_amplitudes(z: complex, dim: int) -> np.ndarray:
-    """a[k, m]: loss branch k sends |m> to a[k, m] |m - k>, with eta = |z|^2 and
-    a[k, m] = sqrt(C(m, k) (1-eta)^k eta^(m-k)) exp(i arg(z) (m - k)), real for real z."""
-    eta = abs(z) ** 2
-    if eta > 1.0 + 1e-12:
-        raise ValueError(f"|z| = {abs(z)} exceeds 1")
-    eta = min(eta, 1.0)
-    phase = phase_powers(z, dim)
+def loss_amplitudes(z: complex | np.ndarray, dim: int) -> np.ndarray:
+    """a[..., k, m], one table per z: loss branch k sends |m> to a[k, m] |m - k>, with
+    eta = |z|^2 and a[k, m] = sqrt(C(m, k) (1-eta)^k eta^(m-k)) exp(i arg(z) (m - k)),
+    real when every z is. |z|^2 is Python's, as for a scalar z."""
+    z = np.asarray(z, dtype=complex)
+    eta = np.array([abs(x) ** 2 for x in z.ravel().tolist()]).reshape(z.shape)
+    if eta.max() > 1.0 + 1e-12:
+        raise ValueError(f"|z| = {math.sqrt(eta.max())} exceeds 1")
+    eta = np.minimum(eta, 1.0)
     k, m = np.arange(dim)[:, None], np.arange(dim)
-    return _binomial_amplitudes(1.0 - eta, eta, k, m, dim) * phase[np.abs(m - k)]
+    return _binomial_amplitudes(1.0 - eta, eta, k, m, dim) \
+        * np.take(phase_powers(z, dim), np.abs(m - k), axis=-1)
 
 
-def amplifier_amplitudes(gain: float, dim: int) -> np.ndarray:
-    """b[j, m]: amplifier branch j sends |m> to b[j, m] |m + j>, with
-    b[j, m] = sqrt(C(m+j, j) (1-1/G)^j G^-(m+1)), 0 for m + j >= ``dim``: weight
+def amplifier_amplitudes(gain: float | np.ndarray, dim: int) -> np.ndarray:
+    """b[..., j, m], one table per gain: amplifier branch j sends |m> to b[j, m] |m + j>,
+    with b[j, m] = sqrt(C(m+j, j) (1-1/G)^j G^-(m+1)), 0 for m + j >= ``dim``: weight
     pushed past the cutoff shows up as trace deficit instead of being hidden."""
-    if gain < 1.0:
-        raise ValueError(f"amplifier gain {gain} is below 1")
+    gain = np.asarray(gain, dtype=float)
+    if np.any(gain < 1.0):
+        raise ValueError(f"amplifier gain {gain.min()} is below 1")
     j, m = np.arange(dim)[:, None], np.arange(dim)
     return _binomial_amplitudes(1.0 - 1.0 / gain, 1.0 / gain, j, j + m, dim) \
-        / math.sqrt(gain)
+        / np.sqrt(gain)[..., None, None]
 
 
-def _loss_tables(reflectances: Sequence[complex], gain: float, dim: int) -> np.ndarray:
-    """(u, dim, dim) stack of each symbol's loss table at z / sqrt(gain)."""
-    return np.stack([loss_amplitudes(complex(z) / math.sqrt(gain), dim) for z in reflectances])
+def _cell_tables(reflectances: Sequence[Sequence[complex]], n_th: Sequence[float],
+                 dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's (u, dim, dim) loss tables at z / sqrt(G) and its (1, dim, dim)
+    amplifier table at G = 1 + n_th, stacked over entries."""
+    gain = 1.0 + np.asarray(n_th, dtype=float)
+    a = loss_amplitudes([[complex(z) / math.sqrt(g) for z in row]
+                         for row, g in zip(reflectances, gain.tolist())], dim)
+    return a, amplifier_amplitudes(gain, dim)[:, None]
 
 
-def pure_state_cell_output(vec: np.ndarray, reflectances: Sequence[complex],
-                           n_th: float) -> np.ndarray:
-    """The (u, d, d) stack of cell-channel outputs on |vec><vec|, one per reflectance.
+def pure_state_cell_output(vec: np.ndarray, reflectances: Sequence[Sequence[complex]],
+                           n_th: Sequence[float]) -> np.ndarray:
+    """The (entry, u, d, d) stack of cell-channel outputs on |vec><vec|: entry e
+    reads row e of ``reflectances``, one output per reflectance, at noise n_th[e].
 
     Each loss output is one Gram product over the d shifted vectors, batched
-    over symbols; the amplifier adds that Gram shifted diagonally by j and
-    scaled by outer(b_j, b_j). O(d^3) time and O(d^2) memory per symbol;
-    float64 when ``vec`` and every z are real.
+    over entries and symbols; the amplifier adds that Gram shifted diagonally
+    by j and scaled by outer(b_j, b_j). O(d^3) time and O(d^2) memory per
+    symbol; float64 when ``vec`` and every z are real.
     """
     psi = np.asarray(vec)
     d = psi.size
-    gain = 1.0 + n_th
-    a = _loss_tables(reflectances, gain, d)
-    b = amplifier_amplitudes(gain, d)
+    a, b = _cell_tables(reflectances, n_th, d)
     k, n = np.arange(d)[:, None], np.arange(d)
     source = np.minimum(n + k, d - 1)  # branch k takes |n + k> to |n>
-    shifted = np.where(n + k < d, np.take_along_axis(a, source[None], 2), 0.0) * psi[source]
-    gram = np.swapaxes(shifted, 1, 2) @ shifted.conj()
+    shifted = np.where(n + k < d, a[..., k, source], 0.0) * psi[source]
+    gram = np.swapaxes(shifted, -1, -2) @ shifted.conj()
     rho = np.zeros_like(gram)
-    for j in np.flatnonzero(b.any(axis=1)):  # only branch 0 when n_th = 0
-        bj = b[j, :d - j]
-        rho[:, j:, j:] += np.outer(bj, bj) * gram[:, :d - j, :d - j]
-    return 0.5 * (rho + np.swapaxes(rho, 1, 2).conj())
+    for j in np.flatnonzero(b.any(axis=(0, 1, 3))):  # only branch 0 when every n_th = 0
+        bj = b[..., j, :d - j]
+        rho[..., j:, j:] += bj[..., :, None] * bj[..., None, :] * gram[..., :d - j, :d - j]
+    return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
 
 
-def epr_output_blocks(schmidt: np.ndarray, reflectances: Sequence[complex], n_th: float,
-                      idler_attenuation: float) -> np.ndarray:
-    """The cell channel on sum_m c_m |m, m> (then idler loss), by blocks, per reflectance.
+def epr_output_blocks(schmidt: np.ndarray, reflectances: Sequence[Sequence[complex]],
+                      n_th: Sequence[float], idler_attenuation: Sequence[float]) -> np.ndarray:
+    """The cell channel on sum_m c_m |m, m> (then idler loss), by blocks, per entry
+    (a row of ``reflectances`` with its n_th and idler attenuation) and reflectance.
 
     Each step commutes with exp(i phi (n_S - n_R)): loss branch k, amplifier
     branch j and idler-loss branch l send c_m |m, m> into block j - k + l.
-    Entry [u, delta % d, r, r'] of the (u, d, d, d) result is symbol u's
-    <r + delta, r| rho |r' + delta, r'>, 0 past the cutoff. Fold i holds
+    Entry [e, u, delta % d, r, r'] of the (entry, u, d, d, d) result is symbol
+    u's <r + delta, r| rho |r' + delta, r'>, 0 past the cutoff. Fold i holds
     delta = i on idler levels r < d - i and delta = i - d on r >= d - i
     (where n_S = r + delta fits below d), so the two never share an entry
     and the fold's spectrum is the union of theirs. Cost O(d^4), not O(d^6).
     """
     d = len(schmidt)
-    gain = 1.0 + n_th
-    a = _loss_tables(reflectances, gain, d)
-    b = amplifier_amplitudes(gain, d)
+    a, b = _cell_tables(reflectances, n_th, d)
     fold, k, m = np.ogrid[:d, :d, :d]  # amplifier branch (k + fold) % d takes loss branch k
-    branches = schmidt * a[:, None] * b[(k + fold) % d, (m - k) % d]
+    b = np.take(b.reshape(len(a), 1, d * d), (k + fold) % d * d + (m - k) % d, axis=-1)
+    branches = schmidt * a[:, :, None] * b  # b[e, 0, (k + fold) % d, (m - k) % d]
     blocks = np.swapaxes(branches, -1, -2) @ branches.conj()
-    if idler_attenuation < 1.0:
-        c = loss_amplitudes(complex(idler_attenuation), d)
-        lossy = np.zeros_like(blocks)
+    lossy = np.flatnonzero(np.asarray(idler_attenuation) < 1.0)  # entries with idler loss
+    if lossy.size:
+        c = loss_amplitudes(np.asarray(idler_attenuation)[lossy], d)[:, None, None]
+        part, acc = blocks[lossy], np.zeros((lossy.size,) + blocks.shape[1:], blocks.dtype)
         for l in range(d):
-            w = np.outer(c[l, l:], c[l, l:].conj())  # idler r -> r - l, fold +l
-            lossy[..., :d - l, :d - l] += w * blocks[:, (np.arange(d) - l) % d, l:, l:]
-        blocks = lossy
+            w = c[..., l, l:, None] * c[..., l, None, l:].conj()  # idler r -> r - l, fold +l
+            acc[..., :d - l, :d - l] += w * part[:, :, (np.arange(d) - l) % d, l:, l:]
+        blocks[lossy] = acc
     return 0.5 * (blocks + np.swapaxes(blocks, -1, -2).conj())
 
 

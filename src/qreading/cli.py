@@ -283,14 +283,13 @@ def cmd_gain_map(cfg: dict[str, Any]) -> list[dict[str, Any]]:
 def cmd_diffraction(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     ratios = _validate_grid("lxr-grid", parse_grid(cfg["lxr-grid"]))
     cell, echo = _cell(cfg)
-    txs = {"coherent": TransmitterSpec.coherent(cfg["n"]),
-           "epr": TransmitterSpec.epr(cfg["n"])}
+    geoms = [DiffractionGeometry.from_ratios(ratio, cfg["d-over-ell"]) for ratio in ratios]
+    sweeps = {kind: rate_bounds(cell, TransmitterSpec(kind, cfg["n"]), geoms, cfg["nth"],
+                                cfg["dim"], attenuate_idler=cfg["both-sides"])
+              for kind in ("coherent", "epr")}
 
-    def one(ratio: float) -> dict[str, Any]:
-        geom = DiffractionGeometry.from_ratios(ratio, cfg["d-over-ell"])
-        bounds = {kind: rate_bounds(cell, tx, geom, cfg["nth"], cfg["dim"],
-                                    attenuate_idler=cfg["both-sides"])
-                  for kind, tx in txs.items()}
+    def one(i: int, ratio: float) -> dict[str, Any]:
+        bounds = {kind: sweep[i] for kind, sweep in sweeps.items()}
         row = dict(echo, d_over_ell=cfg["d-over-ell"], ell_over_xr=ratio,
                    tau_min=bounds["epr"].tau_min, tau_max=bounds["epr"].tau_max)
         for kind, b in bounds.items():
@@ -300,7 +299,7 @@ def cmd_diffraction(cfg: dict[str, Any]) -> list[dict[str, Any]]:
         row["cross_check_bits"] = max(r.cross_check_error for r in results)
         return row
 
-    return [one(ratio) for ratio in ratios]
+    return [one(i, ratio) for i, ratio in enumerate(ratios)]
 
 
 # ---------------------------------------------------------------------------

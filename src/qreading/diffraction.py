@@ -1,6 +1,7 @@
 """Near-field diffraction of the collection optics: Rayleigh length, the
 Fourier symbol of the Toeplitz Gram matrix M M^dag of the cell overlaps M,
-the extreme attenuation amplitudes, and the resulting reading-rate bounds.
+the extreme attenuation amplitudes, and the resulting reading-rate bounds
+(one batched rate call per transmitter for a whole sweep of geometries).
 The finite Gram matrix itself is a test oracle: its spectrum lies between
 the symbol's extrema (Szego), which are all the bounds need.
 
@@ -14,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .channels import MarginalCell
 from .errors import ConvergenceError
-from .rates import RateResult, TransmitterSpec, rate_after_attenuation
+from .rates import RateResult, TransmitterSpec, bounding_rates
 
 _BOUNDARY_TOL = 1e-12
 _MAX_TERMS = 1 << 18  # (points x shifts) entries per aliased-sum chunk
@@ -280,21 +282,23 @@ def tau_extrema(geom: DiffractionGeometry) -> tuple[float, float]:
 
 
 def rate_bounds(cell: MarginalCell, tx: TransmitterSpec,
-                geom: DiffractionGeometry, n_th: float = 0.0,
-                dim: int | None = None, *, attenuate_idler: bool = False) -> RateBounds:
-    """Reading-rate bounds from the bounding channels at tau_min / tau_max.
-
-    ``attenuate_idler`` extends the diffraction attenuation to the retained
-    ancilla modes as well (both-sides variant).
+                geoms: Sequence[DiffractionGeometry], n_th: float = 0.0,
+                dim: int | None = None, *, attenuate_idler: bool = False) -> list[RateBounds]:
+    """Reading-rate bounds of each geometry, from the bounding channels at
+    tau_min / tau_max: the distinct taus of all the geometries take one
+    :func:`bounding_rates` call, one Fock pass for the sweep. ``attenuate_idler``
+    extends the attenuation to the retained ancilla modes (both-sides variant).
     """
-    tau_min, tau_max = tau_extrema(geom)
-    lower = rate_after_attenuation(cell, tx, n_th, tau_min, dim,
-                                   attenuate_idler=attenuate_idler)
-    upper = rate_after_attenuation(cell, tx, n_th, tau_max, dim,
-                                   attenuate_idler=attenuate_idler)
-    if lower.rate_bits > upper.rate_bits + 1e-9:
-        raise ConvergenceError(
-            f"lower bound {lower.rate_bits} exceeds upper bound {upper.rate_bits}"
-        )
-    return RateBounds(lower, upper, tau_min, tau_max)
-
+    extrema = [tau_extrema(geom) for geom in geoms]
+    taus = list(dict.fromkeys(tau for pair in extrema for tau in pair))
+    rates = dict(zip(taus, bounding_rates(cell, tx, n_th, taus, dim,
+                                          attenuate_idler=attenuate_idler)))
+    bounds = []
+    for tau_min, tau_max in extrema:
+        lower, upper = rates[tau_min], rates[tau_max]
+        if lower.rate_bits > upper.rate_bits + 1e-9:
+            raise ConvergenceError(
+                f"lower bound {lower.rate_bits} exceeds upper bound {upper.rate_bits}"
+            )
+        bounds.append(RateBounds(lower, upper, tau_min, tau_max))
+    return bounds

@@ -6,13 +6,14 @@ Coherent numerics use the single-mode optimum (one signal mode, no idler); EPR
 numerics use a single two-mode squeezed copy (s=1), whose outputs are block-diagonal in
 n_S - n_R and are built and diagonalised as d blocks of size d, one per (n_S - n_R)
 mod d. The general-s noiseless phase rate is in closed form: :func:`epr_rate_noiseless_phase`.
+Rates of one cell under many settings (the bounding channels of a sweep, :func:`bounding_rates`)
+share one batched Fock build and eigensolve; :func:`holevo_rate` is the one-setting case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from .states import (
 )
 
 RATE_FLOOR = 1e-9
+_MAX_STACK_TERMS = 1 << 19  # matrix entries in one chunk's stack of outputs and mixtures
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,53 @@ def gaussian_output_entropy(tx: TransmitterSpec, z: complex, n_th: float,
     return g_thermal((big - 1.0) / 2.0) + g_thermal(max(prod / big - 1.0, 0.0) / 2.0)
 
 
+def _fock_rates(cell: MarginalCell, tx: TransmitterSpec,
+                reflectances: Sequence[Sequence[complex]], n_th: Sequence[float],
+                idler_attenuation: Sequence[float], dim: int | None) -> list[RateResult]:
+    """Holevo rates of the cell's probabilities for each entry e: reflectances row
+    e with noise n_th[e] and idler loss idler_attenuation[e]. All entries' outputs
+    and mixtures share one batched Fock build and block_entropies call per chunk,
+    whose stack holds at most _MAX_STACK_TERMS matrix entries."""
+    if tx.kind == "epr" and tx.s != 1:
+        raise NotImplementedError(
+            "numeric EPR rates are restricted to s=1; use "
+            "epr_rate_noiseless_phase for general s"
+        )
+    if not all(0.0 <= tau <= 1.0 for tau in idler_attenuation):
+        raise ValueError("tau must lie in [0, 1]")
+    if any(nth < 0 for nth in n_th):
+        raise ValueError("n_th must be >= 0")
+    if dim is None:
+        dim = _default_dim(tx)
+    vec = tx.fock_vector(dim)
+    probs, bound = cell.probs, shannon_entropy_d(cell.probs[1:])
+    block = dim ** (2 if tx.kind == "coherent" else 3)  # terms of one state's blocks
+    step = max(1, _MAX_STACK_TERMS // ((len(probs) + 1) * block))
+    results = []
+    for start in range(0, len(reflectances), step):
+        rows = slice(start, start + step)
+        zs, nths, idlers = reflectances[rows], n_th[rows], idler_attenuation[rows]
+        if tx.kind == "coherent":
+            outputs = pure_state_cell_output(vec, zs, nths)[:, :, None]
+        else:
+            outputs = epr_output_blocks(np.diagonal(vec.reshape(dim, dim)), zs, nths, idlers)
+        stack = np.empty((len(zs), len(probs) + 1) + outputs.shape[2:], outputs.dtype)
+        stack[:, :-1] = outputs
+        stack[:, -1] = sum(p * outputs[:, u] for u, p in enumerate(probs))  # the mixture
+        entropies, deficits = (x.reshape(len(zs), -1) for x in
+                               block_entropies(stack.reshape((-1,) + stack.shape[2:])))
+        for row, nth, idler, ent, deficit in zip(zs, nths, idlers, entropies, deficits):
+            cross = float(max(abs(h - gaussian_output_entropy(tx, z, nth, idler))
+                              for h, z in zip(ent, row)))
+            rate = float(ent[-1]) - float(np.dot(probs, ent[:-1]))
+            if rate < -RATE_FLOOR:
+                raise ConvergenceError(f"computed rate {rate:.3e} is negative")
+            if rate > bound + RATE_FLOOR:
+                raise ConvergenceError(f"rate {rate} exceeds ensemble entropy {bound}")
+            results.append(RateResult(max(rate, 0.0), dim, float(max(deficit[:-1])), cross))
+    return results
+
+
 def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
                 dim: int | None = None, idler_attenuation: float = 1.0,
                 check_convergence: bool = False) -> RateResult:
@@ -116,47 +165,34 @@ def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
     Fock-basis outputs' diagonal blocks (for EPR, blocks of n_S - n_R); the
     per-symbol entropies are cross-checked against the closed-form Gaussian
     values of :func:`gaussian_output_entropy`, with the worst deviation reported.
+    This is the one-entry case of the batch behind :func:`bounding_rates`.
     """
-    if tx.kind == "epr" and tx.s != 1:
-        raise NotImplementedError(
-            "numeric EPR rates are restricted to s=1; use "
-            "epr_rate_noiseless_phase for general s"
-        )
-    if not 0.0 <= idler_attenuation <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
-    if n_th < 0:
-        raise ValueError("n_th must be >= 0")
-    if dim is None:
-        dim = _default_dim(tx)
-
-    def compute(d: int) -> tuple[float, float, float]:
-        vec = tx.fock_vector(d)
-        if tx.kind == "coherent":
-            outputs = pure_state_cell_output(vec, cell.reflectances, n_th)[:, None]
-        else:
-            outputs = epr_output_blocks(np.diagonal(vec.reshape(d, d)), cell.reflectances,
-                                        n_th, idler_attenuation)
-        mixture = sum(p * b for p, b in zip(cell.probs, outputs))
-        entropies, deficits = block_entropies(np.concatenate((outputs, mixture[None])))
-        cross = max(abs(ent - gaussian_output_entropy(tx, z, n_th, idler_attenuation))
-                    for ent, z in zip(entropies, cell.reflectances))
-        cond = float(np.dot(cell.probs, entropies[:-1]))
-        return float(entropies[-1]) - cond, float(cross), float(max(deficits[:-1]))
-
-    rate, cross, deficit = compute(dim)
+    res = _fock_rates(cell, tx, [cell.reflectances], [n_th], [idler_attenuation], dim)[0]
     if check_convergence:
-        rate_hi, _, _ = compute(dim + 10)
-        if abs(rate_hi - rate) > 1e-5:
+        hi = holevo_rate(cell, tx, n_th, res.truncation_dim + 10, idler_attenuation)
+        if abs(hi.rate_bits - res.rate_bits) > 1e-5:
             raise ConvergenceError(
-                f"rate changed by {abs(rate_hi - rate):.3e} when dim "
-                f"increased from {dim} to {dim + 10}"
+                f"rate changed by {abs(hi.rate_bits - res.rate_bits):.3e} when dim "
+                f"increased from {res.truncation_dim} to {res.truncation_dim + 10}"
             )
-    if rate < -RATE_FLOOR:
-        raise ConvergenceError(f"computed rate {rate:.3e} is negative")
-    bound = shannon_entropy_d(cell.probs[1:])
-    if rate > bound + RATE_FLOOR:
-        raise ConvergenceError(f"rate {rate} exceeds ensemble entropy {bound}")
-    return RateResult(max(rate, 0.0), dim, deficit, cross)
+    return res
+
+
+def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
+                   taus: Sequence[float], dim: int | None = None, *,
+                   attenuate_idler: bool = False) -> list[RateResult]:
+    """Holevo rate of the cell channel followed by a tau-attenuator, for each tau.
+
+    Each symbol's channel is composed (:func:`compose_with_attenuator`: z -> tau z,
+    n_th -> tau^2 n_th); ``attenuate_idler`` attenuates the retained idler by tau
+    as well. All the taus share one batched Fock build and eigensolve.
+    """
+    taus = [float(tau) for tau in taus]
+    symbols = [[compose_with_attenuator(ChannelParams(z, n_th), tau) for z in cell.reflectances]
+               for tau in taus]
+    return _fock_rates(cell, tx, [[params.z for params in row] for row in symbols],
+                       [row[0].n_th for row in symbols],
+                       [tau if attenuate_idler else 1.0 for tau in taus], dim)
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +284,3 @@ def concavity_scan(cell: MarginalCell, n_grid: Sequence[float], n_th: float,
     second = 2.0 * (slope[1:] / h[1:] - slope[:-1] / h[:-1]) / (h[:-1] + h[1:])
     k = int(np.argmax(second))
     return ConcavityReport(grid, rates, second, float(second[k]), float(grid[k + 1]))
-
-
-@lru_cache(maxsize=256)
-def rate_after_attenuation(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
-                           tau: float, dim: int | None = None, *,
-                           attenuate_idler: bool = False) -> RateResult:
-    """Holevo rate with every cell channel composed with a tau-attenuator.
-
-    Memoised per process: bound sweeps meet the same tau (tau_max = 1 at
-    d = ell) at many ratios and compute each rate once.
-    """
-    symbols = [compose_with_attenuator(ChannelParams(z, n_th), tau) for z in cell.reflectances]
-    composed = MarginalCell(cell.probs, tuple(params.z for params in symbols))
-    return holevo_rate(composed, tx, symbols[0].n_th, dim,
-                       idler_attenuation=tau if attenuate_idler else 1.0)

@@ -68,11 +68,14 @@ def log_factorials(count: int) -> np.ndarray:
     return total + np.cumsum((before - (total - step)) + (terms - step))
 
 
-def phase_powers(x: complex, count: int) -> np.ndarray:
-    """exp(i arg(x) m) for m < ``count``; float64 (+-1)^m when x is real (arg 0 = 0)."""
-    if x.imag == 0.0:
-        return (-1.0 if x.real < 0 else 1.0) ** np.arange(count)
-    return np.exp(1j * np.angle(x) * np.arange(count))
+def phase_powers(x: complex | np.ndarray, count: int) -> np.ndarray:
+    """exp(i arg(x) m) for m < ``count``, along a new last axis of x; (+-1)^m
+    for a real x (arg 0 = 0), in float64 when every x is real."""
+    x, m = np.asarray(x)[..., None], np.arange(count)
+    signs = np.where(x.real < 0, -1.0, 1.0) ** m
+    if not x.imag.any():
+        return signs
+    return np.where(x.imag == 0.0, signs, np.exp(1j * np.angle(x) * m))
 
 
 def coherent_state(amplitude: complex, dim: int,

@@ -256,18 +256,24 @@ def gaussian_probe(tx: TransmitterSpec) -> GaussianState:
     return GaussianState.epr(tx.n, tx.s)
 
 
-def symplectic_entropy(state: GaussianState) -> float:
-    """Entropy in bits from the symplectic spectrum: sum g((nu - 1)/2), nu
-    clamped to >= 1. The spectrum comes from a 50-digit eigensolve of
-    i Omega V: a float64 one cannot resolve nu - 1 below about eps ||V||^2,
-    and g has infinite slope at 0 (1.2e-10 bits on a pure EPR output)."""
-    i_omega_v = 1j * symplectic_form(state.mode_count) @ state.cov
+def _spectrum_entropy(cov: mpmath.matrix, mode_count: int) -> float:
+    """Entropy in bits of a covariance given at 50 digits: sum g((nu - 1)/2)
+    over its symplectic spectrum, nu clamped to >= 1. The nu are the moduli
+    of the eigenvalues of Omega V, from a 50-digit eigensolve: a float64 one
+    cannot resolve nu - 1 below about eps ||V||^2, and g has infinite slope
+    at 0 (1.2e-10 bits on a pure EPR output)."""
     with mpmath.workdps(50):
-        ev = mpmath.eig(mpmath.matrix(i_omega_v.tolist()), left=False, right=False)
+        omega_v = mpmath.matrix(symplectic_form(mode_count).tolist()) * cov
+        ev = mpmath.eig(omega_v, left=False, right=False)
         nus = np.sort([float(abs(e)) for e in ev])[::2]
     if np.min(nus) < 1.0 - SYMPLECTIC_TOL:
         raise StateValidationError(f"symplectic eigenvalue {np.min(nus)} below 1")
     return float(sum(g_thermal(max(nu - 1.0, 0.0) / 2.0) for nu in nus))
+
+
+def symplectic_entropy(state: GaussianState) -> float:
+    """Entropy in bits of a Gaussian state, from its symplectic spectrum."""
+    return _spectrum_entropy(mpmath.matrix(state.cov.tolist()), state.mode_count)
 
 
 def gaussian_channel_action(state: GaussianState, params: ChannelParams,
@@ -288,13 +294,27 @@ def gaussian_channel_action(state: GaussianState, params: ChannelParams,
 
 def symplectic_output_entropy(tx: TransmitterSpec, z: complex, n_th: float,
                               idler_attenuation: float) -> float:
-    """One symbol's Gaussian output entropy by a general eigensolve: the cell
-    channel on the signal, loss on each idler, then the symplectic spectrum."""
-    state = gaussian_channel_action(gaussian_probe(tx), ChannelParams(z, n_th), 0)
-    if idler_attenuation < 1.0:
-        for mode in range(1, state.mode_count):
-            state = gaussian_channel_action(state, ChannelParams(idler_attenuation, 0.0), mode)
-    return symplectic_entropy(state)
+    """One symbol's Gaussian output entropy (s = 1) by a general eigensolve:
+    the cell channel on the signal, loss on the idler, then the symplectic
+    spectrum. The covariance is built from (n, z, n_th, tau) at 50 digits, so
+    no float64 rounding of entries near 2n + 1 shows up as entropy."""
+    with mpmath.workdps(50):
+        if tx.kind == "coherent":
+            modes, cov = 1, mpmath.eye(2)
+        else:
+            mu = 2 * mpmath.mpf(tx.n) + 1
+            c = mpmath.sqrt(mu * mu - 1)
+            modes = 2
+            cov = mpmath.matrix([[mu, 0, c, 0], [0, mu, 0, -c], [c, 0, mu, 0], [0, -c, 0, mu]])
+        # mode 0 sees z and n_th, the idler (mode 1) a loss by tau
+        for mode, w, noise in [(0, mpmath.mpc(z), mpmath.mpf(n_th)),
+                               (1, mpmath.mpc(idler_attenuation), 0)][:modes]:
+            scale, added = mpmath.eye(2 * modes), mpmath.zeros(2 * modes)
+            x, y = 2 * mode, 2 * mode + 1
+            scale[x, x], scale[x, y], scale[y, x], scale[y, y] = w.real, -w.imag, w.imag, w.real
+            added[x, x] = added[y, y] = 1 - (w.real ** 2 + w.imag ** 2) + 2 * noise
+            cov = scale * cov * scale.T + added
+        return _spectrum_entropy(cov, modes)
 
 
 def paraxial_ok(geom: DiffractionGeometry) -> bool:

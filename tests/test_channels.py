@@ -269,7 +269,7 @@ class TestCellChannel:
             for params in (ChannelParams(0.5 * np.exp(0.3j), 0.0),
                            ChannelParams(0.5 * np.exp(0.3j), 0.7),
                            ChannelParams(0.8 * np.exp(-2.1j), 2.5)):
-                fast = pure_state_cell_output(vec, [params.z], params.n_th)[0]
+                fast = pure_state_cell_output(vec, [[params.z]], [params.n_th])[0, 0]
                 slow = apply_cell_channel(FockDensityMatrix.from_pure(vec, (vec.size,)), params)
                 assert fast.shape == (vec.size, vec.size)
                 assert np.max(np.abs(fast - slow.data)) < 1e-11
@@ -281,13 +281,27 @@ class TestCellChannel:
         d, n_th = 12, 0.4
         vec, schmidt = coherent_state(0.7, d), np.diagonal(epr_state(0.2, 1, d).reshape(d, d))
         for stack, single in (
-                (pure_state_cell_output(vec, zs, n_th),
-                 lambda z: pure_state_cell_output(vec, [z], n_th)[0]),
-                (epr_output_blocks(schmidt, zs, n_th, 0.7),
-                 lambda z: epr_output_blocks(schmidt, [z], n_th, 0.7)[0])):
+                (pure_state_cell_output(vec, [zs], [n_th])[0],
+                 lambda z: pure_state_cell_output(vec, [[z]], [n_th])[0, 0]),
+                (epr_output_blocks(schmidt, [zs], [n_th], [0.7])[0],
+                 lambda z: epr_output_blocks(schmidt, [[z]], [n_th], [0.7])[0, 0])):
             assert stack.shape[0] == len(zs)
             for out, z in zip(stack, zs):
                 assert np.max(np.abs(out - single(z))) < 1e-15
+
+    @pytest.mark.parametrize("zs", [(0.0, 1.0), (0.9 * np.exp(0.7j), -0.5)],
+                             ids=["real", "complex"])
+    def test_builders_stack_entries(self, zs):
+        # one call over entries (n_th, idler tau) gives each entry's own output, bit for bit
+        d = 12
+        vec, schmidt = coherent_state(0.7, d), np.diagonal(epr_state(0.2, 1, d).reshape(d, d))
+        settings = [(0.0, 1.0), (0.4, 1.0), (0.4, 0.7), (0.0, 0.0)]
+        n_th, idler = zip(*settings)
+        coherent = pure_state_cell_output(vec, [zs] * 4, n_th)
+        epr = epr_output_blocks(schmidt, [zs] * 4, n_th, idler)
+        for e, (nth, tau) in enumerate(settings):
+            assert np.array_equal(coherent[e], pure_state_cell_output(vec, [zs], [nth])[0])
+            assert np.array_equal(epr[e], epr_output_blocks(schmidt, [zs], [nth], [tau])[0])
 
     def test_epr_signal_killed_leaves_thermal_marginal(self):
         vec = epr_state(0.8, 1, 26)
@@ -309,7 +323,7 @@ class TestCellChannel:
         params = ChannelParams(0.6 * np.exp(0.8j), 0.5)
         for vec, dims, gauss in tx_cases:
             if len(dims) == 1:
-                out = pure_state_cell_output(vec, [params.z], params.n_th)[0]
+                out = pure_state_cell_output(vec, [[params.z]], [params.n_th])[0, 0]
                 rho = FockDensityMatrix(dims, out)
             else:  # two-mode EPR output: the dense oracle
                 rho = apply_cell_channel(FockDensityMatrix.from_pure(vec, dims), params, mode=0)

@@ -16,10 +16,11 @@ from qreading import (
     DiffractionGeometry,
     MarginalCell,
     TransmitterSpec,
+    bounding_rates,
     concavity_scan,
+    diffraction,
     gains,
     holevo_rate,
-    rate_after_attenuation,
     rate_bounds,
     rates,
     tau_extrema,
@@ -305,7 +306,7 @@ class TestStartup:
 
 
 class TestThinShell:
-    """The diffraction command is a serial loop over the library's rate_bounds."""
+    """The diffraction command is one call of the library's rate_bounds per transmitter."""
 
     ARGS = ("diffraction", "--lxr-grid", "0.6:1.6:3", "--n", "0.1", "--nth", "0.5",
             "--dim", "8")
@@ -316,17 +317,16 @@ class TestThinShell:
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 3
-        # recompute from cold caches, so equality does not come from a cache hit
-        rates.rate_after_attenuation.cache_clear()
+        # recompute from a cold cache, so equality does not come from a cache hit
         tau_extrema.cache_clear()
         cell = MarginalCell.binary(0.5, 0.0, 1.0)
-        for row in rows:
-            geom = DiffractionGeometry.from_ratios(float(row["ell_over_xr"]),
-                                                   float(row["d_over_ell"]))
-            for kind, tx in (("coherent", TransmitterSpec.coherent(0.1)),
-                             ("epr", TransmitterSpec.epr(0.1))):
-                bounds = rate_bounds(cell, tx, geom, 0.5, dim=8,
-                                     attenuate_idler="--both-sides" in extra)
+        geoms = [DiffractionGeometry.from_ratios(float(row["ell_over_xr"]),
+                                                 float(row["d_over_ell"])) for row in rows]
+        for kind, tx in (("coherent", TransmitterSpec.coherent(0.1)),
+                         ("epr", TransmitterSpec.epr(0.1))):
+            sweep = rate_bounds(cell, tx, geoms, 0.5, dim=8,
+                                attenuate_idler="--both-sides" in extra)
+            for row, bounds in zip(rows, sweep, strict=True):
                 assert row["tau_min"] == f"{bounds.tau_min:.12g}"
                 assert row["tau_max"] == f"{bounds.tau_max:.12g}"
                 assert row[f"{kind}_lower"] == f"{bounds.lower_bits:.12g}"
@@ -334,23 +334,37 @@ class TestThinShell:
 
     def test_one_rate_per_distinct_tau(self, capsys, monkeypatch):
         calls = []
-        real = rates.holevo_rate
+        real = diffraction.bounding_rates
 
-        def counted(cell, tx, *args, **kwargs):
-            calls.append(tx.kind)
-            return real(cell, tx, *args, **kwargs)
+        def counted(cell, tx, n_th, taus, *args, **kwargs):
+            calls.append((tx.kind, len(taus)))
+            return real(cell, tx, n_th, taus, *args, **kwargs)
 
-        monkeypatch.setattr(rates, "holevo_rate", counted)
-        rates.rate_after_attenuation.cache_clear()
+        monkeypatch.setattr(diffraction, "bounding_rates", counted)
         tau_extrema.cache_clear()
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 0
         rows = parse_csv(out)
-        taus = {(kind, row[col]) for row in rows for kind in ("coherent", "epr")
-                for col in ("tau_min", "tau_max")}
-        # tau_max = 1 at every ratio when d = ell, so rates repeat across rows
-        assert len(calls) == len(taus) < 4 * len(rows)
+        taus = {row[col] for row in rows for col in ("tau_min", "tau_max")}
+        # tau_max = 1 at every ratio when d = ell, so taus repeat across rows;
+        # each transmitter takes every distinct tau in one call
+        assert len(taus) < 2 * len(rows)
+        assert calls == [("coherent", len(taus)), ("epr", len(taus))]
         assert tau_extrema.cache_info().misses == len(rows)
+
+    def test_one_eigensolve_per_transmitter(self, capsys, monkeypatch):
+        # an 8-ratio sweep: every bounding rate of a transmitter shares one
+        # block_entropies call (one per distinct tau before the batch)
+        calls = []
+        real = rates.block_entropies
+        monkeypatch.setattr(rates, "block_entropies",
+                            lambda blocks: calls.append(blocks.shape) or real(blocks))
+        code, out, _ = run(capsys, "diffraction", "--lxr-grid", "0.6:2.7:8", "--n", "0.01",
+                           "--nth", "0.1", "--dim", "12", "--d-over-ell", "0.7")
+        assert code == 0
+        assert len(parse_csv(out)) == 8
+        assert len(calls) == 2
+        assert calls[0][1:] == (1, 12, 12) and calls[1][1:] == (12, 12, 12)
 
 
 class TestRemovedKnobs:
@@ -408,10 +422,10 @@ class TestRemovedKnobs:
         lambda: holevo_rate(None, None, 0.1, quad_order=14),
         lambda: gains(None, 0.1, 0.1, quad_order=14),
         lambda: concavity_scan(None, [0.1, 0.2, 0.3], 0.1, quad_order=14),
-        lambda: rate_after_attenuation(None, None, 0.1, 1.0, quad_order=14),
-        lambda: rate_bounds(None, None, None, 0.1, quad_order=14),
+        lambda: bounding_rates(None, None, 0.1, [1.0], quad_order=14),
+        lambda: rate_bounds(None, None, [], 0.1, quad_order=14),
     ], ids=["apply_classical_noise", "apply_cell_channel", "pure_state_cell_output",
-            "holevo_rate", "gains", "concavity_scan", "rate_after_attenuation",
+            "holevo_rate", "gains", "concavity_scan", "bounding_rates",
             "rate_bounds"])
     def test_library_rejects_quad_order(self, call):
         with pytest.raises(TypeError, match="quad_order"):
@@ -430,6 +444,12 @@ class TestBoundaryExits:
         ("gain-map", "--n-grid", "0.1", "--nth-grid", "0,inf"),
         ("diffraction", "--lxr-grid", "0.5,inf"),
         ("rate", "--n", "0.1", "--dim", "1", "--transmitter", "epr"),
+        ("diffraction", "--lxr-grid", "0.5,1", "--nth", "-1"),
+        ("diffraction", "--lxr-grid", "0.5,1", "--z1-mod", "1.5"),
+        ("diffraction", "--lxr-grid", "0.5,1", "--p0", "1.5"),
+        ("diffraction", "--lxr-grid", "0.5,1", "--n", "-1"),
+        ("diffraction", "--lxr-grid", "0.5,1", "--dim", "1"),
+        ("diffraction", "--lxr-grid", "0.5,1", "--d-over-ell", "0"),
     ])
     def test_out_of_domain_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -437,6 +457,14 @@ class TestBoundaryExits:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_truncated_epr_probe_exits_1(self, capsys):
+        # n = 3 puts more than the truncation bound of the EPR probe past dim 30
+        code, out, err = run(capsys, "diffraction", "--lxr-grid", "0.5:3:3", "--n", "3",
+                             "--nth", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: EPR-state norm deficit") and err.count("\n") == 1
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
@@ -536,7 +564,7 @@ class TestTrustColumns:
             geom = DiffractionGeometry.from_ratios(float(row["ell_over_xr"]))
             results = []
             for tx in (TransmitterSpec.coherent(0.1), TransmitterSpec.epr(0.1)):
-                bounds = rate_bounds(cell, tx, geom, 0.5, dim=8)
+                [bounds] = rate_bounds(cell, tx, [geom], 0.5, dim=8)
                 results += [bounds.lower, bounds.upper]
             self.assert_cells(row, max(r.trace_deficit for r in results),
                               max(r.cross_check_error for r in results))

@@ -15,7 +15,7 @@ from qreading import (
     DiffractionGeometry,
     MarginalCell,
     TransmitterSpec,
-    rate_after_attenuation,
+    bounding_rates,
     rate_bounds,
     tau_extrema,
     toeplitz_symbol,
@@ -443,15 +443,15 @@ class TestBrentPort:
 class TestRateBounds:
     def test_bounds_ordered_and_sandwiched(self):
         geom = DiffractionGeometry.from_ratios(0.8)
-        res = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.2), geom,
-                          n_th=0.5, dim=20)
+        [res] = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.2), [geom],
+                            n_th=0.5, dim=20)
         assert 0.0 <= res.lower_bits <= res.upper_bits
         assert res.tau_min <= res.tau_max <= 1.0
 
     def test_transparent_limit_collapses(self):
         geom = DiffractionGeometry.from_ratios(2e5)
-        res = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.5), geom,
-                          dim=25)
+        [res] = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.5), [geom],
+                            dim=25)
         assert res.upper_bits - res.lower_bits < 1e-4
         # both bounds agree with the unobstructed noiseless closed form
         from qreading import coherent_capacity_noiseless
@@ -462,25 +462,49 @@ class TestRateBounds:
 
     def test_opaque_limit_zero_lower(self):
         geom = DiffractionGeometry.from_ratios(0.3)
-        res = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.5), geom,
-                          dim=25)
+        [res] = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.5), [geom],
+                            dim=25)
         assert res.lower_bits < 1e-9
 
     def test_both_sides_attenuation_weaker(self):
         geom = DiffractionGeometry.from_ratios(0.7)
-        one = rate_bounds(AMP_CELL, TransmitterSpec.epr(0.2), geom,
-                          n_th=0.3, dim=14)
-        two = rate_bounds(AMP_CELL, TransmitterSpec.epr(0.2), geom,
-                          n_th=0.3, dim=14, attenuate_idler=True)
+        [one] = rate_bounds(AMP_CELL, TransmitterSpec.epr(0.2), [geom],
+                            n_th=0.3, dim=14)
+        [two] = rate_bounds(AMP_CELL, TransmitterSpec.epr(0.2), [geom],
+                            n_th=0.3, dim=14, attenuate_idler=True)
         assert two.lower_bits <= one.lower_bits + 1e-7
+
+    def test_sweep_equals_one_geometry_at_a_time(self):
+        geoms = [DiffractionGeometry.from_ratios(r, dl)
+                 for r in (0.6, 1.3, 2.2) for dl in (1.0, 0.7)]
+        tx = TransmitterSpec.epr(0.1)
+        sweep = rate_bounds(AMP_CELL, tx, geoms, 0.3, 10, attenuate_idler=True)
+        assert sweep == [rate_bounds(AMP_CELL, tx, [geom], 0.3, 10, attenuate_idler=True)[0]
+                         for geom in geoms]
+
+    def test_sweep_memory_bounded_by_chunks(self):
+        # 100 aliased ratios give 62 distinct taus. Their EPR outputs and
+        # mixtures at d = 24 take 21 MB in one stack, and the build peaked at
+        # 84 MB unchunked; chunks of rates._MAX_STACK_TERMS = 2^19 terms (4 MB
+        # of float64) peak near 24 MB
+        geoms = [DiffractionGeometry.from_ratios(r, 0.7) for r in np.linspace(0.5, 3.0, 100)]
+        tracemalloc.start()
+        try:
+            sweep = rate_bounds(AMP_CELL, TransmitterSpec.epr(0.1), geoms, 0.5, 24,
+                                attenuate_idler=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sweep) == 100
+        assert peak < 32e6
 
     def test_attenuate_idler_is_keyword_only(self):
         geom = DiffractionGeometry.from_ratios(0.7)
         tx = TransmitterSpec.epr(0.2)
         with pytest.raises(TypeError, match="positional"):
-            rate_bounds(AMP_CELL, tx, geom, 0.3, 8, True)
+            rate_bounds(AMP_CELL, tx, [geom], 0.3, 8, True)
         with pytest.raises(TypeError, match="positional"):
-            rate_after_attenuation(AMP_CELL, tx, 0.3, 0.5, 8, True)
+            bounding_rates(AMP_CELL, tx, 0.3, [0.5], 8, True)
 
 
 class TestTransferMatrix:

@@ -12,9 +12,9 @@ from qreading import (
     ChannelParams,
     MarginalCell,
     TransmitterSpec,
+    bounding_rates,
     epr_state,
     holevo_rate,
-    rate_after_attenuation,
     shannon_entropy_d,
 )
 from qreading.channels import epr_output_blocks
@@ -87,7 +87,7 @@ class TestBlockOracle:
         vec = epr_state(0.6, 1, d, eps_trunc=1e-2)  # weight reaches the cutoff
         params = ChannelParams(z, n_th)
         dense = dense_output(vec, d, params, tau).data
-        blocks = epr_output_blocks(np.diagonal(vec.reshape(d, d)), [z], n_th, tau)[0]
+        blocks = epr_output_blocks(np.diagonal(vec.reshape(d, d)), [[z]], [n_th], [tau])[0, 0]
         assert blocks.shape == (d, d, d)
         embedded, inside = embed(blocks, d)
         assert np.max(np.abs(embedded - dense)) < 1e-12
@@ -148,7 +148,7 @@ class TestCostGuard:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a, *args: dtypes.append(a.dtype) or eigvalsh(a, *args))
-        rate_after_attenuation.__wrapped__(cell, tx, 0.4, tau, 20, attenuate_idler=True)
+        bounding_rates(cell, tx, 0.4, [tau], 20, attenuate_idler=True)
         assert dtypes and all(t == dtype for t in dtypes), dtypes
 
 
@@ -164,9 +164,8 @@ def test_rate_bounded_and_monotone_in_tau(p0, z0, z1, n, n_th, dim, taus, both_s
     cell = MarginalCell.binary(p0, z0, z1)
     tx = TransmitterSpec.epr(n)
     lo, hi = sorted(taus)
-    r_lo, r_hi = (rate_after_attenuation(cell, tx, n_th, tau, dim,
-                                         attenuate_idler=both_sides).rate_bits
-                  for tau in (lo, hi))
+    r_lo, r_hi = (r.rate_bits for r in bounding_rates(cell, tx, n_th, (lo, hi), dim,
+                                                      attenuate_idler=both_sides))
     bound = shannon_entropy_d([1.0 - p0])
     assert 0.0 <= r_lo <= bound + 1e-9
     assert 0.0 <= r_hi <= bound + 1e-9

@@ -13,6 +13,7 @@ from qreading import (
     ConvergenceError,
     MarginalCell,
     TransmitterSpec,
+    bounding_rates,
     coherent_capacity_faint,
     coherent_capacity_noiseless,
     concavity_scan,
@@ -21,7 +22,6 @@ from qreading import (
     g_thermal,
     gains,
     holevo_rate,
-    rate_after_attenuation,
     shannon_entropy_d,
 )
 from qreading.rates import gaussian_output_entropy
@@ -302,19 +302,57 @@ class TestGains:
         assert res.relative is None
 
 
+# real reflectances (either sign) and complex ones
+reflectance = st.one_of(st.floats(-1.0, 1.0).map(complex),
+                        st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)))
+
+
+class TestBoundingRates:
+    @given(kind=st.sampled_from(["coherent", "epr"]), p0=st.floats(0.05, 0.95),
+           z0=reflectance, z1=reflectance, n=st.floats(0.0, 0.1), n_th=st.floats(0.0, 0.5),
+           dim=st.integers(8, 14), extra=st.lists(st.floats(0.0, 1.0), max_size=4),
+           repeat=st.integers(0, 5), both_sides=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_one_rate_per_tau(self, kind, p0, z0, z1, n, n_th, dim, extra,
+                                           repeat, both_sides):
+        # the tau list always holds 0, 1 and a repeated value
+        taus = [0.0, 1.0, *extra]
+        taus.append(taus[repeat % len(taus)])
+        cell = MarginalCell.binary(p0, z0, z1)
+        tx = TransmitterSpec(kind, n)
+        batch = bounding_rates(cell, tx, n_th, taus, dim, attenuate_idler=both_sides)
+        assert len(batch) == len(taus)
+        for tau, res in zip(taus, batch):
+            composed = MarginalCell(cell.probs, tuple(tau * z for z in cell.reflectances))
+            one = holevo_rate(composed, tx, n_th * tau * tau, dim,
+                              idler_attenuation=tau if both_sides else 1.0)
+            assert res.rate_bits == one.rate_bits
+            assert res.truncation_dim == one.truncation_dim == dim
+            assert abs(res.trace_deficit - one.trace_deficit) <= 1e-15
+            assert abs(res.cross_check_error - one.cross_check_error) <= 1e-15
+
+    def test_validates_like_one_rate(self):
+        tx = TransmitterSpec.epr(0.1)
+        with pytest.raises(ValueError, match="n_th must be >= 0"):
+            bounding_rates(AMP_CELL, tx, -1.0, [0.0, 1.0], 8)
+        with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
+            bounding_rates(AMP_CELL, tx, 0.1, [0.5, 1.5], 8)
+        with pytest.raises(NotImplementedError):
+            bounding_rates(AMP_CELL, TransmitterSpec.epr(0.1, s=2), 0.1, [1.0], 8)
+        assert bounding_rates(AMP_CELL, tx, 0.1, [], 8) == []
+
+
 class TestAttenuationAndConcavity:
     def test_full_transmission_is_identity(self):
         direct = holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.5), 0.2,
                              dim=25)
-        via = rate_after_attenuation(AMP_CELL, TransmitterSpec.coherent(0.5),
-                                     0.2, 1.0, dim=25)
+        [via] = bounding_rates(AMP_CELL, TransmitterSpec.coherent(0.5), 0.2, [1.0], dim=25)
         assert abs(direct.rate_bits - via.rate_bits) < 1e-12
 
     def test_monotone_in_tau(self):
         taus = (0.3, 0.6, 0.9, 1.0)
-        vals = [rate_after_attenuation(AMP_CELL, TransmitterSpec.coherent(0.8),
-                                       0.4, t, dim=25).rate_bits
-                for t in taus]
+        vals = [r.rate_bits for r in bounding_rates(AMP_CELL, TransmitterSpec.coherent(0.8),
+                                                     0.4, taus, dim=25)]
         assert all(b >= a - 1e-7 for a, b in zip(vals, vals[1:]))
 
     def test_concavity_noiseless(self):
