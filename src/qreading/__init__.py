@@ -12,11 +12,7 @@ Core pieces:
 * :mod:`qreading.cli` — the ``qreading`` command.
 """
 
-from .channels import (
-    ChannelParams,
-    MarginalCell,
-    compose_with_attenuator,
-)
+from .channels import MarginalCell
 from .diffraction import (
     DiffractionGeometry,
     RateBounds,
@@ -53,7 +49,7 @@ from .states import (
 )
 
 __all__ = [
-    "ChannelParams", "MarginalCell", "compose_with_attenuator",
+    "MarginalCell",
     "DiffractionGeometry", "RateBounds", "rate_bounds", "tau_extrema",
     "toeplitz_symbol", "ConfigError", "ConvergenceError", "QReadingError",
     "StateValidationError", "TruncationError", "ConcavityReport", "GainResult",

@@ -13,6 +13,8 @@ Every Fock-basis result is built from these (d, d) tables (float64 when z
 is real). The builders take a stack of entries (a row of reflectances with
 its n_th and idler loss) and build all their tables in one array call per
 kind; a pure single-mode output costs O(d^3) time and O(d^2) memory.
+A setting is plain scalars: the cell ensemble checks |z| <= 1, and the
+attenuator composition (tau z, tau^2 n_th) lives in rates.bounding_rates.
 """
 
 from __future__ import annotations
@@ -24,20 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .states import log_factorials, phase_powers
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Complex reflectance z (|z| <= 1) and classical-noise variance n_th."""
-
-    z: complex
-    n_th: float = 0.0
-
-    def __post_init__(self) -> None:
-        if abs(self.z) > 1.0 + 1e-12:
-            raise ValueError(f"|z| = {abs(self.z)} exceeds 1")
-        if self.n_th < 0:
-            raise ValueError("n_th must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -179,13 +167,3 @@ def epr_output_blocks(schmidt: np.ndarray, reflectances: Sequence[Sequence[compl
         blocks[lossy] = acc
     return 0.5 * (blocks + np.swapaxes(blocks, -1, -2).conj())
 
-
-# ---------------------------------------------------------------------------
-# Channel algebra
-# ---------------------------------------------------------------------------
-
-def compose_with_attenuator(params: ChannelParams, tau: float) -> ChannelParams:
-    """Cell channel followed by a tau-attenuator: z -> tau z, n_th -> tau^2 n_th."""
-    if not (0.0 <= tau <= 1.0):
-        raise ValueError("tau must lie in [0, 1]")
-    return ChannelParams(tau * params.z, params.n_th * tau * tau)

@@ -6,8 +6,9 @@ Coherent numerics use the single-mode optimum (one signal mode, no idler); EPR
 numerics use a single two-mode squeezed copy (s=1), whose outputs are block-diagonal in
 n_S - n_R and are built and diagonalised as d blocks of size d, one per (n_S - n_R)
 mod d. The general-s noiseless phase rate is in closed form: :func:`epr_rate_noiseless_phase`.
-Rates of one cell under many settings (the bounding channels of a sweep, :func:`bounding_rates`)
-share one batched Fock build and eigensolve; :func:`holevo_rate` is the one-setting case.
+:func:`bounding_rates` is the one entry into these numerics: it composes the cell channel
+with each tau-attenuator of a sweep and gives all of them one batched Fock build and
+eigensolve. :func:`holevo_rate` is its tau = 1 case.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    ChannelParams,
-    MarginalCell,
-    compose_with_attenuator,
-    epr_output_blocks,
-    pure_state_cell_output,
-)
+from .channels import MarginalCell, epr_output_blocks, pure_state_cell_output
 from .errors import ConvergenceError
 from .states import (
     DEFAULT_DIM_PER_MODE,
@@ -82,10 +77,6 @@ def _h2(q: float) -> float:
     return shannon_entropy_d([q])
 
 
-def _default_dim(tx: TransmitterSpec) -> int:
-    return DEFAULT_DIM_SINGLE if tx.kind == "coherent" else DEFAULT_DIM_PER_MODE
-
-
 def gaussian_output_entropy(tx: TransmitterSpec, z: complex, n_th: float,
                             idler_attenuation: float) -> float:
     """Exact entropy in bits of one symbol's Gaussian output, from its symplectic spectrum.
@@ -109,32 +100,49 @@ def gaussian_output_entropy(tx: TransmitterSpec, z: complex, n_th: float,
     return g_thermal((big - 1.0) / 2.0) + g_thermal(max(prod / big - 1.0, 0.0) / 2.0)
 
 
-def _fock_rates(cell: MarginalCell, tx: TransmitterSpec,
-                reflectances: Sequence[Sequence[complex]], n_th: Sequence[float],
-                idler_attenuation: Sequence[float], dim: int | None) -> list[RateResult]:
-    """Holevo rates of the cell's probabilities for each entry e: reflectances row
-    e with noise n_th[e] and idler loss idler_attenuation[e]. All entries' outputs
-    and mixtures share one batched Fock build and block_entropies call per chunk,
-    whose stack holds at most _MAX_STACK_TERMS matrix entries."""
+def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
+                dim: int | None = None) -> RateResult:
+    """Holevo information of the cell ensemble for the given transmitter: the
+    tau = 1 case of :func:`bounding_rates`."""
+    return bounding_rates(cell, tx, n_th, [1.0], dim)[0]
+
+
+def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
+                   taus: Sequence[float], dim: int | None = None, *,
+                   attenuate_idler: bool = False) -> list[RateResult]:
+    """Holevo rate of the cell channel followed by a tau-attenuator, for each tau.
+
+    The composed channel is the cell channel at z -> tau z, n_th -> tau^2 n_th;
+    ``attenuate_idler`` attenuates the retained idler by tau as well. All the
+    taus' outputs and mixtures share one batched Fock build and block_entropies
+    call per chunk (for EPR, blocks of n_S - n_R), whose stack holds at most
+    _MAX_STACK_TERMS matrix entries. Each symbol entropy is cross-checked
+    against the closed-form Gaussian value of :func:`gaussian_output_entropy`,
+    with the worst deviation reported.
+    """
+    if n_th < 0:
+        raise ValueError("n_th must be >= 0")
+    taus = [float(tau) for tau in taus]
+    if not all(0.0 <= tau <= 1.0 for tau in taus):
+        raise ValueError("tau must lie in [0, 1]")
     if tx.kind == "epr" and tx.s != 1:
         raise NotImplementedError(
             "numeric EPR rates are restricted to s=1; use "
             "epr_rate_noiseless_phase for general s"
         )
-    if not all(0.0 <= tau <= 1.0 for tau in idler_attenuation):
-        raise ValueError("tau must lie in [0, 1]")
-    if any(nth < 0 for nth in n_th):
-        raise ValueError("n_th must be >= 0")
+    reflectances = [[tau * z for z in cell.reflectances] for tau in taus]
+    noise = [n_th * tau * tau for tau in taus]
+    idler_loss = [tau if attenuate_idler else 1.0 for tau in taus]
     if dim is None:
-        dim = _default_dim(tx)
+        dim = DEFAULT_DIM_SINGLE if tx.kind == "coherent" else DEFAULT_DIM_PER_MODE
     vec = tx.fock_vector(dim)
     probs, bound = cell.probs, shannon_entropy_d(cell.probs[1:])
     block = dim ** (2 if tx.kind == "coherent" else 3)  # terms of one state's blocks
     step = max(1, _MAX_STACK_TERMS // ((len(probs) + 1) * block))
     results = []
-    for start in range(0, len(reflectances), step):
+    for start in range(0, len(taus), step):
         rows = slice(start, start + step)
-        zs, nths, idlers = reflectances[rows], n_th[rows], idler_attenuation[rows]
+        zs, nths, idlers = reflectances[rows], noise[rows], idler_loss[rows]
         if tx.kind == "coherent":
             outputs = pure_state_cell_output(vec, zs, nths)[:, :, None]
         else:
@@ -154,45 +162,6 @@ def _fock_rates(cell: MarginalCell, tx: TransmitterSpec,
                 raise ConvergenceError(f"rate {rate} exceeds ensemble entropy {bound}")
             results.append(RateResult(max(rate, 0.0), dim, float(max(deficit[:-1])), cross))
     return results
-
-
-def holevo_rate(cell: MarginalCell, tx: TransmitterSpec, n_th: float = 0.0,
-                dim: int | None = None, idler_attenuation: float = 1.0,
-                check_convergence: bool = False) -> RateResult:
-    """Holevo information of the cell ensemble for the given transmitter.
-
-    Symbol and mixture entropies come from one batched eigensolve over the
-    Fock-basis outputs' diagonal blocks (for EPR, blocks of n_S - n_R); the
-    per-symbol entropies are cross-checked against the closed-form Gaussian
-    values of :func:`gaussian_output_entropy`, with the worst deviation reported.
-    This is the one-entry case of the batch behind :func:`bounding_rates`.
-    """
-    res = _fock_rates(cell, tx, [cell.reflectances], [n_th], [idler_attenuation], dim)[0]
-    if check_convergence:
-        hi = holevo_rate(cell, tx, n_th, res.truncation_dim + 10, idler_attenuation)
-        if abs(hi.rate_bits - res.rate_bits) > 1e-5:
-            raise ConvergenceError(
-                f"rate changed by {abs(hi.rate_bits - res.rate_bits):.3e} when dim "
-                f"increased from {res.truncation_dim} to {res.truncation_dim + 10}"
-            )
-    return res
-
-
-def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
-                   taus: Sequence[float], dim: int | None = None, *,
-                   attenuate_idler: bool = False) -> list[RateResult]:
-    """Holevo rate of the cell channel followed by a tau-attenuator, for each tau.
-
-    Each symbol's channel is composed (:func:`compose_with_attenuator`: z -> tau z,
-    n_th -> tau^2 n_th); ``attenuate_idler`` attenuates the retained idler by tau
-    as well. All the taus share one batched Fock build and eigensolve.
-    """
-    taus = [float(tau) for tau in taus]
-    symbols = [[compose_with_attenuator(ChannelParams(z, n_th), tau) for z in cell.reflectances]
-               for tau in taus]
-    return _fock_rates(cell, tx, [[params.z for params in row] for row in symbols],
-                       [row[0].n_th for row in symbols],
-                       [tau if attenuate_idler else 1.0 for tau in taus], dim)
 
 
 # ---------------------------------------------------------------------------

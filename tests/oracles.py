@@ -13,7 +13,7 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from qreading import ChannelParams, DiffractionGeometry, TransmitterSpec
+from qreading import DiffractionGeometry, TransmitterSpec
 from qreading.channels import amplifier_amplitudes, loss_amplitudes
 from qreading.errors import ConvergenceError, StateValidationError
 from qreading.states import (
@@ -123,11 +123,10 @@ def apply_classical_noise(rho: FockDensityMatrix, n_th: float,
     return _apply_kraus_mode(out, amplifier_kraus(gain, rho.dims[mode]), mode)
 
 
-def apply_cell_channel(rho: FockDensityMatrix, params: ChannelParams,
+def apply_cell_channel(rho: FockDensityMatrix, z: complex, n_th: float,
                        mode: int = 0) -> FockDensityMatrix:
     """Loss by z then classical noise n_th on the designated mode."""
-    out = apply_loss(rho, params.z, mode)
-    return apply_classical_noise(out, params.n_th, mode)
+    return apply_classical_noise(apply_loss(rho, z, mode), n_th, mode)
 
 
 def check_positive(rho: FockDensityMatrix) -> None:
@@ -276,19 +275,19 @@ def symplectic_entropy(state: GaussianState) -> float:
     return _spectrum_entropy(mpmath.matrix(state.cov.tolist()), state.mode_count)
 
 
-def gaussian_channel_action(state: GaussianState, params: ChannelParams,
+def gaussian_channel_action(state: GaussianState, z: complex, n_th: float,
                             mode: int = 0) -> GaussianState:
     """Exact covariance-level action of the cell channel on one mode."""
     m = state.mode_count
     if not (0 <= mode < m):
         raise ValueError(f"mode {mode} out of range for {m} modes")
-    mag, phi = abs(params.z), np.angle(params.z)
+    mag, phi = abs(z), np.angle(z)
     block = slice(2 * mode, 2 * mode + 2)
     scale = np.eye(2 * m)
     scale[block, block] = mag * np.array([[math.cos(phi), -math.sin(phi)],
                                           [math.sin(phi), math.cos(phi)]])
     noise = np.zeros((2 * m, 2 * m))
-    noise[block, block] = ((1.0 - mag * mag) + 2.0 * params.n_th) * np.eye(2)
+    noise[block, block] = ((1.0 - mag * mag) + 2.0 * n_th) * np.eye(2)
     return GaussianState(m, scale @ state.mean, scale @ state.cov @ scale.T + noise)
 
 

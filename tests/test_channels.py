@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qreading import (
-    ChannelParams,
-    MarginalCell,
-    coherent_state,
-    compose_with_attenuator,
-    epr_state,
-)
+from qreading import MarginalCell, coherent_state, epr_state
 from qreading.channels import (
     amplifier_amplitudes,
     epr_output_blocks,
@@ -41,16 +35,6 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return FockDensityMatrix((dim,), rho / np.trace(rho).real)
-
-
-class TestChannelParams:
-    def test_reflectance_bound(self):
-        with pytest.raises(ValueError):
-            ChannelParams(1.2 + 0j)
-
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelParams(0.5, -0.1)
 
 
 class TestMarginalCell:
@@ -254,9 +238,8 @@ class TestCellChannel:
     def test_composition_order(self):
         rng = np.random.default_rng(5)
         rho = random_density(rng, 14)
-        params = ChannelParams(0.6 + 0.2j, 0.4)
-        direct = apply_cell_channel(rho, params)
-        staged = apply_classical_noise(apply_loss(rho, params.z), params.n_th)
+        direct = apply_cell_channel(rho, 0.6 + 0.2j, 0.4)
+        staged = apply_classical_noise(apply_loss(rho, 0.6 + 0.2j), 0.4)
         assert np.max(np.abs(direct.data - staged.data)) < 1e-12
 
     def test_pure_fast_path_matches_generic(self):
@@ -266,11 +249,10 @@ class TestCellChannel:
         wide = rng.normal(size=12) + 1j * rng.normal(size=12)
         probes = [coherent_state(0.9 * np.exp(0.4j), 16), wide / np.linalg.norm(wide)]
         for vec in probes:
-            for params in (ChannelParams(0.5 * np.exp(0.3j), 0.0),
-                           ChannelParams(0.5 * np.exp(0.3j), 0.7),
-                           ChannelParams(0.8 * np.exp(-2.1j), 2.5)):
-                fast = pure_state_cell_output(vec, [[params.z]], [params.n_th])[0, 0]
-                slow = apply_cell_channel(FockDensityMatrix.from_pure(vec, (vec.size,)), params)
+            for z, n_th in ((0.5 * np.exp(0.3j), 0.0), (0.5 * np.exp(0.3j), 0.7),
+                            (0.8 * np.exp(-2.1j), 2.5)):
+                fast = pure_state_cell_output(vec, [[z]], [n_th])[0, 0]
+                slow = apply_cell_channel(FockDensityMatrix.from_pure(vec, (vec.size,)), z, n_th)
                 assert fast.shape == (vec.size, vec.size)
                 assert np.max(np.abs(fast - slow.data)) < 1e-11
 
@@ -306,7 +288,7 @@ class TestCellChannel:
     def test_epr_signal_killed_leaves_thermal_marginal(self):
         vec = epr_state(0.8, 1, 26)
         rho = FockDensityMatrix.from_pure(vec, (26, 26))
-        out = apply_cell_channel(rho, ChannelParams(0.0, 0.0))
+        out = apply_cell_channel(rho, 0.0, 0.0)
         signal = partial_trace(out, [0])
         vac = np.zeros((26, 26), dtype=complex)
         vac[0, 0] = 1.0
@@ -320,34 +302,34 @@ class TestCellChannel:
             (coherent_state(math.sqrt(0.7), 35), (35,), GaussianState.coherent(complex(math.sqrt(0.7)))),
             (epr_state(0.5, 1, 18), (18, 18), GaussianState.epr(0.5)),
         ]
-        params = ChannelParams(0.6 * np.exp(0.8j), 0.5)
+        z, n_th = 0.6 * np.exp(0.8j), 0.5
         for vec, dims, gauss in tx_cases:
             if len(dims) == 1:
-                out = pure_state_cell_output(vec, [[params.z]], [params.n_th])[0, 0]
+                out = pure_state_cell_output(vec, [[z]], [n_th])[0, 0]
                 rho = FockDensityMatrix(dims, out)
             else:  # two-mode EPR output: the dense oracle
-                rho = apply_cell_channel(FockDensityMatrix.from_pure(vec, dims), params, mode=0)
+                rho = apply_cell_channel(FockDensityMatrix.from_pure(vec, dims), z, n_th, mode=0)
             mean, cov = fock_moments(rho)
-            ref = gaussian_channel_action(gauss, params, mode=0)
+            ref = gaussian_channel_action(gauss, z, n_th, mode=0)
             assert np.max(np.abs(mean - ref.mean)) < 1e-6
             assert np.max(np.abs(cov - ref.cov)) < 1e-5
 
 
 class TestGaussianChannel:
     def test_vacuum_output_covariance(self):
-        out = gaussian_channel_action(GaussianState.vacuum(1), ChannelParams(0.6, 0.3))
+        out = gaussian_channel_action(GaussianState.vacuum(1), 0.6, 0.3)
         assert np.max(np.abs(out.cov - (1.0 + 0.6) * np.eye(2))) < 1e-12
 
     def test_mean_scaling(self):
         alpha = 1.0 + 0.5j
         z = 0.8 * np.exp(0.4j)
-        out = gaussian_channel_action(GaussianState.coherent(alpha), ChannelParams(z, 0.0))
+        out = gaussian_channel_action(GaussianState.coherent(alpha), z, 0.0)
         target = GaussianState.coherent(z * alpha)
         assert np.max(np.abs(out.mean - target.mean)) < 1e-12
 
     def test_acts_on_one_mode_only(self):
         state = GaussianState.epr(1.0)
-        out = gaussian_channel_action(state, ChannelParams(0.5, 0.2), mode=0)
+        out = gaussian_channel_action(state, 0.5, 0.2, mode=0)
         assert np.max(np.abs(out.cov[2:, 2:] - state.cov[2:, 2:])) < 1e-12
 
     @given(st.floats(min_value=0.0, max_value=1.0),
@@ -355,28 +337,11 @@ class TestGaussianChannel:
            st.floats(min_value=0.0, max_value=1.5))
     @settings(max_examples=30, deadline=None)
     def test_attenuator_composition_law(self, mag, tau, nth):
-        params = ChannelParams(mag * np.exp(0.7j), nth)
-        composed = compose_with_attenuator(params, tau)
+        z = mag * np.exp(0.7j)
         state = GaussianState.epr(0.8)
-        one_step = gaussian_channel_action(state, composed, mode=0)
+        one_step = gaussian_channel_action(state, tau * z, tau * tau * nth, mode=0)
         two_step = gaussian_channel_action(
-            gaussian_channel_action(state, params, mode=0),
-            ChannelParams(tau, 0.0), mode=0)
+            gaussian_channel_action(state, z, nth, mode=0), tau, 0.0, mode=0)
         assert np.max(np.abs(one_step.cov - two_step.cov)) < 1e-10
         assert np.max(np.abs(one_step.mean - two_step.mean)) < 1e-10
 
-
-class TestComposeWithAttenuator:
-    def test_values(self):
-        out = compose_with_attenuator(ChannelParams(0.8 + 0j, 1.0), 0.5)
-        assert out.z == 0.4 + 0j
-        assert abs(out.n_th - 0.25) < 1e-15
-
-    def test_identity(self):
-        p = ChannelParams(0.3 + 0.1j, 0.7)
-        out = compose_with_attenuator(p, 1.0)
-        assert out == p
-
-    def test_tau_range(self):
-        with pytest.raises(ValueError):
-            compose_with_attenuator(ChannelParams(0.5), 1.5)

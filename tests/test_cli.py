@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qreading
 from qreading import (
-    ChannelParams,
     DiffractionGeometry,
     MarginalCell,
     TransmitterSpec,
@@ -370,7 +370,9 @@ class TestThinShell:
 class TestRemovedKnobs:
     """The quadrature order and thread count did nothing, and are gone; the
     symbol grid size, the idler count and the state-level truncation bound
-    had one value in use, and are constants or derived values now."""
+    had one value in use, and are constants or derived values now. No
+    production code set holevo_rate's idler attenuation or convergence
+    check, and both are gone with the channel-setting wrappers."""
 
     @pytest.mark.parametrize("flag", ["--quad-order", "--threads", "--grid-size"])
     @pytest.mark.parametrize("command", ["rate", "gain-map", "diffraction"])
@@ -404,20 +406,31 @@ class TestRemovedKnobs:
         (lambda: FockDensityMatrix((2,), np.eye(2) / 2, eps_trunc=0.1), "eps_trunc"),
         (lambda: FockDensityMatrix.from_pure(np.ones(1), (1,), eps_trunc=0.1), "eps_trunc"),
         (lambda: thermal_state(0.5, 4, eps_trunc=0.1), "eps_trunc"),
-        (lambda: pure_state_cell_output(np.ones(1), ChannelParams(1.0), mode=0), "mode"),
+        (lambda: pure_state_cell_output(np.ones(1), [[1.0]], [0.0], mode=0), "mode"),
         (lambda: transfer_matrix(DiffractionGeometry.from_ratios(1.0), [0], [0], quad_tol=1e-8),
          "quad_tol"),
         (lambda: check_positive(thermal_state(0.5, 4), floor=1e-10), "floor"),
+        (lambda: holevo_rate(MarginalCell.binary(0.5, 0.0, 1.0), TransmitterSpec.epr(0.1),
+                             0.1, 8, idler_attenuation=0.5), "idler_attenuation"),
+        (lambda: holevo_rate(MarginalCell.binary(0.5, 0.0, 1.0), TransmitterSpec.epr(0.1),
+                             0.1, 8, check_convergence=True), "check_convergence"),
     ], ids=["tau_extrema", "rate_bounds", "TransmitterSpec.r",
             "FockDensityMatrix", "from_pure", "thermal_state", "pure_state_cell_output",
-            "transfer_matrix", "check_positive"])
+            "transfer_matrix", "check_positive", "holevo_rate.idler_attenuation",
+            "holevo_rate.check_convergence"])
     def test_single_value_settings_rejected(self, call, keyword):
         with pytest.raises(TypeError, match=keyword):
             call()
 
+    def test_channel_wrappers_removed(self):
+        # bounding_rates is the one place a tau-attenuator is composed
+        names = ("ChannelParams", "compose_with_attenuator")
+        assert [n for n in names if hasattr(qreading, n) or hasattr(qreading.channels, n)] == []
+        assert not hasattr(qreading.rates, "_fock_rates")
+
     @pytest.mark.parametrize("call", [
         lambda: apply_classical_noise(None, 0.1, quad_order=14),
-        lambda: apply_cell_channel(None, ChannelParams(1.0, 0.1), quad_order=14),
+        lambda: apply_cell_channel(None, 1.0, 0.1, quad_order=14),
         lambda: pure_state_cell_output(None, None, quad_order=14),
         lambda: holevo_rate(None, None, 0.1, quad_order=14),
         lambda: gains(None, 0.1, 0.1, quad_order=14),

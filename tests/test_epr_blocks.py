@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qreading import (
-    ChannelParams,
     MarginalCell,
     TransmitterSpec,
     bounding_rates,
     epr_state,
-    holevo_rate,
     shannon_entropy_d,
 )
 from qreading.channels import epr_output_blocks
@@ -41,8 +39,8 @@ IDS = ["complex-z-noisy", "z0-noisy", "complex-z-noiseless", "idler-loss-noisele
        "idler-loss-noisy", "z0-idler-loss"]
 
 
-def dense_output(vec, d, params, tau):
-    rho = apply_cell_channel(FockDensityMatrix.from_pure(vec, (d, d)), params)
+def dense_output(vec, d, z, n_th, tau):
+    rho = apply_cell_channel(FockDensityMatrix.from_pure(vec, (d, d)), z, n_th)
     return apply_loss(rho, tau, 1) if tau < 1.0 else rho
 
 
@@ -62,15 +60,14 @@ def embed(blocks, d):
 
 
 def dense_rate(cell, tx, n_th, d, tau):
-    """holevo_rate's numbers from dense d^2 x d^2 outputs: rate, deficit, cross."""
+    """A one-entry rate's numbers from dense d^2 x d^2 outputs: rate, deficit, cross."""
     vec = tx.fock_vector(d)
     rhos, cond, cross, deficit = [], 0.0, 0.0, 0.0
     for p, z in zip(cell.probs, cell.reflectances):
-        params = ChannelParams(z, n_th)
-        rho = dense_output(vec, d, params, tau)
-        gauss = gaussian_channel_action(gaussian_probe(tx), params, 0)
+        rho = dense_output(vec, d, z, n_th, tau)
+        gauss = gaussian_channel_action(gaussian_probe(tx), z, n_th, 0)
         if tau < 1.0:
-            gauss = gaussian_channel_action(gauss, ChannelParams(tau, 0.0), 1)
+            gauss = gaussian_channel_action(gauss, tau, 0.0, 1)
         s_fock = von_neumann_entropy(rho)
         cross = max(cross, abs(s_fock - symplectic_entropy(gauss)))
         deficit = max(deficit, rho.trace_deficit)
@@ -85,8 +82,7 @@ class TestBlockOracle:
     def test_blocks_equal_dense_output(self, z, n_th, tau):
         d = 8
         vec = epr_state(0.6, 1, d, eps_trunc=1e-2)  # weight reaches the cutoff
-        params = ChannelParams(z, n_th)
-        dense = dense_output(vec, d, params, tau).data
+        dense = dense_output(vec, d, z, n_th, tau).data
         blocks = epr_output_blocks(np.diagonal(vec.reshape(d, d)), [[z]], [n_th], [tau])[0, 0]
         assert blocks.shape == (d, d, d)
         embedded, inside = embed(blocks, d)
@@ -98,8 +94,9 @@ class TestBlockOracle:
         d = 10
         cell = MarginalCell.binary(0.35, 0.9 * cmath.exp(-0.4j), z)
         tx = TransmitterSpec.epr(0.15)
-        res = holevo_rate(cell, tx, n_th, dim=d, idler_attenuation=tau)
-        rate, deficit, cross = dense_rate(cell, tx, n_th, d, tau)
+        [res] = bounding_rates(cell, tx, n_th, [tau], d, attenuate_idler=True)
+        composed = MarginalCell(cell.probs, tuple(tau * r for r in cell.reflectances))
+        rate, deficit, cross = dense_rate(composed, tx, n_th * tau * tau, d, tau)
         assert abs(res.rate_bits - max(rate, 0.0)) < 1e-12
         assert abs(res.trace_deficit - deficit) < 1e-12
         assert abs(res.cross_check_error - cross) < 1e-12
@@ -117,8 +114,8 @@ class TestCostGuard:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        holevo_rate(MarginalCell.binary(0.5, 0.0, 1.0), TransmitterSpec.epr(0.3),
-                    0.4, dim=d, idler_attenuation=tau)
+        bounding_rates(MarginalCell.binary(0.5, 0.0, 1.0), TransmitterSpec.epr(0.3),
+                       0.4, [tau], d, attenuate_idler=True)
         assert shapes
         assert all(s[-2] <= d and s[-1] <= d for s in shapes), shapes
 
@@ -130,8 +127,8 @@ class TestCostGuard:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a, *args: shapes.append(np.shape(a)) or eigvalsh(a, *args))
-        holevo_rate(MarginalCell.binary(0.5, 0.0, 1.0), TransmitterSpec.epr(0.3),
-                    0.4, dim=d, idler_attenuation=tau)
+        bounding_rates(MarginalCell.binary(0.5, 0.0, 1.0), TransmitterSpec.epr(0.3),
+                       0.4, [tau], d, attenuate_idler=True)
         assert shapes == [(3, d, d, d)]
 
     @pytest.mark.parametrize("cell,dtype", [

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qreading import (
-    ConvergenceError,
     MarginalCell,
     TransmitterSpec,
     bounding_rates,
@@ -176,17 +175,7 @@ class TestHolevoRate:
                              ids=["coherent", "epr"])
     def test_idler_attenuation_outside_unit_interval_rejected(self, tx, tau):
         with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
-            holevo_rate(AMP_CELL, tx, 0.1, 10, idler_attenuation=tau)
-
-    def test_convergence_guard_fires(self):
-        # strong noise leaks past a dim-10 truncation; the dim+10 recheck sees it
-        with pytest.raises(ConvergenceError):
-            holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.5), 2.0, dim=10,
-                        check_convergence=True)
-
-    def test_convergence_guard_passes(self):
-        holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.3), 0.2, dim=30,
-                    check_convergence=True)
+            bounding_rates(AMP_CELL, tx, 0.1, [tau], 10, attenuate_idler=True)
 
     def test_result_metadata(self):
         res = holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.5), 0.2,
@@ -251,7 +240,7 @@ class TestGaussianOracle:
             raise AssertionError("general eigensolve on the rate path")
 
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
-        res = holevo_rate(AMP_CELL, tx, 0.3, dim=12, idler_attenuation=tau)
+        [res] = bounding_rates(AMP_CELL, tx, 0.3, [tau], 12, attenuate_idler=True)
         assert 0.0 < res.rate_bits < 1.0 and res.cross_check_error < 1e-3
 
     def test_negative_noise_rejected(self):
@@ -323,9 +312,11 @@ class TestBoundingRates:
         batch = bounding_rates(cell, tx, n_th, taus, dim, attenuate_idler=both_sides)
         assert len(batch) == len(taus)
         for tau, res in zip(taus, batch):
-            composed = MarginalCell(cell.probs, tuple(tau * z for z in cell.reflectances))
-            one = holevo_rate(composed, tx, n_th * tau * tau, dim,
-                              idler_attenuation=tau if both_sides else 1.0)
+            if both_sides:
+                [one] = bounding_rates(cell, tx, n_th, [tau], dim, attenuate_idler=True)
+            else:
+                composed = MarginalCell(cell.probs, tuple(tau * z for z in cell.reflectances))
+                one = holevo_rate(composed, tx, n_th * tau * tau, dim)
             assert res.rate_bits == one.rate_bits
             assert res.truncation_dim == one.truncation_dim == dim
             assert abs(res.trace_deficit - one.trace_deficit) <= 1e-15
@@ -335,6 +326,8 @@ class TestBoundingRates:
         tx = TransmitterSpec.epr(0.1)
         with pytest.raises(ValueError, match="n_th must be >= 0"):
             bounding_rates(AMP_CELL, tx, -1.0, [0.0, 1.0], 8)
+        with pytest.raises(ValueError, match="n_th must be >= 0"):
+            bounding_rates(AMP_CELL, tx, -1.0, [0.0], 8)  # tau^2 n_th would read -0.0
         with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
             bounding_rates(AMP_CELL, tx, 0.1, [0.5, 1.5], 8)
         with pytest.raises(NotImplementedError):
@@ -344,10 +337,10 @@ class TestBoundingRates:
 
 class TestAttenuationAndConcavity:
     def test_full_transmission_is_identity(self):
-        direct = holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.5), 0.2,
-                             dim=25)
-        [via] = bounding_rates(AMP_CELL, TransmitterSpec.coherent(0.5), 0.2, [1.0], dim=25)
-        assert abs(direct.rate_bits - via.rate_bits) < 1e-12
+        for tx in (TransmitterSpec.coherent(0.5), TransmitterSpec.epr(0.5)):
+            direct = holevo_rate(AMP_CELL, tx, 0.2, dim=25)
+            [via] = bounding_rates(AMP_CELL, tx, 0.2, [1.0], dim=25)
+            assert direct == via
 
     def test_monotone_in_tau(self):
         taus = (0.3, 0.6, 0.9, 1.0)
