@@ -2,8 +2,8 @@
 
 Core pieces:
 
-* :mod:`qreading.states` — truncated-Fock probe states and block-diagonal
-  entropies;
+* :mod:`qreading.states` — probes as truncated-Fock amplitudes and
+  block-diagonal entropies;
 * :mod:`qreading.channels` — the memory-cell channel (loss + classical
   Gaussian displacement noise) in the Fock basis;
 * :mod:`qreading.rates` — Holevo rates, closed forms, gains;
@@ -41,12 +41,7 @@ from .rates import (
     holevo_rate,
     shannon_entropy_d,
 )
-from .states import (
-    TransmitterSpec,
-    coherent_state,
-    epr_state,
-    g_thermal,
-)
+from .states import TransmitterSpec, g_thermal
 
 __all__ = [
     "MarginalCell",
@@ -56,7 +51,7 @@ __all__ = [
     "RateResult", "bounding_rates", "coherent_capacity_faint", "coherent_capacity_noiseless",
     "concavity_scan", "epr_rate_faint", "epr_rate_noiseless_phase", "gains",
     "holevo_rate", "shannon_entropy_d",
-    "TransmitterSpec", "coherent_state", "epr_state", "g_thermal",
+    "TransmitterSpec", "g_thermal",
 ]
 
 __version__ = "0.1.0"

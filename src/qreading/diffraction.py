@@ -162,6 +162,9 @@ def _symbol_unit_fill(t: np.ndarray, ratio: float) -> np.ndarray:
     Uses sum_m sinc^2(pi(t-m)) = 1 and sinc^2(pi x) = sin^2(pi t)/(pi x)^2,
     so the out-of-window tail telescopes into trigamma values.
     """
+    # the symbol reads 1.0 to the last bit from ratio ~1e17 on; the cap keeps x^2 in
+    # _trigamma and pi (t - m) at the window edges finite
+    ratio = min(ratio, 1e150)
     hi_edge, lo_edge = t + ratio, t - ratio
     hi_on = np.abs(hi_edge - np.round(hi_edge)) <= _BOUNDARY_TOL
     lo_on = np.abs(lo_edge - np.round(lo_edge)) <= _BOUNDARY_TOL

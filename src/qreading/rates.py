@@ -88,7 +88,8 @@ def gaussian_output_entropy(tx: TransmitterSpec, z: complex, n_th: float,
     ab - c^2 = 1 + 2n(e(1 - T) + T(1 - e)) + 2 n_th b, a sum of terms >= 0
     (Serafini, Illuminati and De Siena, J. Phys. B 37, L21 (2004)). The
     smaller one is the product over the larger, so nothing cancels and a pure
-    output reads exactly 0.
+    output reads exactly 0; the sum is a hypot, so no square overflows before
+    n_th nears the float64 limit.
     """
     if tx.kind == "coherent":
         return g_thermal(n_th)
@@ -96,7 +97,7 @@ def gaussian_output_entropy(tx: TransmitterSpec, z: complex, n_th: float,
     b = 1.0 + 2.0 * tx.n * t
     diff = 2.0 * tx.n * (t - e) - 2.0 * n_th
     prod = 1.0 + 2.0 * tx.n * (e * (1.0 - t) + t * (1.0 - e)) + 2.0 * n_th * b
-    big = 0.5 * (math.sqrt(diff * diff + 4.0 * prod) + abs(diff))
+    big = 0.5 * (math.hypot(diff, 2.0 * math.sqrt(prod)) + abs(diff))
     return g_thermal((big - 1.0) / 2.0) + g_thermal(max(prod / big - 1.0, 0.0) / 2.0)
 
 
@@ -135,7 +136,7 @@ def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
     idler_loss = [tau if attenuate_idler else 1.0 for tau in taus]
     if dim is None:
         dim = DEFAULT_DIM_SINGLE if tx.kind == "coherent" else DEFAULT_DIM_PER_MODE
-    vec = tx.fock_vector(dim)
+    amps = tx.amplitudes(dim)
     probs, bound = cell.probs, shannon_entropy_d(cell.probs[1:])
     block = dim ** (2 if tx.kind == "coherent" else 3)  # terms of one state's blocks
     step = max(1, _MAX_STACK_TERMS // ((len(probs) + 1) * block))
@@ -144,18 +145,22 @@ def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
         rows = slice(start, start + step)
         zs, nths, idlers = reflectances[rows], noise[rows], idler_loss[rows]
         if tx.kind == "coherent":
-            outputs = pure_state_cell_output(vec, zs, nths)[:, :, None]
+            outputs = pure_state_cell_output(amps, zs, nths)[:, :, None]
         else:
-            outputs = epr_output_blocks(np.diagonal(vec.reshape(dim, dim)), zs, nths, idlers)
+            outputs = epr_output_blocks(amps, zs, nths, idlers)
         stack = np.empty((len(zs), len(probs) + 1) + outputs.shape[2:], outputs.dtype)
         stack[:, :-1] = outputs
         stack[:, -1] = sum(p * outputs[:, u] for u, p in enumerate(probs))  # the mixture
         entropies, deficits = (x.reshape(len(zs), -1) for x in
                                block_entropies(stack.reshape((-1,) + stack.shape[2:])))
         for row, nth, idler, ent, deficit in zip(zs, nths, idlers, entropies, deficits):
-            cross = float(max(abs(h - gaussian_output_entropy(tx, z, nth, idler))
-                              for h, z in zip(ent, row)))
+            errs = [abs(h - gaussian_output_entropy(tx, z, nth, idler)) for h, z in zip(ent, row)]
             rate = float(ent[-1]) - float(np.dot(probs, ent[:-1]))
+            # NaN passes both range checks below, and max() drops it unless it comes first
+            if not all(map(math.isfinite, (rate, *errs, *deficit))):
+                raise ConvergenceError(f"non-finite result at n_th = {nth:.3g}: rate {rate}, "
+                                       f"cross-check errors {[float(e) for e in errs]}")
+            cross = float(max(errs))
             if rate < -RATE_FLOOR:
                 raise ConvergenceError(f"computed rate {rate:.3e} is negative")
             if rate > bound + RATE_FLOOR:

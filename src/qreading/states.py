@@ -1,16 +1,14 @@
-"""Probe states in a truncated Fock basis, the entropies of states given as
+"""Probes as their d real Fock amplitudes, the entropies of states given as
 stacks of diagonal blocks, and the thermal entropy g(n) that the closed-form
-Gaussian entropies are built from. No full multi-mode density matrix is
-built here; the dense one is a test oracle.
+Gaussian entropies are built from. No probe vector or full multi-mode density
+matrix is built here; the dense ones are test oracles.
 
 Conventions used throughout the package:
 
 * quadratures are x = a + a^dag, p = -i(a - a^dag), so the vacuum covariance
   matrix is the identity (variance 1) and a thermal state with mean photon
   number ``nbar`` has covariance (2*nbar + 1) * I;
-* entropies are in bits (log base 2);
-* multi-mode Fock tensors use row-major mode ordering, EPR copies are stored
-  interleaved as (S_1, R_1, S_2, R_2, ...).
+* entropies are in bits (log base 2).
 """
 
 from __future__ import annotations
@@ -78,52 +76,6 @@ def phase_powers(x: complex | np.ndarray, count: int) -> np.ndarray:
     return np.where(x.imag == 0.0, signs, np.exp(1j * np.angle(x) * m))
 
 
-def coherent_state(amplitude: complex, dim: int,
-                   eps_trunc: float = DEFAULT_EPS_TRUNC) -> np.ndarray:
-    """Fock coefficients of |alpha>, c_m = exp(-|a|^2/2) a^m / sqrt(m!); real for real a."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if abs(amplitude) ** 2 > dim / 4.0:
-        raise TruncationError(
-            f"|amplitude|^2 = {abs(amplitude)**2:.3g} too large for dim {dim}"
-        )
-    if amplitude == 0:
-        return np.eye(1, dim)[0]
-    m = np.arange(dim)
-    log_mag = -abs(amplitude) ** 2 / 2 + m * np.log(abs(amplitude)) - log_factorials(dim) / 2
-    vec = np.exp(log_mag) * phase_powers(amplitude, dim)
-    deficit = 1.0 - float(np.vdot(vec, vec).real)
-    if deficit > eps_trunc:
-        raise TruncationError(f"coherent-state norm deficit {deficit:.3e} > {eps_trunc:.1e}")
-    return vec
-
-
-def epr_state(n: float, s: int, dim: int,
-              eps_trunc: float = DEFAULT_EPS_TRUNC) -> np.ndarray:
-    """Tensor power of two-mode squeezed vacuum, total signal energy ``n``.
-
-    Per copy the Schmidt coefficient of |m>|m> is (tanh xi)^m / cosh xi with
-    sinh^2 xi = n/s. Modes are ordered (S_1, R_1, ..., S_s, R_s).
-    """
-    if n < 0 or s < 1:
-        raise ValueError("need n >= 0 and s >= 1")
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    nbar = n / s
-    tanh2 = nbar / (nbar + 1.0)
-    m = np.arange(dim)
-    schmidt = np.sqrt(tanh2 ** m / (nbar + 1.0))
-    copy = np.zeros((dim, dim))
-    copy[m, m] = schmidt
-    vec = copy.reshape(-1)
-    for _ in range(s - 1):
-        vec = np.kron(vec, copy.reshape(-1))
-    deficit = 1.0 - float(np.vdot(vec, vec).real)
-    if deficit > eps_trunc:
-        raise TruncationError(f"EPR-state norm deficit {deficit:.3e} > {eps_trunc:.1e}")
-    return vec
-
-
 def block_entropies(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropies in bits and trace deficits of states given as (..., count,
     b, b) stacks of diagonal blocks, zero-padded to one size b. Each state is
@@ -167,13 +119,28 @@ class TransmitterSpec:
     def epr(cls, n: float, s: int = 1) -> "TransmitterSpec":
         return cls("epr", n, s=s)
 
-    def fock_vector(self, dim: int,
-                    eps_trunc: float = DEFAULT_EPS_TRUNC) -> np.ndarray:
-        """Pure transmitter state in the truncated Fock basis.
-
-        Coherent probes put the full amplitude sqrt(n) on the single signal
-        mode; EPR probes are interleaved TMSV copies.
-        """
+    def amplitudes(self, dim: int) -> np.ndarray:
+        """The probe's d real Fock amplitudes, all a rate reads of it: sqrt of
+        Poisson(n) for a coherent probe (e_0 at n = 0), the Schmidt coefficients
+        sqrt(t^m / (nbar + 1)) of one EPR copy at nbar = n/s, t = nbar / (nbar + 1).
+        Raises TruncationError if the probe's weight below ``dim`` falls short of
+        1 by more than DEFAULT_EPS_TRUNC (for EPR, over all s copies)."""
+        if dim < 2:
+            raise ValueError("dim must be >= 2")
+        m = np.arange(dim)
         if self.kind == "coherent":
-            return coherent_state(math.sqrt(self.n), dim, eps_trunc)
-        return epr_state(self.n, self.s, dim, eps_trunc)
+            a = math.sqrt(self.n)
+            if a ** 2 > dim / 4.0:
+                raise TruncationError(f"|amplitude|^2 = {a**2:.3g} too large for dim {dim}")
+            if a == 0:
+                return np.eye(1, dim)[0]
+            amp = np.exp(-a ** 2 / 2 + m * np.log(a) - log_factorials(dim) / 2)
+            name = "coherent-state"
+        else:
+            nbar = self.n / self.s
+            amp = np.sqrt((nbar / (nbar + 1.0)) ** m / (nbar + 1.0))
+            name = "EPR-state"
+        deficit = 1.0 - float(np.vdot(amp, amp)) ** self.s
+        if deficit > DEFAULT_EPS_TRUNC:
+            raise TruncationError(f"{name} norm deficit {deficit:.3e} > {DEFAULT_EPS_TRUNC:.1e}")
+        return amp

@@ -1,8 +1,12 @@
-"""Reference oracles for the tests: a dense multi-mode density matrix and its
+"""Reference oracles for the tests: dense probe vectors (a complex coherent
+state, s interleaved EPR copies), a dense multi-mode density matrix and its
 entropy, the cell channel as dense Kraus stacks on it, Fock-state helpers,
 the general Gaussian phase-space picture (covariance matrices, the channel
 on them, symplectic spectra), and the diffraction overlap, Gram and transfer
-matrices. The library computes none of these."""
+matrices. The library computes none of these.
+
+Multi-mode Fock tensors use row-major mode ordering, and EPR copies are
+stored interleaved as (S_1, R_1, S_2, R_2, ...)."""
 
 import math
 from dataclasses import dataclass
@@ -22,11 +26,38 @@ from qreading.states import (
     _check_states,
     block_entropies,
     g_thermal,
+    log_factorials,
+    phase_powers,
 )
 
 SYMPLECTIC_TOL = 1e-9
 
 _QUAD_TOL = 1e-8  # absolute tolerance of each transfer-matrix quadrature
+
+
+def coherent_state(amplitude: complex, dim: int) -> np.ndarray:
+    """Fock coefficients of |alpha>, c_m = exp(-|a|^2/2) a^m / sqrt(m!), with no
+    truncation check; real for real a."""
+    if amplitude == 0:
+        return np.eye(1, dim)[0]
+    m = np.arange(dim)
+    log_mag = -abs(amplitude) ** 2 / 2 + m * np.log(abs(amplitude)) - log_factorials(dim) / 2
+    return np.exp(log_mag) * phase_powers(amplitude, dim)
+
+
+def epr_state(n: float, s: int, dim: int) -> np.ndarray:
+    """Dense d^(2s) vector of s interleaved two-mode squeezed vacuum copies,
+    total signal energy ``n``, with no truncation check. Per copy the Schmidt
+    coefficient of |m>|m> is (tanh xi)^m / cosh xi with sinh^2 xi = n/s."""
+    nbar = n / s
+    tanh2 = nbar / (nbar + 1.0)
+    m = np.arange(dim)
+    copy = np.zeros((dim, dim))
+    copy[m, m] = np.sqrt(tanh2 ** m / (nbar + 1.0))
+    vec = copy.reshape(-1)
+    for _ in range(s - 1):
+        vec = np.kron(vec, copy.reshape(-1))
+    return vec
 
 
 @dataclass

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qreading import MarginalCell, coherent_state, epr_state
+from qreading import MarginalCell
 from qreading.channels import (
     amplifier_amplitudes,
     epr_output_blocks,
@@ -23,6 +23,8 @@ from oracles import (
     apply_classical_noise,
     apply_loss,
     check_positive,
+    coherent_state,
+    epr_state,
     fock_moments,
     gaussian_channel_action,
     loss_kraus,

@@ -403,6 +403,7 @@ class TestRemovedKnobs:
         (lambda: tau_extrema(DiffractionGeometry.from_ratios(1.0), grid_size=4096), "grid_size"),
         (lambda: rate_bounds(None, None, None, 0.1, grid_size=4096), "grid_size"),
         (lambda: TransmitterSpec("epr", 1.0, s=1, r=1), "'r'"),
+        (lambda: TransmitterSpec.epr(0.1).amplitudes(8, eps_trunc=1e-2), "eps_trunc"),
         (lambda: FockDensityMatrix((2,), np.eye(2) / 2, eps_trunc=0.1), "eps_trunc"),
         (lambda: FockDensityMatrix.from_pure(np.ones(1), (1,), eps_trunc=0.1), "eps_trunc"),
         (lambda: thermal_state(0.5, 4, eps_trunc=0.1), "eps_trunc"),
@@ -414,7 +415,7 @@ class TestRemovedKnobs:
                              0.1, 8, idler_attenuation=0.5), "idler_attenuation"),
         (lambda: holevo_rate(MarginalCell.binary(0.5, 0.0, 1.0), TransmitterSpec.epr(0.1),
                              0.1, 8, check_convergence=True), "check_convergence"),
-    ], ids=["tau_extrema", "rate_bounds", "TransmitterSpec.r",
+    ], ids=["tau_extrema", "rate_bounds", "TransmitterSpec.r", "amplitudes.eps_trunc",
             "FockDensityMatrix", "from_pure", "thermal_state", "pure_state_cell_output",
             "transfer_matrix", "check_positive", "holevo_rate.idler_attenuation",
             "holevo_rate.check_convergence"])
@@ -427,6 +428,16 @@ class TestRemovedKnobs:
         names = ("ChannelParams", "compose_with_attenuator")
         assert [n for n in names if hasattr(qreading, n) or hasattr(qreading.channels, n)] == []
         assert not hasattr(qreading.rates, "_fock_rates")
+
+    def test_dense_probe_builders_removed(self):
+        # a probe is its d real amplitudes; the dense and complex builders are oracles
+        assert [n for n in ("coherent_state", "epr_state")
+                if hasattr(qreading, n) or n in qreading.__all__] == []
+        assert not hasattr(TransmitterSpec, "fock_vector")
+        source = "".join(path.read_text(encoding="utf-8")
+                         for path in sorted(Path(qreading.__file__).parent.glob("*.py")))
+        for word in ("kron", "fock_vector", "eps_trunc", "def coherent_state", "def epr_state"):
+            assert word not in source
 
     @pytest.mark.parametrize("call", [
         lambda: apply_classical_noise(None, 0.1, quad_order=14),
@@ -443,6 +454,30 @@ class TestRemovedKnobs:
     def test_library_rejects_quad_order(self, call):
         with pytest.raises(TypeError, match="quad_order"):
             call()
+
+
+class TestBenchCallPath:
+    """The bench reads its cross-check metric off calls through rates.holevo_rate,
+    rebound at every module global bound to it; pin how many each workload makes."""
+
+    @pytest.mark.parametrize("argv,calls", [
+        (("rate", "--n", "1", "--nth", "1"), 2),
+        (("gain-map", "--n-grid", "0.01,0.5", "--nth-grid", "0,0.05,1", "--dim", "24"), 12),
+    ], ids=["point-rate", "gain-map"])
+    def test_holevo_rate_calls(self, capsys, monkeypatch, argv, calls):
+        original, seen = rates.holevo_rate, []
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        for module in (qreading, qreading.rates, qreading.cli):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(seen) == calls
 
 
 class TestBoundaryExits:
@@ -478,6 +513,34 @@ class TestBoundaryExits:
         assert code == 1
         assert out == ""
         assert err.startswith("error: EPR-state norm deficit") and err.count("\n") == 1
+
+    def test_noise_past_the_float_range_exits_1(self, capsys):
+        # 2 n_th overflows the closed form's eigenvalue product: a NaN cross-check, not a row
+        code, out, err = run(capsys, "rate", "--n", "0.1", "--nth", "1.7e308",
+                             "--transmitter", "epr")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: non-finite result") and err.count("\n") == 1
+
+    def test_huge_noise_json_is_valid(self, capsys):
+        def refuse(constant):
+            raise ValueError(constant)
+
+        code, out, _ = run(capsys, "rate", "--n", "0.1", "--nth", "1e154",
+                           "--transmitter", "epr", "--format", "json")
+        assert code == 0
+        [row] = json.loads(out, parse_constant=refuse)
+        assert math.isfinite(row["cross_check_bits"])
+
+    @pytest.mark.parametrize("ratio", ["1e300", "1.7976931348623157e308"])
+    def test_huge_ratio_is_clean(self, capsys, ratio):
+        # the d = ell symbol reads 1.0 there, with no overflow warning on the way
+        code, out, err = run(capsys, "diffraction", "--lxr-grid", ratio, "--dim", "4",
+                             "--n", "0.01")
+        assert code == 0
+        assert err == ""
+        [row] = parse_csv(out)
+        assert row["tau_min"] == row["tau_max"] == "1"
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"

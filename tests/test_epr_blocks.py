@@ -12,7 +12,6 @@ from qreading import (
     MarginalCell,
     TransmitterSpec,
     bounding_rates,
-    epr_state,
     shannon_entropy_d,
 )
 from qreading.channels import epr_output_blocks
@@ -21,6 +20,7 @@ from oracles import (
     FockDensityMatrix,
     apply_cell_channel,
     apply_loss,
+    epr_state,
     gaussian_channel_action,
     gaussian_probe,
     symplectic_entropy,
@@ -61,7 +61,7 @@ def embed(blocks, d):
 
 def dense_rate(cell, tx, n_th, d, tau):
     """A one-entry rate's numbers from dense d^2 x d^2 outputs: rate, deficit, cross."""
-    vec = tx.fock_vector(d)
+    vec = epr_state(tx.n, tx.s, d)
     rhos, cond, cross, deficit = [], 0.0, 0.0, 0.0
     for p, z in zip(cell.probs, cell.reflectances):
         rho = dense_output(vec, d, z, n_th, tau)
@@ -81,7 +81,7 @@ class TestBlockOracle:
     @pytest.mark.parametrize("z,n_th,tau", CASES, ids=IDS)
     def test_blocks_equal_dense_output(self, z, n_th, tau):
         d = 8
-        vec = epr_state(0.6, 1, d, eps_trunc=1e-2)  # weight reaches the cutoff
+        vec = epr_state(0.6, 1, d)  # weight reaches the cutoff
         dense = dense_output(vec, d, z, n_th, tau).data
         blocks = epr_output_blocks(np.diagonal(vec.reshape(d, d)), [[z]], [n_th], [tau])[0, 0]
         assert blocks.shape == (d, d, d)

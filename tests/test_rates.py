@@ -4,12 +4,14 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qreading import (
+    ConvergenceError,
     MarginalCell,
     TransmitterSpec,
     bounding_rates,
@@ -21,6 +23,7 @@ from qreading import (
     g_thermal,
     gains,
     holevo_rate,
+    rates,
     shannon_entropy_d,
 )
 from qreading.rates import gaussian_output_entropy
@@ -247,6 +250,23 @@ class TestGaussianOracle:
         with pytest.raises(ValueError, match="n_th must be >= 0"):
             holevo_rate(AMP_CELL, TransmitterSpec.epr(0.5), -0.1, dim=10)
 
+    @pytest.mark.parametrize("n_th", [6.8e153, 1e200, 1e300, 1e307])
+    @pytest.mark.parametrize("tau", [1.0, 0.7])
+    def test_closed_form_finite_at_huge_noise(self, n_th, tau):
+        # float64 diff^2 overflows here; the reference is the same closed form at 60
+        # digits, since the 50-digit eigensolve oracle reads an eigenvalue of 0 from 1e100
+        for z in (0.0, 0.6 + 0.3j, 1.0):
+            with mpmath.workdps(60):
+                e, t, n, nth = (mpmath.mpf(x) for x in (abs(z) ** 2, tau * tau, 0.1, n_th))
+                b = 1 + 2 * n * t
+                diff = 2 * n * (t - e) - 2 * nth
+                prod = 1 + 2 * n * (e * (1 - t) + t * (1 - e)) + 2 * nth * b
+                big = (mpmath.sqrt(diff ** 2 + 4 * prod) + abs(diff)) / 2
+                ref = sum((mpmath.log1p(x) + x * mpmath.log1p(1 / x)) / mpmath.log(2)
+                          for x in ((big - 1) / 2, (prod / big - 1) / 2))
+            value = gaussian_output_entropy(TransmitterSpec.epr(0.1), z, n_th, tau)
+            assert abs(value - ref) <= 1e-15 * ref
+
 
 class TestNoNegativeZero:
     def test_certain_outcome_entropy_is_positive_zero(self):
@@ -333,6 +353,24 @@ class TestBoundingRates:
         with pytest.raises(NotImplementedError):
             bounding_rates(AMP_CELL, TransmitterSpec.epr(0.1, s=2), 0.1, [1.0], 8)
         assert bounding_rates(AMP_CELL, tx, 0.1, [], 8) == []
+
+
+class TestFiniteResults:
+    def test_nan_entropy_is_an_error(self, monkeypatch):
+        # a NaN rate passes both range checks, and max() can drop a NaN cross-check
+        real = rates.block_entropies
+
+        def poisoned(blocks):
+            entropies, deficits = real(blocks)
+            return np.full_like(entropies, np.nan), deficits
+
+        monkeypatch.setattr(rates, "block_entropies", poisoned)
+        with pytest.raises(ConvergenceError, match="non-finite result"):
+            holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.1), 0.1, dim=8)
+
+    def test_noise_past_the_float_range_is_an_error(self):
+        with pytest.raises(ConvergenceError, match=r"cross-check errors \[nan, nan\]"):
+            holevo_rate(AMP_CELL, TransmitterSpec.epr(0.1), 1.7e308, dim=8)
 
 
 class TestAttenuationAndConcavity:

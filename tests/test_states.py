@@ -12,8 +12,6 @@ from qreading import (
     StateValidationError,
     TransmitterSpec,
     TruncationError,
-    coherent_state,
-    epr_state,
     g_thermal,
 )
 from qreading.states import block_entropies
@@ -22,6 +20,8 @@ from oracles import (
     FockDensityMatrix,
     GaussianState,
     check_positive,
+    coherent_state,
+    epr_state,
     fock_moments,
     partial_trace,
     symplectic_eigenvalues,
@@ -34,19 +34,19 @@ from oracles import (
 
 class TestCoherentState:
     def test_vacuum_amplitude(self):
-        vec = coherent_state(0.0, 8)
+        vec = TransmitterSpec.coherent(0.0).amplitudes(8)
         expected = np.zeros(8)
         expected[0] = 1.0
         assert np.allclose(vec, expected)
 
     def test_ground_coefficient_unit_amplitude(self):
         # c_0 = exp(-|alpha|^2 / 2) = exp(-1/2)
-        vec = coherent_state(1.0, 30)
+        vec = TransmitterSpec.coherent(1.0).amplitudes(30)
         assert abs(vec[0] - 0.6065306597126334) < 1e-12
         assert abs(np.vdot(vec, vec).real - 1.0) < 1e-10
 
     def test_mean_photon_number(self):
-        vec = coherent_state(math.sqrt(0.1), 25)
+        vec = TransmitterSpec.coherent(0.1).amplitudes(25)
         mean = np.sum(np.arange(25) * np.abs(vec) ** 2)
         assert abs(mean - 0.1) < 1e-10
 
@@ -57,13 +57,13 @@ class TestCoherentState:
         assert np.allclose(vec, ref * np.exp(1j * 0.9 * np.arange(25)))
 
     def test_too_large_amplitude_rejected(self):
-        with pytest.raises(TruncationError):
-            coherent_state(3.0, 10)
+        with pytest.raises(TruncationError, match=r"\|amplitude\|\^2 = 9 too large for dim 10"):
+            TransmitterSpec.coherent(9.0).amplitudes(10)
 
-    @given(st.floats(min_value=0.0, max_value=1.5))
+    @given(st.floats(min_value=0.0, max_value=2.25))
     @settings(max_examples=25, deadline=None)
     def test_norm_deficit_small(self, n):
-        vec = coherent_state(math.sqrt(n), 40)
+        vec = TransmitterSpec.coherent(n).amplitudes(40)
         assert 1.0 - np.vdot(vec, vec).real < 1e-8
 
 
@@ -73,6 +73,7 @@ class TestEprState:
         expected = np.zeros(36)
         expected[0] = 1.0
         assert np.allclose(vec, expected)
+        assert np.array_equal(TransmitterSpec.epr(0.0).amplitudes(6), np.eye(1, 6)[0])
 
     def test_schmidt_weights(self):
         # n = 1, s = 1: weight of |m>|m> is (1/2)(1/2)^m
@@ -84,7 +85,7 @@ class TestEprState:
 
     def test_energy_split_across_copies(self):
         # each mode's marginal straight from the pure vector, not a dense 10^4 x 10^4 state
-        psi = epr_state(1.0, 2, 10, eps_trunc=1e-3).reshape((10,) * 4)
+        psi = epr_state(1.0, 2, 10).reshape((10,) * 4)
         num = np.arange(10)
         for mode in range(4):
             others = [k for k in range(4) if k != mode]
@@ -99,8 +100,8 @@ class TestEprState:
         assert np.max(np.abs(signal.data - ref.data)) < 1e-12
 
     def test_truncation_guard(self):
-        with pytest.raises(TruncationError):
-            epr_state(5.0, 1, 4)
+        with pytest.raises(TruncationError, match=r"EPR-state norm deficit .* > 1\.0e-08"):
+            TransmitterSpec.epr(5.0).amplitudes(4)
 
 
 class TestThermalState:
@@ -159,7 +160,7 @@ class TestFockDensityMatrix:
     def test_trace_deficit_monotone_in_dim(self):
         deficits = []
         for dim in (10, 14, 18, 22, 30):
-            vec = coherent_state(1.2, dim, eps_trunc=1.0)
+            vec = coherent_state(1.2, dim)
             rho = FockDensityMatrix.from_pure(vec, (dim,))
             deficits.append(rho.trace_deficit)
         assert all(b <= a + 1e-15 for a, b in zip(deficits, deficits[1:]))
@@ -192,7 +193,7 @@ class TestEntropy:
         assert abs(von_neumann_entropy(rho) - math.log2(d)) < 1e-12
 
     def test_invariant_under_mode_swap(self):
-        vec = epr_state(0.8, 1, 12, eps_trunc=1e-3)
+        vec = epr_state(0.8, 1, 12)
         rho = FockDensityMatrix.from_pure(vec, (12, 12))
         mixed = 0.6 * rho.data + 0.4 * np.kron(thermal_state(0.5, 12).data,
                                                thermal_state(0.2, 12).data)
@@ -281,8 +282,40 @@ class TestTransmitterSpec:
         with pytest.raises(ValueError):
             TransmitterSpec.coherent(-0.1)
 
-    def test_fock_vector_roundtrip(self):
+    @given(st.floats(min_value=0.0, max_value=3.0), st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=30, max_value=60))
+    @settings(max_examples=40, deadline=None)
+    def test_amplitudes_equal_oracle_builders(self, n_coh, n_epr, dim):
+        # bit for bit: the real coherent vector, the dense EPR vector's diagonal,
+        # and for s = 2 one copy at n/2
+        assert np.array_equal(TransmitterSpec.coherent(n_coh).amplitudes(dim),
+                              coherent_state(math.sqrt(n_coh), dim))
+        schmidt = TransmitterSpec.epr(n_epr).amplitudes(dim)
+        assert np.array_equal(schmidt, np.diagonal(epr_state(n_epr, 1, dim).reshape(dim, dim)))
+        assert np.array_equal(TransmitterSpec.epr(2.0 * n_epr, 2).amplitudes(dim), schmidt)
+
+    def test_two_copies_are_the_dense_vector_diagonal(self):
+        d = 8
+        amps = TransmitterSpec.epr(0.1, 2).amplitudes(d)
+        psi = epr_state(0.1, 2, d).reshape((d,) * 4)  # modes (S_1, R_1, S_2, R_2)
+        m = np.arange(d)
+        assert np.array_equal(psi[m[:, None], m[:, None], m, m], np.outer(amps, amps))
+
+    def test_epr_deficit_counts_every_copy(self):
+        # one copy drops 7e-9 of its weight below d = 10, two copies about 1.4e-8
+        t = 7e-9 ** 0.1
+        nbar = t / (1.0 - t)
+        TransmitterSpec.epr(nbar).amplitudes(10)
+        with pytest.raises(TruncationError, match="EPR-state norm deficit 1.4"):
+            TransmitterSpec.epr(2.0 * nbar, 2).amplitudes(10)
+
+    def test_amplitudes_need_two_levels(self):
+        for tx in (TransmitterSpec.coherent(0.0), TransmitterSpec.epr(0.0)):
+            with pytest.raises(ValueError, match="dim must be >= 2"):
+                tx.amplitudes(1)
+
+    def test_amplitudes_roundtrip(self):
         tx = TransmitterSpec.epr(0.7)
-        vec = tx.fock_vector(25)
-        assert vec.shape == (625,)
+        vec = tx.amplitudes(25)
+        assert vec.shape == (25,)
         assert abs(np.vdot(vec, vec).real - 1.0) < 1e-8
