@@ -12,12 +12,7 @@ import sys
 
 import numpy as np
 
-from qreading import (
-    DiffractionGeometry,
-    MarginalCell,
-    TransmitterSpec,
-    rate_bounds,
-)
+from qreading import DiffractionGeometry, MarginalCell, rate_bounds
 
 CELL = MarginalCell.binary(0.5, 0.0, 1.0)
 N, NTH = 0.1, 1.0
@@ -30,12 +25,10 @@ def main() -> None:
                      "coherent_lower", "coherent_upper",
                      "epr_lower", "epr_upper"])
     geoms = [DiffractionGeometry.from_ratios(float(ratio)) for ratio in RATIOS]
-    coherent = rate_bounds(CELL, TransmitterSpec.coherent(N), geoms, NTH, dim=24)
-    epr_sweep = rate_bounds(CELL, TransmitterSpec.epr(N), geoms, NTH, dim=24)
-    for ratio, coh, epr in zip(RATIOS, coherent, epr_sweep):
+    for ratio, b in zip(RATIOS, rate_bounds(CELL, N, geoms, NTH, dim=24)):
         writer.writerow([f"{v:.6g}" for v in (
-            float(ratio), coh.tau_min, coh.tau_max,
-            coh.lower_bits, coh.upper_bits, epr.lower_bits, epr.upper_bits)])
+            float(ratio), b.tau_min, b.tau_max,
+            b.coherent_lower, b.coherent_upper, b.epr_lower, b.epr_upper)])
 
 
 if __name__ == "__main__":

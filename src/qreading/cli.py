@@ -284,22 +284,10 @@ def cmd_diffraction(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     ratios = _validate_grid("lxr-grid", parse_grid(cfg["lxr-grid"]))
     cell, echo = _cell(cfg)
     geoms = [DiffractionGeometry.from_ratios(ratio, cfg["d-over-ell"]) for ratio in ratios]
-    sweeps = {kind: rate_bounds(cell, TransmitterSpec(kind, cfg["n"]), geoms, cfg["nth"],
-                                cfg["dim"], attenuate_idler=cfg["both-sides"])
-              for kind in ("coherent", "epr")}
-
-    def one(i: int, ratio: float) -> dict[str, Any]:
-        bounds = {kind: sweep[i] for kind, sweep in sweeps.items()}
-        row = dict(echo, d_over_ell=cfg["d-over-ell"], ell_over_xr=ratio,
-                   tau_min=bounds["epr"].tau_min, tau_max=bounds["epr"].tau_max)
-        for kind, b in bounds.items():
-            row[f"{kind}_lower"], row[f"{kind}_upper"] = b.lower_bits, b.upper_bits
-        results = [r for b in bounds.values() for r in (b.lower, b.upper)]
-        row["trace_deficit"] = max(r.trace_deficit for r in results)
-        row["cross_check_bits"] = max(r.cross_check_error for r in results)
-        return row
-
-    return [one(i, ratio) for i, ratio in enumerate(ratios)]
+    bounds = rate_bounds(cell, cfg["n"], geoms, cfg["nth"], cfg["dim"],
+                         attenuate_idler=cfg["both-sides"])
+    return [dict(echo, d_over_ell=cfg["d-over-ell"], ell_over_xr=ratio, **vars(b))
+            for ratio, b in zip(ratios, bounds)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Near-field diffraction of the collection optics: Rayleigh length, the
 Fourier symbol of the Toeplitz Gram matrix M M^dag of the cell overlaps M,
-the extreme attenuation amplitudes, and the resulting reading-rate bounds
-(one batched rate call per transmitter for a whole sweep of geometries).
+the extreme attenuation amplitudes, and the coherent and EPR reading-rate
+bounds they give (one batched rate call per transmitter for a whole sweep of
+geometries).
 The finite Gram matrix itself is a test oracle: its spectrum lies between
 the symbol's extrema (Szego), which are all the bounds need.
 
@@ -14,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .channels import MarginalCell
 from .errors import ConvergenceError
-from .rates import RateResult, TransmitterSpec, bounding_rates
+from .rates import TransmitterSpec, bounding_rates
 
 _BOUNDARY_TOL = 1e-12
 _MAX_TERMS = 1 << 18  # (points x shifts) entries per aliased-sum chunk
@@ -94,18 +94,17 @@ class DiffractionGeometry:
 
 @dataclass(frozen=True)
 class RateBounds:
-    lower: RateResult
-    upper: RateResult
+    """One geometry's attenuation extrema and the coherent and EPR rate
+    bounds they give, in bits; the trust fields are the worst of the four rates."""
+
     tau_min: float
     tau_max: float
-
-    @property
-    def lower_bits(self) -> float:
-        return self.lower.rate_bits
-
-    @property
-    def upper_bits(self) -> float:
-        return self.upper.rate_bits
+    coherent_lower: float
+    coherent_upper: float
+    epr_lower: float
+    epr_upper: float
+    trace_deficit: float
+    cross_check_bits: float
 
 
 def _sinc(y: np.ndarray | float) -> np.ndarray | float:
@@ -129,8 +128,12 @@ def toeplitz_symbol(geom: DiffractionGeometry, z: float | np.ndarray) -> float |
         f = _symbol_unit_fill(t, ratio)
     else:
         # one (points x shifts) array per chunk; chunks bound its memory
+        window = 2 * math.ceil(ratio) + 8
+        if window > _MAX_TERMS:
+            raise ValueError(f"ell/x_R = {ratio:g} is above {(_MAX_TERMS - 8) // 2}, "
+                             "the largest the d < ell symbol sums")
         flat, f = t.ravel(), np.empty(t.shape)
-        step = max(1, _MAX_TERMS // (2 * math.ceil(ratio) + 8))
+        step = _MAX_TERMS // window
         for i in range(0, flat.size, step):
             tc = flat[i:i + step]
             m = np.arange(math.floor(tc.min() - ratio) - 1, math.ceil(tc.max() + ratio) + 2)
@@ -238,13 +241,9 @@ def _brent_bounded(func, lo: float, hi: float) -> tuple[float, float]:
     return xf, fx
 
 
-@lru_cache(maxsize=256)
 def tau_extrema(geom: DiffractionGeometry) -> tuple[float, float]:
     """Extreme amplitude attenuations (tau_min, tau_max) of the optics: the
     square roots of the symbol's extrema, found on a grid and then polished.
-
-    Memoised per process: a sweep that asks again for the same geometry
-    reuses the search.
 
     M M^dag is real, symmetric and Toeplitz, so its symbol is even and
     2pi-periodic: f(z) = f(-z) = f(2pi - z), even about each of z = 0, pi
@@ -284,24 +283,29 @@ def tau_extrema(geom: DiffractionGeometry) -> tuple[float, float]:
     return math.sqrt(f_min), math.sqrt(f_max)
 
 
-def rate_bounds(cell: MarginalCell, tx: TransmitterSpec,
-                geoms: Sequence[DiffractionGeometry], n_th: float = 0.0,
-                dim: int | None = None, *, attenuate_idler: bool = False) -> list[RateBounds]:
-    """Reading-rate bounds of each geometry, from the bounding channels at
-    tau_min / tau_max: the distinct taus of all the geometries take one
-    :func:`bounding_rates` call, one Fock pass for the sweep. ``attenuate_idler``
-    extends the attenuation to the retained ancilla modes (both-sides variant).
+def rate_bounds(cell: MarginalCell, n: float, geoms: Sequence[DiffractionGeometry],
+                n_th: float = 0.0, dim: int | None = None, *,
+                attenuate_idler: bool = False) -> list[RateBounds]:
+    """Coherent and EPR reading-rate bounds of each geometry at probe energy n,
+    from the bounding channels at tau_min / tau_max: one tau search per
+    geometry, then one :func:`bounding_rates` call per transmitter over the
+    distinct taus of the whole sweep. ``attenuate_idler`` extends the
+    attenuation to the retained ancilla modes (both-sides variant).
     """
+    txs = (TransmitterSpec.coherent(n), TransmitterSpec.epr(n))  # checks n before the search
     extrema = [tau_extrema(geom) for geom in geoms]
     taus = list(dict.fromkeys(tau for pair in extrema for tau in pair))
-    rates = dict(zip(taus, bounding_rates(cell, tx, n_th, taus, dim,
-                                          attenuate_idler=attenuate_idler)))
-    bounds = []
-    for tau_min, tau_max in extrema:
-        lower, upper = rates[tau_min], rates[tau_max]
-        if lower.rate_bits > upper.rate_bits + 1e-9:
-            raise ConvergenceError(
-                f"lower bound {lower.rate_bits} exceeds upper bound {upper.rate_bits}"
-            )
-        bounds.append(RateBounds(lower, upper, tau_min, tau_max))
-    return bounds
+    results = [[] for _ in extrema]  # per geometry: coherent, then EPR (lower, upper)
+    for tx in txs:
+        rates = dict(zip(taus, bounding_rates(cell, tx, n_th, taus, dim,
+                                              attenuate_idler=attenuate_idler)))
+        for row, (tau_min, tau_max) in zip(results, extrema):
+            lower, upper = rates[tau_min], rates[tau_max]
+            if lower.rate_bits > upper.rate_bits + 1e-9:
+                raise ConvergenceError(
+                    f"lower bound {lower.rate_bits} exceeds upper bound {upper.rate_bits}"
+                )
+            row += (lower, upper)
+    return [RateBounds(*pair, *(r.rate_bits for r in row), max(r.trace_deficit for r in row),
+                       max(r.cross_check_error for r in row))
+            for pair, row in zip(extrema, results)]

@@ -184,13 +184,9 @@ def test_08_diffraction_sweep_bounds():
     n, nth, dim = 0.1, 1.0, 24
     ratios = np.linspace(0.5, 3.0, 20)
     geoms = [DiffractionGeometry.from_ratios(ratio) for ratio in ratios]
-    sweeps = {kind: rate_bounds(AMP_CELL, tx, geoms, nth, dim)
-              for kind, tx in (("coherent", TransmitterSpec.coherent(n)),
-                               ("epr", TransmitterSpec.epr(n)))}
-    rows = [{kind + side: bits for kind, sweep in sweeps.items()
-             for side, bits in (("_lower", sweep[i].lower_bits),
-                                ("_upper", sweep[i].upper_bits))}
-            for i in range(len(geoms))]
+    keys = ("coherent_lower", "coherent_upper", "epr_lower", "epr_upper")
+    rows = [{key: getattr(b, key) for key in keys}
+            for b in rate_bounds(AMP_CELL, n, geoms, nth, dim)]
     elapsed = time.perf_counter() - start
 
     advantage = any(r["epr_lower"] > r["coherent_upper"] for r in rows)

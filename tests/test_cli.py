@@ -1,8 +1,11 @@
 """Command-line interface: parsing, config merging, output formats, errors."""
 
+import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -15,6 +18,7 @@ import qreading
 from qreading import (
     DiffractionGeometry,
     MarginalCell,
+    RateBounds,
     TransmitterSpec,
     bounding_rates,
     concavity_scan,
@@ -306,7 +310,7 @@ class TestStartup:
 
 
 class TestThinShell:
-    """The diffraction command is one call of the library's rate_bounds per transmitter."""
+    """The diffraction command is one call of the library's rate_bounds."""
 
     ARGS = ("diffraction", "--lxr-grid", "0.6:1.6:3", "--n", "0.1", "--nth", "0.5",
             "--dim", "8")
@@ -317,40 +321,37 @@ class TestThinShell:
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 3
-        # recompute from a cold cache, so equality does not come from a cache hit
-        tau_extrema.cache_clear()
         cell = MarginalCell.binary(0.5, 0.0, 1.0)
         geoms = [DiffractionGeometry.from_ratios(float(row["ell_over_xr"]),
                                                  float(row["d_over_ell"])) for row in rows]
-        for kind, tx in (("coherent", TransmitterSpec.coherent(0.1)),
-                         ("epr", TransmitterSpec.epr(0.1))):
-            sweep = rate_bounds(cell, tx, geoms, 0.5, dim=8,
-                                attenuate_idler="--both-sides" in extra)
-            for row, bounds in zip(rows, sweep, strict=True):
-                assert row["tau_min"] == f"{bounds.tau_min:.12g}"
-                assert row["tau_max"] == f"{bounds.tau_max:.12g}"
-                assert row[f"{kind}_lower"] == f"{bounds.lower_bits:.12g}"
-                assert row[f"{kind}_upper"] == f"{bounds.upper_bits:.12g}"
+        sweep = rate_bounds(cell, 0.1, geoms, 0.5, dim=8,
+                            attenuate_idler="--both-sides" in extra)
+        for row, bounds in zip(rows, sweep, strict=True):
+            assert list(row)[-len(vars(bounds)):] == list(vars(bounds))
+            for key, value in vars(bounds).items():
+                assert row[key] == f"{value:.12g}"
 
     def test_one_rate_per_distinct_tau(self, capsys, monkeypatch):
-        calls = []
-        real = diffraction.bounding_rates
+        searches, calls = [], []
+        real_search, real_rates = diffraction.tau_extrema, diffraction.bounding_rates
 
         def counted(cell, tx, n_th, taus, *args, **kwargs):
             calls.append((tx.kind, len(taus)))
-            return real(cell, tx, n_th, taus, *args, **kwargs)
+            return real_rates(cell, tx, n_th, taus, *args, **kwargs)
 
+        monkeypatch.setattr(diffraction, "tau_extrema",
+                            lambda geom: searches.append(geom) or real_search(geom))
         monkeypatch.setattr(diffraction, "bounding_rates", counted)
-        tau_extrema.cache_clear()
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 0
         rows = parse_csv(out)
         taus = {row[col] for row in rows for col in ("tau_min", "tau_max")}
         # tau_max = 1 at every ratio when d = ell, so taus repeat across rows;
-        # each transmitter takes every distinct tau in one call
+        # each transmitter takes every distinct tau in one call, and both
+        # transmitters share one tau search per geometry
         assert len(taus) < 2 * len(rows)
         assert calls == [("coherent", len(taus)), ("epr", len(taus))]
-        assert tau_extrema.cache_info().misses == len(rows)
+        assert len(searches) == len(rows)
 
     def test_one_eigensolve_per_transmitter(self, capsys, monkeypatch):
         # an 8-ratio sweep: every bounding rate of a transmitter shares one
@@ -401,7 +402,7 @@ class TestRemovedKnobs:
 
     @pytest.mark.parametrize("call,keyword", [
         (lambda: tau_extrema(DiffractionGeometry.from_ratios(1.0), grid_size=4096), "grid_size"),
-        (lambda: rate_bounds(None, None, None, 0.1, grid_size=4096), "grid_size"),
+        (lambda: rate_bounds(None, 0.1, None, 0.1, grid_size=4096), "grid_size"),
         (lambda: TransmitterSpec("epr", 1.0, s=1, r=1), "'r'"),
         (lambda: TransmitterSpec.epr(0.1).amplitudes(8, eps_trunc=1e-2), "eps_trunc"),
         (lambda: FockDensityMatrix((2,), np.eye(2) / 2, eps_trunc=0.1), "eps_trunc"),
@@ -439,6 +440,25 @@ class TestRemovedKnobs:
         for word in ("kron", "fock_vector", "eps_trunc", "def coherent_state", "def epr_state"):
             assert word not in source
 
+    def test_no_memo_in_the_package(self):
+        # a sweep makes one tau search per geometry; nothing is memoised per process
+        modules = [importlib.import_module(f"qreading.{info.name}")
+                   for info in pkgutil.iter_modules(qreading.__path__)]
+        assert [f"{m.__name__}.{name}" for m in (qreading, *modules)
+                for name, value in vars(m).items() if hasattr(value, "cache_clear")] == []
+        source = "".join(path.read_text(encoding="utf-8")
+                         for path in sorted(Path(qreading.__file__).parent.glob("*.py")))
+        assert [w for w in ("lru_cache", "functools", "cache_clear") if w in source] == []
+
+    def test_rate_bounds_fields_are_the_diffraction_columns(self):
+        # one flat record per geometry, in the CLI's column order; the
+        # per-transmitter RateResult pair and its accessors are gone
+        assert [f.name for f in dataclasses.fields(RateBounds)] == [
+            "tau_min", "tau_max", "coherent_lower", "coherent_upper", "epr_lower",
+            "epr_upper", "trace_deficit", "cross_check_bits"]
+        assert [n for n in ("lower", "upper", "lower_bits", "upper_bits")
+                if hasattr(RateBounds, n)] == []
+
     @pytest.mark.parametrize("call", [
         lambda: apply_classical_noise(None, 0.1, quad_order=14),
         lambda: apply_cell_channel(None, 1.0, 0.1, quad_order=14),
@@ -447,7 +467,7 @@ class TestRemovedKnobs:
         lambda: gains(None, 0.1, 0.1, quad_order=14),
         lambda: concavity_scan(None, [0.1, 0.2, 0.3], 0.1, quad_order=14),
         lambda: bounding_rates(None, None, 0.1, [1.0], quad_order=14),
-        lambda: rate_bounds(None, None, [], 0.1, quad_order=14),
+        lambda: rate_bounds(None, 0.1, [], 0.1, quad_order=14),
     ], ids=["apply_classical_noise", "apply_cell_channel", "pure_state_cell_output",
             "holevo_rate", "gains", "concavity_scan", "bounding_rates",
             "rate_bounds"])
@@ -637,10 +657,12 @@ class TestTrustColumns:
         assert list(rows[0])[-3:] == ["epr_upper", "trace_deficit", "cross_check_bits"]
         cell = MarginalCell.binary(0.5, 0.0, 1.0)
         for row in rows:
-            geom = DiffractionGeometry.from_ratios(float(row["ell_over_xr"]))
-            results = []
-            for tx in (TransmitterSpec.coherent(0.1), TransmitterSpec.epr(0.1)):
-                [bounds] = rate_bounds(cell, tx, [geom], 0.5, dim=8)
-                results += [bounds.lower, bounds.upper]
+            taus = tau_extrema(DiffractionGeometry.from_ratios(float(row["ell_over_xr"])))
+            # the four bound rates and the worst of their trust numbers, from
+            # the rate core itself
+            results = [r for tx in (TransmitterSpec.coherent(0.1), TransmitterSpec.epr(0.1))
+                       for r in bounding_rates(cell, tx, 0.5, taus, 8)]
+            assert [row[key] for key in ("coherent_lower", "coherent_upper", "epr_lower",
+                                         "epr_upper")] == [f"{r.rate_bits:.12g}" for r in results]
             self.assert_cells(row, max(r.trace_deficit for r in results),
                               max(r.cross_check_error for r in results))

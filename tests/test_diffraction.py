@@ -353,15 +353,14 @@ class TestSpectrum:
 
     def test_grid_symbol_evaluated_once(self, monkeypatch):
         # the grid samples double as extremum candidates; only the window
-        # edges and the local polish add symbol points (uncached, so a
-        # memo hit cannot hide the count)
+        # edges and the local polish add symbol points
         points = []
         real = diffraction.toeplitz_symbol
         monkeypatch.setattr(diffraction, "toeplitz_symbol",
                             lambda geom, z: points.append(np.size(z)) or real(geom, z))
         for ratio, d_over_ell in ((0.9, 1.0), (1.7, 0.6)):
             points.clear()
-            tau_extrema.__wrapped__(DiffractionGeometry.from_ratios(ratio, d_over_ell))
+            tau_extrema(DiffractionGeometry.from_ratios(ratio, d_over_ell))
             assert diffraction.GRID_SIZE < sum(points) < diffraction.GRID_SIZE + 256
 
     @pytest.mark.parametrize("d_over_ell", np.round(np.linspace(0.55, 1.0, 10), 2))
@@ -395,7 +394,7 @@ class TestSpectrum:
         monkeypatch.setattr(diffraction, "toeplitz_symbol",
                             lambda geom, z: calls.append(1) or real(geom, z))
         for ratio in parse_grid("0.6:2.7:8"):
-            tau_extrema.__wrapped__(DiffractionGeometry.from_ratios(ratio, d_over_ell))
+            tau_extrema(DiffractionGeometry.from_ratios(ratio, d_over_ell))
         assert len(calls) <= budget
 
 
@@ -433,7 +432,7 @@ class TestBrentPort:
                             lambda func, lo, hi: brackets.append((func, lo, hi))
                             or real(func, lo, hi))
         for ratio in parse_grid("0.6:2.7:8"):
-            tau_extrema.__wrapped__(DiffractionGeometry.from_ratios(ratio, d_over_ell))
+            tau_extrema(DiffractionGeometry.from_ratios(ratio, d_over_ell))
         monkeypatch.undo()
         assert brackets
         for func, lo, hi in brackets:
@@ -443,55 +442,55 @@ class TestBrentPort:
 class TestRateBounds:
     def test_bounds_ordered_and_sandwiched(self):
         geom = DiffractionGeometry.from_ratios(0.8)
-        [res] = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.2), [geom],
-                            n_th=0.5, dim=20)
-        assert 0.0 <= res.lower_bits <= res.upper_bits
+        [res] = rate_bounds(AMP_CELL, 0.2, [geom], n_th=0.5, dim=20)
+        assert 0.0 <= res.coherent_lower <= res.coherent_upper
+        assert 0.0 <= res.epr_lower <= res.epr_upper
         assert res.tau_min <= res.tau_max <= 1.0
 
     def test_transparent_limit_collapses(self):
         geom = DiffractionGeometry.from_ratios(2e5)
-        [res] = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.5), [geom],
-                            dim=25)
-        assert res.upper_bits - res.lower_bits < 1e-4
+        [res] = rate_bounds(AMP_CELL, 0.5, [geom], dim=25)
+        assert res.coherent_upper - res.coherent_lower < 1e-4
+        assert res.epr_upper - res.epr_lower < 1e-4
         # both bounds agree with the unobstructed noiseless closed form
         from qreading import coherent_capacity_noiseless
         ref = coherent_capacity_noiseless(AMP_CELL, 0.5)
         assert abs(ref - 0.5017219133749418) < 1e-12
-        assert abs(res.upper_bits - ref) < 1e-4
-        assert abs(res.lower_bits - ref) < 1e-4
+        assert abs(res.coherent_upper - ref) < 1e-4
+        assert abs(res.coherent_lower - ref) < 1e-4
 
     def test_opaque_limit_zero_lower(self):
         geom = DiffractionGeometry.from_ratios(0.3)
-        [res] = rate_bounds(AMP_CELL, TransmitterSpec.coherent(0.5), [geom],
-                            dim=25)
-        assert res.lower_bits < 1e-9
+        [res] = rate_bounds(AMP_CELL, 0.5, [geom], dim=25)
+        assert res.coherent_lower < 1e-9
+        assert res.epr_lower < 1e-9
 
     def test_both_sides_attenuation_weaker(self):
         geom = DiffractionGeometry.from_ratios(0.7)
-        [one] = rate_bounds(AMP_CELL, TransmitterSpec.epr(0.2), [geom],
-                            n_th=0.3, dim=14)
-        [two] = rate_bounds(AMP_CELL, TransmitterSpec.epr(0.2), [geom],
-                            n_th=0.3, dim=14, attenuate_idler=True)
-        assert two.lower_bits <= one.lower_bits + 1e-7
+        [one] = rate_bounds(AMP_CELL, 0.2, [geom], n_th=0.3, dim=14)
+        [two] = rate_bounds(AMP_CELL, 0.2, [geom], n_th=0.3, dim=14, attenuate_idler=True)
+        assert two.epr_lower <= one.epr_lower + 1e-7
+        # the coherent probe has no idler
+        assert (two.coherent_lower, two.coherent_upper) == (one.coherent_lower,
+                                                            one.coherent_upper)
 
     def test_sweep_equals_one_geometry_at_a_time(self):
         geoms = [DiffractionGeometry.from_ratios(r, dl)
                  for r in (0.6, 1.3, 2.2) for dl in (1.0, 0.7)]
-        tx = TransmitterSpec.epr(0.1)
-        sweep = rate_bounds(AMP_CELL, tx, geoms, 0.3, 10, attenuate_idler=True)
-        assert sweep == [rate_bounds(AMP_CELL, tx, [geom], 0.3, 10, attenuate_idler=True)[0]
+        sweep = rate_bounds(AMP_CELL, 0.1, geoms, 0.3, 10, attenuate_idler=True)
+        assert sweep == [rate_bounds(AMP_CELL, 0.1, [geom], 0.3, 10, attenuate_idler=True)[0]
                          for geom in geoms]
 
     def test_sweep_memory_bounded_by_chunks(self):
         # 100 aliased ratios give 62 distinct taus. Their EPR outputs and
         # mixtures at d = 24 take 21 MB in one stack, and the build peaked at
         # 84 MB unchunked; chunks of rates._MAX_STACK_TERMS = 2^19 terms (4 MB
-        # of float64) peak near 24 MB
+        # of float64) peak near 24 MB. The coherent pass runs first and is far
+        # smaller, so computing both transmitters leaves the peak unchanged
         geoms = [DiffractionGeometry.from_ratios(r, 0.7) for r in np.linspace(0.5, 3.0, 100)]
         tracemalloc.start()
         try:
-            sweep = rate_bounds(AMP_CELL, TransmitterSpec.epr(0.1), geoms, 0.5, 24,
-                                attenuate_idler=True)
+            sweep = rate_bounds(AMP_CELL, 0.1, geoms, 0.5, 24, attenuate_idler=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -500,11 +499,10 @@ class TestRateBounds:
 
     def test_attenuate_idler_is_keyword_only(self):
         geom = DiffractionGeometry.from_ratios(0.7)
-        tx = TransmitterSpec.epr(0.2)
         with pytest.raises(TypeError, match="positional"):
-            rate_bounds(AMP_CELL, tx, [geom], 0.3, 8, True)
+            rate_bounds(AMP_CELL, 0.2, [geom], 0.3, 8, True)
         with pytest.raises(TypeError, match="positional"):
-            bounding_rates(AMP_CELL, tx, 0.3, [0.5], 8, True)
+            bounding_rates(AMP_CELL, TransmitterSpec.epr(0.2), 0.3, [0.5], 8, True)
 
 
 class TestTransferMatrix:
