@@ -27,8 +27,8 @@ def main() -> None:
         res = gains(CELL, N, float(nth), dim=24)
         writer.writerow([f"{v:.6g}" if isinstance(v, float) else v
                          for v in (N, float(nth), res.coherent_bits,
-                                   res.epr_bits, res.absolute,
-                                   res.relative if res.relative is not None else "")])
+                                   res.epr_bits, res.gain_absolute,
+                                   res.gain_relative if res.gain_relative is not None else "")])
 
 
 if __name__ == "__main__":

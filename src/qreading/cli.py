@@ -6,8 +6,8 @@ Subcommands
     diffraction  tau extrema and rate bounds as a function of ell / x_R
 
 Values may come from a config file (INI-style, one section per command,
-keys equal to the long flag names, values read and checked as the flag's
-are) and are overridden by explicit flags.
+keys equal to the long flag names). Its entries become flags ahead of the
+command line's own, so one parser reads and checks both, and flags win.
 Results go to --out or standard output; diagnostics go to standard error,
 with verbosity controlled by the QREADING_LOG environment variable.
 """
@@ -26,7 +26,7 @@ import os
 import sys
 from configparser import ConfigParser
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from .channels import MarginalCell
 from .diffraction import DiffractionGeometry, rate_bounds
@@ -123,8 +123,6 @@ _SUMMARY = {
 
 
 def _fmt(value: Any) -> Any:
-    if value is None:
-        return None
     if isinstance(value, float):
         return float(f"{value:.12g}")
     return value
@@ -151,19 +149,26 @@ def parse_grid(text: str) -> list[float]:
         raise ConfigError(f"cannot parse grid {text!r}") from exc
 
 
-def _validate_grid(name: str, values: Sequence[float]) -> list[float]:
-    vals = list(values)
-    if not vals:
-        raise ConfigError(f"{name}: grid is empty")
+def _grid(cfg: dict[str, Any], key: str) -> list[float]:
+    """The grid setting ``key``, finite and strictly increasing."""
+    vals = parse_grid(cfg[key])
     if not all(math.isfinite(v) for v in vals):
-        raise ConfigError(f"{name}: grid values must be finite")
+        raise ConfigError(f"{key}: grid values must be finite")
     if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError(f"{name}: grid must be strictly increasing")
+        raise ConfigError(f"{key}: grid must be strictly increasing")
     return vals
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose complaints become a ConfigError: one ``error:`` line, exit 2."""
+
+    @staticmethod
+    def error(message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qreading",
         description="Holevo readout rates of optical memories under thermal "
                     "and diffraction noise",
@@ -174,49 +179,52 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="INI config file")
         for key, opt in options.items():
             if opt.type is bool:
-                p.add_argument(f"--{key}", action="store_const", const=True, help=opt.help)
+                p.add_argument(f"--{key}", action="store_true", help=opt.help)
             else:
-                p.add_argument(f"--{key}", type=opt.type, choices=opt.choices,
-                               help=opt.help)
+                p.add_argument(f"--{key}", type=opt.type, default=opt.default,
+                               choices=opt.choices, help=opt.help)
     return parser
 
 
-def _cast(key: str, opt: Option, text: str) -> Any:
-    """A config-file value, read and checked the way its flag is."""
-    try:
-        value = ConfigParser.BOOLEAN_STATES[text.lower()] if opt.type is bool \
-            else opt.type(text)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
-    if opt.choices is not None and value not in opt.choices:
-        raise ConfigError(f"bad value for {key!r}: {text!r} "
-                          f"(choose from {', '.join(opt.choices)})")
-    return value
+def _config_flags(command: str, path: str) -> list[str]:
+    """The [command] entries of a config file as flags: ``--key=value``, whose
+    ``=`` keeps a value such as -1e300 from reading as a flag, or a boolean
+    key's bare flag when its value is true."""
+    parser = ConfigParser()
+    if not parser.read(path):
+        raise ConfigError(f"cannot read config file {path}")
+    if not parser.has_section(command):
+        return []
+    options, flags = _OPTIONS[command], []
+    for key, text in parser.items(command):
+        if key not in options:
+            raise ConfigError(f"unknown config key {key!r} in [{command}]")
+        if options[key].type is not bool:
+            flags.append(f"--{key}={text}")
+        elif text.lower() not in ConfigParser.BOOLEAN_STATES:
+            raise ConfigError(f"bad value for {key!r}: {text!r}")
+        elif ConfigParser.BOOLEAN_STATES[text.lower()]:
+            flags.append(f"--{key}")
+    return flags
 
 
-def _merge_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
-    options = _OPTIONS[command]
-    merged = {key: opt.default for key, opt in options.items()}
+def _settings(argv: list[str]) -> tuple[str, dict[str, Any]]:
+    """The subcommand and its settings. A config file's flags go between the
+    subcommand and the command line's flags, and argparse keeps the last value."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.config:
-        parser = ConfigParser()
-        if not parser.read(args.config):
-            raise ConfigError(f"cannot read config file {args.config}")
-        if parser.has_section(command):
-            for key, text in parser.items(command):
-                if key not in options:
-                    raise ConfigError(f"unknown config key {key!r} in [{command}]")
-                merged[key] = _cast(key, options[key], text)
-    for key in options:
-        arg_val = getattr(args, key.replace("-", "_"))
-        if arg_val is not None:
-            merged[key] = arg_val
+        args = parser.parse_args([*argv[:1], *_config_flags(args.command, args.config),
+                                  *argv[1:]])
+    options = _OPTIONS[args.command]
+    cfg = {key: getattr(args, key.replace("-", "_")) for key in options}
     for key, opt in options.items():
-        if opt.required and merged[key] is None:
-            raise ConfigError(f"missing required field {key!r} for {command}")
-    for key, value in merged.items():
+        if opt.required and cfg[key] is None:
+            raise ConfigError(f"missing required field {key!r} for {args.command}")
+    for key, value in cfg.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key!r} must be finite, got {value!r}")
-    return merged
+    return args.command, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +271,15 @@ def cmd_rate(cfg: dict[str, Any]) -> list[dict[str, Any]]:
 
 def cmd_gain_map(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     p0, dim = cfg["p0"], cfg["dim"]
-    z0s = _validate_grid("z0-grid", parse_grid(cfg["z0-grid"]))
-    z1s = _validate_grid("z1-grid", parse_grid(cfg["z1-grid"]))
-    ns = _validate_grid("n-grid", parse_grid(cfg["n-grid"]))
-    nths = _validate_grid("nth-grid", parse_grid(cfg["nth-grid"]))
-
-    def one(z0: float, z1: float, n: float, nth: float) -> dict[str, Any]:
-        res = gains(MarginalCell.binary(p0, z0, z1), n, nth, dim)
-        return {
-            "p0": p0, "z0": z0, "z1": z1, "n": n, "n_th": nth, "dim": dim,
-            "coherent_bits": res.coherent_bits, "epr_bits": res.epr_bits,
-            "gain_absolute": res.absolute, "gain_relative": res.relative,
-            "trace_deficit": res.trace_deficit, "cross_check_bits": res.cross_check_bits,
-        }
-
-    return [one(z0, z1, n, nth) for z0 in z0s for z1 in z1s for n in ns for nth in nths]
+    z0s, z1s, ns, nths = (_grid(cfg, key) for key in ("z0-grid", "z1-grid", "n-grid",
+                                                      "nth-grid"))
+    return [dict(p0=p0, z0=z0, z1=z1, n=n, n_th=nth, dim=dim,
+                 **vars(gains(MarginalCell.binary(p0, z0, z1), n, nth, dim)))
+            for z0 in z0s for z1 in z1s for n in ns for nth in nths]
 
 
 def cmd_diffraction(cfg: dict[str, Any]) -> list[dict[str, Any]]:
-    ratios = _validate_grid("lxr-grid", parse_grid(cfg["lxr-grid"]))
+    ratios = _grid(cfg, "lxr-grid")
     cell, echo = _cell(cfg)
     geoms = [DiffractionGeometry.from_ratios(ratio, cfg["d-over-ell"]) for ratio in ratios]
     bounds = rate_bounds(cell, cfg["n"], geoms, cfg["nth"], cfg["dim"],
@@ -305,26 +303,22 @@ def render(rows: list[dict[str, Any]], fmt: str) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow("" if row[k] is None else
-                        (f"{row[k]:.12g}" if isinstance(row[k], float) else row[k])
+        writer.writerow(f"{row[k]:.12g}" if isinstance(row[k], float) else row[k]
                         for k in header)
     return buf.getvalue()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    level = os.environ.get("QREADING_LOG", "warn").upper()
-    level = {"WARN": "WARNING"}.get(level, level)
+    level = logging.getLevelName(os.environ.get("QREADING_LOG", "warn").upper())
     logging.basicConfig(stream=sys.stderr,
-                        level=getattr(logging, level, logging.WARNING),
+                        level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     _retain_freed_heap()
     try:
-        cfg = _merge_config(args.command, args)
-        log.info("running %s with %s", args.command, cfg)
+        command, cfg = _settings(sys.argv[1:] if argv is None else list(argv))
+        log.info("running %s with %s", command, cfg)
         runner = {"rate": cmd_rate, "gain-map": cmd_gain_map,
-                  "diffraction": cmd_diffraction}[args.command]
+                  "diffraction": cmd_diffraction}[command]
         rows = runner(cfg)
         text = render(rows, cfg["format"])
     except (ConfigError, ValueError) as exc:  # out-of-domain input

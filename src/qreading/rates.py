@@ -43,10 +43,12 @@ class RateResult:
 
 @dataclass(frozen=True)
 class GainResult:
-    absolute: float
-    relative: float | None
+    """EPR-over-coherent gains; the fields are the gain-map columns, in order."""
+
     coherent_bits: float
     epr_bits: float
+    gain_absolute: float
+    gain_relative: float | None
     trace_deficit: float  # worst of the two rates
     cross_check_bits: float  # worst of the two rates
 
@@ -235,7 +237,7 @@ def gains(cell: MarginalCell, n: float, n_th: float,
     epr = holevo_rate(cell, TransmitterSpec.epr(n), n_th, dim)
     absolute = epr.rate_bits - coh.rate_bits
     relative = absolute / coh.rate_bits if coh.rate_bits >= 1e-12 else None
-    return GainResult(absolute, relative, coh.rate_bits, epr.rate_bits,
+    return GainResult(coh.rate_bits, epr.rate_bits, absolute, relative,
                       max(coh.trace_deficit, epr.trace_deficit),
                       max(coh.cross_check_error, epr.cross_check_error))
 

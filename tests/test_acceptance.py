@@ -103,15 +103,15 @@ def test_03_faint_signal_approximations():
 def test_04_thermal_gain_sign_structure():
     noisy = gains(AMP_CELL, 0.01, 0.1, dim=24)
     clean = gains(PHASE_CELL, 1.0, 0.0, dim=30)
-    ok = (noisy.absolute > 0.0 and noisy.relative is not None
-          and noisy.relative > 1.0 and clean.absolute < 0.0)
+    ok = (noisy.gain_absolute > 0.0 and noisy.gain_relative is not None
+          and noisy.gain_relative > 1.0 and clean.gain_absolute < 0.0)
     record_acceptance(
         "04 thermal-noise gain signs", ok,
-        f"G_a={noisy.absolute:.3e}, G_r={noisy.relative:.2f}, "
-        f"noiseless phase G_a={clean.absolute:.3e}")
-    assert noisy.absolute > 0.0
-    assert noisy.relative is not None and noisy.relative > 1.0
-    assert clean.absolute < 0.0
+        f"G_a={noisy.gain_absolute:.3e}, G_r={noisy.gain_relative:.2f}, "
+        f"noiseless phase G_a={clean.gain_absolute:.3e}")
+    assert noisy.gain_absolute > 0.0
+    assert noisy.gain_relative is not None and noisy.gain_relative > 1.0
+    assert clean.gain_absolute < 0.0
 
 
 def test_05_cross_picture_conditional_entropies():

@@ -236,13 +236,19 @@ class TestDiffractionCommand:
         assert "lxr-grid" in err
 
 
+def _fresh_process(*args: str, **variables: str) -> subprocess.CompletedProcess:
+    """A new interpreter run with ``args`` and extra environment ``variables``
+    on this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def _fresh_interpreter(code: str) -> list[str]:
     """Stdout lines of ``code`` run in a new interpreter on this checkout's src/."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _fresh_process("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()
 
@@ -307,6 +313,48 @@ class TestStartup:
         codes, per_op = _fresh_interpreter(code)[-1].rsplit(" ", 1)
         assert codes == "[0, 0, 0, 0, 0]"
         assert float(per_op) < 100
+
+
+class TestProgram:
+    """The CLI run as ``python -m qreading.cli`` in a fresh interpreter."""
+
+    def test_malformed_flag_exits_2(self):
+        proc = _fresh_process("-m", "qreading.cli", "rate", "--n", "abc")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: argument --n: invalid float value: 'abc'\n"
+
+    # a fresh interpreter, because under pytest the root logger already has
+    # handlers and logging.basicConfig does nothing
+    @pytest.mark.parametrize("level,logged", [("basic_format", []), ("warn", []),
+                                              ("info", ["INFO qreading: running rate with {"])],
+                             ids=["basic_format", "warn", "info"])
+    def test_log_levels(self, level, logged):
+        proc = _fresh_process("-m", "qreading.cli", "rate", "--n", "0.1", "--dim", "8",
+                              "--transmitter", "coherent", QREADING_LOG=level)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("p0,")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == len(logged)
+        assert all(line.startswith(start) for line, start in zip(lines, logged))
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv,choices", [
+        ((), ["{rate,gain-map,diffraction}"]),
+        (("rate",), ["{csv,json}", "{coherent,epr,both}"]),
+        (("gain-map",), ["{csv,json}"]),
+        (("diffraction",), ["{csv,json}"]),
+    ], ids=["top", "rate", "gain-map", "diffraction"])
+    def test_help_exits_0(self, capsys, argv, choices):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(" ".join(["usage: qreading", *argv]))
+        assert err == ""
+        for listed in choices:
+            assert listed in out
 
 
 class TestThinShell:
@@ -378,10 +426,11 @@ class TestRemovedKnobs:
     @pytest.mark.parametrize("flag", ["--quad-order", "--threads", "--grid-size"])
     @pytest.mark.parametrize("command", ["rate", "gain-map", "diffraction"])
     def test_flag_rejected(self, capsys, command, flag):
-        with pytest.raises(SystemExit) as exc:
-            main([command, flag, "2"])
-        assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        code, out, err = run(capsys, command, flag, "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
 
     @pytest.mark.parametrize("key", ["quad-order", "threads"])
     def test_config_key_rejected(self, capsys, tmp_path, key):

@@ -1,7 +1,8 @@
-"""Property over the command line's input domain: whatever finite, extreme or
+"""Properties over the command line's input domain: whatever finite, extreme or
 out-of-domain number a flag holds, the command ends in a documented exit code
 with either a clean table or one ``error:`` line, never a traceback or a
-non-finite cell."""
+non-finite cell; and a command line argparse cannot read returns 2 with one
+``error:`` line, never a usage block or a SystemExit."""
 
 import contextlib
 import csv
@@ -13,7 +14,7 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qreading.cli import main
+from qreading.cli import _OPTIONS, main
 
 EXTREMES = [0.0, 5e-324, 1e300, sys.float_info.max]
 NEGATIVES = [-5e-324, -0.5, -1e300, -sys.float_info.max]
@@ -77,3 +78,65 @@ def test_every_input_ends_cleanly(argv, dim, fmt):
             except ValueError:
                 continue
             assert math.isfinite(value), row
+
+
+def _unreadable(cast, text):
+    try:
+        cast(text)
+    except ValueError:
+        return True
+    return False
+
+
+# flag and subcommand names; an unknown one must not be a prefix of a known
+# one, which argparse would take as its abbreviation
+WORD = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12)
+# a well-formed start for each subcommand, so that only the appended part is wrong
+WELL_FORMED = {"rate": ["--n=0.1"], "gain-map": ["--n-grid=0.1", "--nth-grid=0"],
+               "diffraction": ["--lxr-grid=1"]}
+
+
+def _malformed(command):
+    opts = _OPTIONS[command]
+    known = ["--help", "--config", *(f"--{key}" for key in opts)]
+    numbers = [key for key, opt in opts.items() if opt.type in (float, int)]
+    choices = [key for key, opt in opts.items() if opt.choices]
+    valued = ["--config", *(f"--{key}" for key, opt in opts.items() if opt.type is not bool)]
+    tail = st.one_of(
+        st.tuples(st.sampled_from(numbers), st.text(max_size=8))
+        .filter(lambda kv: _unreadable(opts[kv[0]].type, kv[1]))
+        .map(lambda kv: [f"--{kv[0]}={kv[1]}"]),
+        st.tuples(st.sampled_from(choices), st.text(max_size=8))
+        .filter(lambda kv: kv[1] not in opts[kv[0]].choices)
+        .map(lambda kv: [f"--{kv[0]}={kv[1]}"]),
+        WORD.map("--{}".format).filter(lambda flag: not any(k.startswith(flag) for k in known))
+        .map(lambda flag: [flag, "3"]),
+        st.sampled_from(valued).map(lambda flag: [flag]),
+    )
+    return tail.map(lambda bad: [command, *WELL_FORMED[command], *bad])
+
+
+UNKNOWN_SUBCOMMAND = WORD.filter(
+    lambda word: not word.startswith("-") and not any(c.startswith(word) for c in _OPTIONS))
+MALFORMED = st.one_of(*map(_malformed, _OPTIONS), st.just([]),
+                      UNKNOWN_SUBCOMMAND.map(lambda word: [word, "--n=0.1"]))
+
+
+@given(MALFORMED)
+@settings(max_examples=200, deadline=None)
+@example(["rate", "--n", "abc"])
+@example(["rate", "--n", "1", "--transmitter", "foo"])
+@example(["rate", "--n", "1", "--bogus", "3"])
+@example(["rate", "--n"])
+@example(["rate", "--n", "1", "--dim", "2.5"])
+@example(["rate", "--n", "0.1", "--nth", "-1e300"])
+@example(["bogus"])
+@example([])
+def test_malformed_command_line_is_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # a SystemExit fails the test
+    err = err.getvalue()
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -298,17 +298,17 @@ class TestFaintAgreement:
 class TestGains:
     def test_noisy_amplitude_favors_epr(self):
         res = gains(AMP_CELL, 0.1, 1.0, dim=24)
-        assert res.absolute > 0.0
-        assert res.relative is not None and res.relative > 0.0
-        assert abs(res.absolute - (res.epr_bits - res.coherent_bits)) < 1e-12
+        assert res.gain_absolute > 0.0
+        assert res.gain_relative is not None and res.gain_relative > 0.0
+        assert abs(res.gain_absolute - (res.epr_bits - res.coherent_bits)) < 1e-12
 
     def test_noiseless_phase_favors_coherent(self):
         res = gains(PHASE_CELL, 1.0, 0.0, dim=30)
-        assert res.absolute < 0.0
+        assert res.gain_absolute < 0.0
 
     def test_degenerate_cell_relative_undefined(self):
         res = gains(MarginalCell.binary(0.5, 0.6, 0.6), 0.5, 0.0, dim=18)
-        assert res.relative is None
+        assert res.gain_relative is None
 
 
 # real reflectances (either sign) and complex ones
