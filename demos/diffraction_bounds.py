@@ -24,7 +24,7 @@ def main() -> None:
     writer.writerow(["ell_over_xr", "tau_min", "tau_max",
                      "coherent_lower", "coherent_upper",
                      "epr_lower", "epr_upper"])
-    geoms = [DiffractionGeometry.from_ratios(float(ratio)) for ratio in RATIOS]
+    geoms = [DiffractionGeometry(float(ratio)) for ratio in RATIOS]
     for ratio, b in zip(RATIOS, rate_bounds(CELL, N, geoms, NTH, dim=24)):
         writer.writerow([f"{v:.6g}" for v in (
             float(ratio), b.tau_min, b.tau_max,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import configparser
 import csv
 import ctypes
 import io
@@ -24,7 +25,6 @@ import logging
 import math
 import os
 import sys
-from configparser import ConfigParser
 from dataclasses import dataclass
 from typing import Any, Callable, NoReturn, Sequence
 
@@ -190,20 +190,23 @@ def _config_flags(command: str, path: str) -> list[str]:
     """The [command] entries of a config file as flags: ``--key=value``, whose
     ``=`` keeps a value such as -1e300 from reading as a flag, or a boolean
     key's bare flag when its value is true."""
-    parser = ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path}")
-    if not parser.has_section(command):
-        return []
+    parser = configparser.ConfigParser()
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        items = parser.items(command) if parser.has_section(command) else []
+    except configparser.Error as exc:  # its messages may span several lines
+        raise ConfigError(f"cannot parse config file {path}: "
+                          f"{str(exc).splitlines()[0]}") from exc
     options, flags = _OPTIONS[command], []
-    for key, text in parser.items(command):
+    for key, text in items:
         if key not in options:
             raise ConfigError(f"unknown config key {key!r} in [{command}]")
         if options[key].type is not bool:
             flags.append(f"--{key}={text}")
-        elif text.lower() not in ConfigParser.BOOLEAN_STATES:
+        elif text.lower() not in parser.BOOLEAN_STATES:
             raise ConfigError(f"bad value for {key!r}: {text!r}")
-        elif ConfigParser.BOOLEAN_STATES[text.lower()]:
+        elif parser.BOOLEAN_STATES[text.lower()]:
             flags.append(f"--{key}")
     return flags
 
@@ -281,7 +284,7 @@ def cmd_gain_map(cfg: dict[str, Any]) -> list[dict[str, Any]]:
 def cmd_diffraction(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     ratios = _grid(cfg, "lxr-grid")
     cell, echo = _cell(cfg)
-    geoms = [DiffractionGeometry.from_ratios(ratio, cfg["d-over-ell"]) for ratio in ratios]
+    geoms = [DiffractionGeometry(ratio, cfg["d-over-ell"]) for ratio in ratios]
     bounds = rate_bounds(cell, cfg["n"], geoms, cfg["nth"], cfg["dim"],
                          attenuate_idler=cfg["both-sides"])
     return [dict(echo, d_over_ell=cfg["d-over-ell"], ell_over_xr=ratio, **vars(b))

@@ -1,8 +1,7 @@
-"""Near-field diffraction of the collection optics: Rayleigh length, the
-Fourier symbol of the Toeplitz Gram matrix M M^dag of the cell overlaps M,
-the extreme attenuation amplitudes, and the coherent and EPR reading-rate
-bounds they give (one batched rate call per transmitter for a whole sweep of
-geometries).
+"""Near-field diffraction of the collection optics: the Fourier symbol of
+the Toeplitz Gram matrix M M^dag of the cell overlaps M, the extreme
+attenuation amplitudes, and the coherent and EPR reading-rate bounds they
+give (one batched rate call per transmitter for a whole sweep of geometries).
 The finite Gram matrix itself is a test oracle: its spectrum lies between
 the symbol's extrema (Szego), which are all the bounds need.
 
@@ -32,64 +31,17 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 @dataclass(frozen=True)
 class DiffractionGeometry:
-    """Thin-lens collection optics over a linear cell array.
-
-    Lengths are in the same (arbitrary) unit; only the ratios ell / x_R and
-    d / ell enter the Toeplitz symbol.
+    """Collection optics over a linear cell array, as the two ratios that
+    enter the Toeplitz symbol: cell spacing over Rayleigh length, ell / x_R,
+    and cell width over spacing, d / ell.
     """
 
-    wavelength: float
-    object_distance: float
-    image_distance: float
-    focal: float
-    pupil_halfwidth: float
-    cell_spacing: float
-    cell_width: float
-    array_length: float
+    ell_over_xr: float
+    d_over_ell: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("wavelength", "object_distance", "image_distance", "focal",
-                     "pupil_halfwidth", "cell_spacing", "cell_width", "array_length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        lens = 1.0 / self.object_distance + 1.0 / self.image_distance
-        if abs(lens - 1.0 / self.focal) > 1e-9 / self.focal:
-            raise ValueError("geometry violates the lens law 1/D_o + 1/D_i = 1/f")
-        if not (self.cell_width <= self.cell_spacing <= self.array_length):
-            raise ValueError("need cell_width <= cell_spacing <= array_length")
-
-    @property
-    def rayleigh_length(self) -> float:
-        return self.wavelength * self.object_distance / self.pupil_halfwidth
-
-    @property
-    def ell_over_xr(self) -> float:
-        return self.cell_spacing / self.rayleigh_length
-
-    @property
-    def d_over_ell(self) -> float:
-        return self.cell_width / self.cell_spacing
-
-    @classmethod
-    def from_ratios(cls, ell_over_xr: float, d_over_ell: float = 1.0,
-                    cells: int = 1000) -> "DiffractionGeometry":
-        """Canonical geometry realizing the given ratios (650 nm, 10 cm arms)."""
-        if ell_over_xr <= 0 or not (0 < d_over_ell <= 1):
+        if not (0 < self.ell_over_xr < math.inf and 0 < self.d_over_ell <= 1):
             raise ValueError("need ell_over_xr > 0 and 0 < d_over_ell <= 1")
-        wavelength = 650e-9
-        d_o = d_i = 0.1
-        ell = 1e-6
-        x_r = ell / ell_over_xr
-        return cls(
-            wavelength=wavelength,
-            object_distance=d_o,
-            image_distance=d_i,
-            focal=d_o / 2.0,
-            pupil_halfwidth=wavelength * d_o / x_r,
-            cell_spacing=ell,
-            cell_width=d_over_ell * ell,
-            array_length=cells * ell,
-        )
 
 
 @dataclass(frozen=True)

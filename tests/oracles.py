@@ -34,6 +34,12 @@ SYMPLECTIC_TOL = 1e-9
 
 _QUAD_TOL = 1e-8  # absolute tolerance of each transfer-matrix quadrature
 
+# The optics the diffraction oracles realise a geometry's two ratios with:
+# 650 nm light, object distance D_o = 10 cm (a 1:1 image, D_i = D_o), cell
+# spacing ell = 1 um, so x_R = lambda D_o / a = ell / (ell / x_R) fixes the
+# pupil half-width a; an array of L = cells * ell is each oracle's own input.
+WAVELENGTH, OBJECT_DISTANCE, CELL_SPACING = 650e-9, 0.1, 1e-6
+
 
 def coherent_state(amplitude: complex, dim: int) -> np.ndarray:
     """Fock coefficients of |alpha>, c_m = exp(-|a|^2/2) a^m / sqrt(m!), with no
@@ -349,7 +355,7 @@ def symplectic_output_entropy(tx: TransmitterSpec, z: complex, n_th: float,
 
 def paraxial_ok(geom: DiffractionGeometry) -> bool:
     """Phase factor constant across a cell: d^2 << lambda D_o."""
-    return geom.cell_width ** 2 < 0.01 * geom.wavelength * geom.object_distance
+    return (geom.d_over_ell * CELL_SPACING) ** 2 < 0.01 * WAVELENGTH * OBJECT_DISTANCE
 
 
 def _cos_tail(a: float, w: float) -> float:
@@ -390,22 +396,24 @@ def gram_matrix(geom: DiffractionGeometry, size: int) -> np.ndarray:
 
 
 def overlap_matrix(geom: DiffractionGeometry, i_range: Sequence[int],
-                   j_range: Sequence[int]) -> np.ndarray:
-    """Cell-to-normal-mode overlap M_ij over the given index ranges.
+                   j_range: Sequence[int], *, cells: int) -> np.ndarray:
+    """Cell-to-normal-mode overlap M_ij over the given index ranges, in the
+    oracle optics with an array of L = cells * ell.
 
     Rows i index the transmitted Fourier modes (|i| <= L/x_R), columns j
     index cell positions (|j| <= L/(2 ell)).
     """
     i_arr = np.asarray(list(i_range), dtype=int)
     j_arr = np.asarray(list(j_range), dtype=int)
-    band = geom.array_length / geom.rayleigh_length
+    band = cells * geom.ell_over_xr
     if np.any(np.abs(i_arr) > band):
         raise ValueError(f"mode index outside the transmitted band |i| <= {band:.3g}")
-    if np.any(np.abs(j_arr) > geom.array_length / (2.0 * geom.cell_spacing)):
+    if np.any(np.abs(j_arr) > cells / 2.0):
         raise ValueError("cell index outside the array")
-    d, ell, length = geom.cell_width, geom.cell_spacing, geom.array_length
-    theta = (np.pi * (j_arr * ell) ** 2 / (geom.wavelength * geom.object_distance)
-             + 2.0 * np.pi * geom.object_distance / geom.wavelength)
+    ell = CELL_SPACING
+    d, length = geom.d_over_ell * ell, cells * ell
+    theta = (np.pi * (j_arr * ell) ** 2 / (WAVELENGTH * OBJECT_DISTANCE)
+             + 2.0 * np.pi * OBJECT_DISTANCE / WAVELENGTH)
     amp = math.sqrt(d / length) * np.sinc(i_arr * d / length)
     phase = np.exp(-1j * (theta[None, :] + 2.0 * np.pi
                           * np.outer(i_arr, j_arr) * ell / length))
@@ -413,8 +421,9 @@ def overlap_matrix(geom: DiffractionGeometry, i_range: Sequence[int],
 
 
 def transfer_matrix(geom: DiffractionGeometry, k_range: Sequence[int],
-                    h_range: Sequence[int]) -> np.ndarray:
-    """Mode-to-mode transfer matrix T_kh of the slit-pupil thin lens.
+                    h_range: Sequence[int], *, cells: int) -> np.ndarray:
+    """Mode-to-mode transfer matrix T_kh of the slit-pupil thin lens, for an
+    array of L = cells * ell.
 
     The pupil integral reduces to T_kh = int du sinc(pi(k+u)) sinc(pi(h+u))
     over |u| <= L/x_R; in the near field this tends to a 0/1 diagonal step
@@ -422,7 +431,7 @@ def transfer_matrix(geom: DiffractionGeometry, k_range: Sequence[int],
     """
     k_arr = list(k_range)
     h_arr = list(h_range)
-    band = geom.array_length / geom.rayleigh_length
+    band = cells * geom.ell_over_xr
     out = np.zeros((len(k_arr), len(h_arr)))
 
     def entry(k: int, h: int) -> float:

@@ -140,7 +140,7 @@ def test_06_toeplitz_spectral_containment():
     ok = True
     detail = []
     for ratio in (0.3, 0.5, 1.0, 3.0):
-        geom = DiffractionGeometry.from_ratios(ratio)
+        geom = DiffractionGeometry(ratio)
         tau_min, tau_max = tau_extrema(geom)
         f_min, f_max = tau_min ** 2, tau_max ** 2
         prev = None
@@ -161,13 +161,13 @@ def test_06_toeplitz_spectral_containment():
 def test_07_attenuation_extrema_profile():
     deviations = []
     for ratio in (0.5, 0.6, 0.8, 1.0, 2.0, 5.0):
-        _, tau_max = tau_extrema(DiffractionGeometry.from_ratios(ratio))
+        _, tau_max = tau_extrema(DiffractionGeometry(ratio))
         deviations.append(abs(tau_max - 1.0))
     max_dev_top = max(deviations)
-    mins = [tau_extrema(DiffractionGeometry.from_ratios(r))[0]
+    mins = [tau_extrema(DiffractionGeometry(r))[0]
             for r in (0.1, 0.25, 0.4, 0.49)]
     max_dev_zero = max(mins)
-    tau_half = tau_extrema(DiffractionGeometry.from_ratios(0.5))[0]
+    tau_half = tau_extrema(DiffractionGeometry(0.5))[0]
     dev_half = abs(tau_half - 2.0 / math.pi)
     ok = max_dev_top <= 1e-9 and max_dev_zero <= 1e-9 and dev_half <= 1e-6
     record_acceptance(
@@ -183,7 +183,7 @@ def test_08_diffraction_sweep_bounds():
     start = time.perf_counter()
     n, nth, dim = 0.1, 1.0, 24
     ratios = np.linspace(0.5, 3.0, 20)
-    geoms = [DiffractionGeometry.from_ratios(ratio) for ratio in ratios]
+    geoms = [DiffractionGeometry(ratio) for ratio in ratios]
     keys = ("coherent_lower", "coherent_upper", "epr_lower", "epr_upper")
     rows = [{key: getattr(b, key) for key in keys}
             for b in rate_bounds(AMP_CELL, n, geoms, nth, dim)]

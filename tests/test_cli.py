@@ -172,6 +172,19 @@ class TestConfigFile:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert line.split(" = ")[0] in err
 
+    # files configparser itself rejects, some with a message of several lines
+    @pytest.mark.parametrize("text", [
+        "n = 0.1\n", "[rate]\nn = 0.1\nout = 5%.csv\n", "[rate]\nn = 0.1\nn = 0.2\n",
+    ], ids=["no-section", "interpolation", "duplicate-key"])
+    def test_unparsable_file_is_one_error_line(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "rate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot parse config file {cfg}: ")
+        assert err.count("\n") == 1
+
     def test_boolean_words_accepted(self, capsys, tmp_path):
         argv = ("diffraction", "--lxr-grid", "1", "--dim", "8")
         cfg = tmp_path / "run.ini"
@@ -230,6 +243,17 @@ class TestDiffractionCommand:
         assert abs(float(rows[0]["tau_min"]) - 2.0 / 3.141592653589793) < 1e-6
         assert float(rows[0]["tau_min"]) <= float(rows[1]["tau_min"])
 
+    def test_rows_computed_at_the_given_ratios(self, capsys):
+        # both ratios came back one ulp off through the old length round
+        # trip; the rows print them rounded, so compare with the exact input
+        ratios = (0.5275275275275275, 0.53003003003003)
+        code, out, _ = run(capsys, "diffraction", "--lxr-grid", ",".join(map(repr, ratios)),
+                           "--dim", "6", "--n", "0.01")
+        assert code == 0
+        for row, ratio in zip(parse_csv(out), ratios, strict=True):
+            taus = tau_extrema(DiffractionGeometry(ratio))
+            assert (row["tau_min"], row["tau_max"]) == tuple(f"{t:.12g}" for t in taus)
+
     def test_missing_grid(self, capsys):
         code, _, err = run(capsys, "diffraction")
         assert code == 2
@@ -275,7 +299,7 @@ class TestStartup:
         # the d = ell branch sums its tails with a numpy trigamma
         code = ("import sys, numpy as np; from qreading import diffraction as D; "
                 "z = np.linspace(0.0, 2.0 * np.pi, D.GRID_SIZE); "
-                "[D.toeplitz_symbol(D.DiffractionGeometry.from_ratios(1.3, dl), z) "
+                "[D.toeplitz_symbol(D.DiffractionGeometry(1.3, dl), z) "
                 "for dl in (1.0, 0.7)]; " + _SCIPY_LOADED)
         assert _fresh_interpreter(code)[-1] == "[]"
 
@@ -324,6 +348,15 @@ class TestProgram:
         assert proc.stdout == ""
         assert proc.stderr == "error: argument --n: invalid float value: 'abc'\n"
 
+    def test_config_without_section_exits_2(self, tmp_path):
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text("n = 0.1\n", encoding="utf-8")
+        proc = _fresh_process("-m", "qreading.cli", "rate", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: cannot parse config file {cfg}: "
+                               "File contains no section headers.\n")
+
     # a fresh interpreter, because under pytest the root logger already has
     # handlers and logging.basicConfig does nothing
     @pytest.mark.parametrize("level,logged", [("basic_format", []), ("warn", []),
@@ -370,8 +403,8 @@ class TestThinShell:
         rows = parse_csv(out)
         assert len(rows) == 3
         cell = MarginalCell.binary(0.5, 0.0, 1.0)
-        geoms = [DiffractionGeometry.from_ratios(float(row["ell_over_xr"]),
-                                                 float(row["d_over_ell"])) for row in rows]
+        geoms = [DiffractionGeometry(float(row["ell_over_xr"]), float(row["d_over_ell"]))
+                 for row in rows]
         sweep = rate_bounds(cell, 0.1, geoms, 0.5, dim=8,
                             attenuate_idler="--both-sides" in extra)
         for row, bounds in zip(rows, sweep, strict=True):
@@ -450,7 +483,7 @@ class TestRemovedKnobs:
         assert "unknown config key 'grid-size'" in err
 
     @pytest.mark.parametrize("call,keyword", [
-        (lambda: tau_extrema(DiffractionGeometry.from_ratios(1.0), grid_size=4096), "grid_size"),
+        (lambda: tau_extrema(DiffractionGeometry(1.0), grid_size=4096), "grid_size"),
         (lambda: rate_bounds(None, 0.1, None, 0.1, grid_size=4096), "grid_size"),
         (lambda: TransmitterSpec("epr", 1.0, s=1, r=1), "'r'"),
         (lambda: TransmitterSpec.epr(0.1).amplitudes(8, eps_trunc=1e-2), "eps_trunc"),
@@ -458,7 +491,7 @@ class TestRemovedKnobs:
         (lambda: FockDensityMatrix.from_pure(np.ones(1), (1,), eps_trunc=0.1), "eps_trunc"),
         (lambda: thermal_state(0.5, 4, eps_trunc=0.1), "eps_trunc"),
         (lambda: pure_state_cell_output(np.ones(1), [[1.0]], [0.0], mode=0), "mode"),
-        (lambda: transfer_matrix(DiffractionGeometry.from_ratios(1.0), [0], [0], quad_tol=1e-8),
+        (lambda: transfer_matrix(DiffractionGeometry(1.0), [0], [0], cells=40, quad_tol=1e-8),
          "quad_tol"),
         (lambda: check_positive(thermal_state(0.5, 4), floor=1e-10), "floor"),
         (lambda: holevo_rate(MarginalCell.binary(0.5, 0.0, 1.0), TransmitterSpec.epr(0.1),
@@ -706,7 +739,7 @@ class TestTrustColumns:
         assert list(rows[0])[-3:] == ["epr_upper", "trace_deficit", "cross_check_bits"]
         cell = MarginalCell.binary(0.5, 0.0, 1.0)
         for row in rows:
-            taus = tau_extrema(DiffractionGeometry.from_ratios(float(row["ell_over_xr"])))
+            taus = tau_extrema(DiffractionGeometry(float(row["ell_over_xr"])))
             # the four bound rates and the worst of their trust numbers, from
             # the rate core itself
             results = [r for tx in (TransmitterSpec.coherent(0.1), TransmitterSpec.epr(0.1))
