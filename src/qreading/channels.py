@@ -8,13 +8,14 @@ exactly as a loss by z / sqrt(G) followed by the quantum-limited amplifier
 of gain G = 1 + n_th; weight the amplifier pushes past the truncation is
 dropped and shows up as the output's trace deficit. Both stages are shifts
 (Ivan, Sabapathy and Simon, PRA 84, 042311 (2011)): loss branch k sends |m>
-to a[k, m] |m - k> and amplifier branch j sends |m> to b[j, m] |m + j>.
-Every Fock-basis result is built from these (d, d) tables (float64 when z
-is real). The builders take a stack of entries (a row of reflectances with
-its n_th and idler loss) and build all their tables in one array call per
-kind; a pure single-mode output costs O(d^3) time and O(d^2) memory.
-A setting is plain scalars: the cell ensemble checks |z| <= 1, and the
-attenuator composition (tau z, tau^2 n_th) lives in rates.bounding_rates.
+to a[k, m] |m - k> and amplifier branch j sends |m> to b[j, m] |m + j>,
+from (d, d) tables (float64 when z is real). Loss keeps a coherent state
+coherent, so a coherent output needs no loss table: it is built from its
+displacement, centred on the cell, with no probe truncation. The builders
+take a stack of entries (a row of reflectances with its n_th and idler
+loss) and build all their tables in one array call per kind. A setting is
+plain scalars: the cell ensemble checks |z| <= 1, and the attenuator
+composition (tau z, tau^2 n_th) lives in rates.bounding_rates.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import log_factorials, phase_powers
+from .errors import TruncationError
+from .states import DEFAULT_EPS_TRUNC, log_factorials, phase_powers
 
 
 @dataclass(frozen=True)
@@ -104,37 +106,46 @@ def amplifier_amplitudes(gain: float | np.ndarray, dim: int) -> np.ndarray:
         / np.sqrt(gain)[..., None, None]
 
 
-def _cell_tables(reflectances: Sequence[Sequence[complex]], n_th: Sequence[float],
-                 dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's (u, dim, dim) loss tables at z / sqrt(G) and its (1, dim, dim)
-    amplifier table at G = 1 + n_th, stacked over entries."""
-    gain = 1.0 + np.asarray(n_th, dtype=float)
-    a = loss_amplitudes([[complex(z) / math.sqrt(g) for z in row]
-                         for row, g in zip(reflectances, gain.tolist())], dim)
-    return a, amplifier_amplitudes(gain, dim)[:, None]
+def coherent_cell_output(n: float, reflectances: Sequence[Sequence[complex]],
+                         n_th: Sequence[float], dim: int) -> np.ndarray:
+    """The (entry, u, d, d) stack of cell-channel outputs on the coherent probe
+    |sqrt(n)>: entry e reads row e of ``reflectances``, at noise n_th[e].
 
-
-def pure_state_cell_output(vec: np.ndarray, reflectances: Sequence[Sequence[complex]],
-                           n_th: Sequence[float]) -> np.ndarray:
-    """The (entry, u, d, d) stack of cell-channel outputs on |vec><vec|: entry e
-    reads row e of ``reflectances``, one output per reflectance, at noise n_th[e].
-
-    Each loss output is one Gram product over the d shifted vectors, batched
-    over entries and symbols; the amplifier adds that Gram shifted diagonally
-    by j and scaled by outer(b_j, b_j). O(d^3) time and O(d^2) memory per
-    symbol; float64 when ``vec`` and every z are real.
+    Symbol u's output is D(z_u sqrt(n)) rho_th(n_th) D(z_u sqrt(n))^dag, and
+    one shift of a row's every z applies one unitary to all its outputs, so
+    the row's centre c = mean(z) is taken off. Loss by (z_u - c) / sqrt(G)
+    sends the probe to the coherent state of gamma_u = (z_u - c) sqrt(n) /
+    sqrt(G) exactly, and the amplifier of gain G = 1 + n_th only raises
+    photon number, so its branches on gamma_u's first d amplitudes give
+    exactly P rho P, P the projector below d: no probe is truncated. Raises
+    TruncationError unless each gamma_u's weight below d falls short of 1 by
+    at most DEFAULT_EPS_TRUNC (NaN fails). Float64 when every z is real.
     """
-    psi = np.asarray(vec)
-    d = psi.size
-    a, b = _cell_tables(reflectances, n_th, d)
-    k, n = np.arange(d)[:, None], np.arange(d)
-    source = np.minimum(n + k, d - 1)  # branch k takes |n + k> to |n>
-    shifted = np.where(n + k < d, a[..., k, source], 0.0) * psi[source]
-    gram = np.swapaxes(shifted, -1, -2) @ shifted.conj()
-    rho = np.zeros_like(gram)
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    gain = [1.0 + float(x) for x in n_th]
+    gammas = []  # Python scalars, so each entry is bit-identical to a one-entry build
+    for row, g in zip(reflectances, gain):
+        row = [complex(z) for z in row]
+        centre = sum(row) / len(row)
+        gammas.append([(z - centre) * math.sqrt(n) / math.sqrt(g) for z in row])
+    size = [[abs(x) for x in row] for row in gammas]
+    # m log|gamma|, with 0 log 0 = 0; each log is math.log's, as for a scalar gamma
+    m_log = np.maximum(np.arange(dim), 1) * np.array(
+        [[math.log(a) if a > 0 else -math.inf for a in row] for row in size])[..., None]
+    m_log[..., 0] = 0.0
+    mags = np.exp(m_log - np.array(size)[..., None] ** 2 / 2 - log_factorials(dim) / 2)
+    deficit = float(np.max(1.0 - np.sum(mags * mags, axis=-1)))
+    if not deficit <= DEFAULT_EPS_TRUNC:
+        raise TruncationError(
+            f"coherent-state norm deficit {deficit:.3e} > {DEFAULT_EPS_TRUNC:.1e}")
+    vec = mags * phase_powers(np.array(gammas), dim)
+    pure = vec[..., :, None] * vec[..., None, :].conj()
+    b = amplifier_amplitudes(np.array(gain), dim)[:, None]
+    rho = np.zeros_like(pure)
     for j in np.flatnonzero(b.any(axis=(0, 1, 3))):  # only branch 0 when every n_th = 0
-        bj = b[..., j, :d - j]
-        rho[..., j:, j:] += bj[..., :, None] * bj[..., None, :] * gram[..., :d - j, :d - j]
+        bj = b[..., j, :dim - j]
+        rho[..., j:, j:] += bj[..., :, None] * bj[..., None, :] * pure[..., :dim - j, :dim - j]
     return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
 
 
@@ -151,8 +162,10 @@ def epr_output_blocks(schmidt: np.ndarray, reflectances: Sequence[Sequence[compl
     (where n_S = r + delta fits below d), so the two never share an entry
     and the fold's spectrum is the union of theirs. Cost O(d^4), not O(d^6).
     """
-    d = len(schmidt)
-    a, b = _cell_tables(reflectances, n_th, d)
+    d, gain = len(schmidt), 1.0 + np.asarray(n_th, dtype=float)
+    a = loss_amplitudes([[complex(z) / math.sqrt(g) for z in row]  # at z / sqrt(G)
+                         for row, g in zip(reflectances, gain.tolist())], d)
+    b = amplifier_amplitudes(gain, d)
     fold, k, m = np.ogrid[:d, :d, :d]  # amplifier branch (k + fold) % d takes loss branch k
     b = np.take(b.reshape(len(a), 1, d * d), (k + fold) % d * d + (m - k) % d, axis=-1)
     branches = schmidt * a[:, :, None] * b  # b[e, 0, (k + fold) % d, (m - k) % d]

@@ -195,7 +195,7 @@ def _config_flags(command: str, path: str) -> list[str]:
         if not parser.read(path):
             raise ConfigError(f"cannot read config file {path}")
         items = parser.items(command) if parser.has_section(command) else []
-    except configparser.Error as exc:  # its messages may span several lines
+    except (configparser.Error, UnicodeDecodeError) as exc:  # messages may span several lines
         raise ConfigError(f"cannot parse config file {path}: "
                           f"{str(exc).splitlines()[0]}") from exc
     options, flags = _OPTIONS[command], []

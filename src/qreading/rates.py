@@ -2,10 +2,12 @@
 expressions, faint-signal approximations, information gains, and the
 concavity scan backing the classical-optimality conjecture.
 
-Coherent numerics use the single-mode optimum (one signal mode, no idler); EPR
-numerics use a single two-mode squeezed copy (s=1), whose outputs are block-diagonal in
-n_S - n_R and are built and diagonalised as d blocks of size d, one per (n_S - n_R)
-mod d. The general-s noiseless phase rate is in closed form: :func:`epr_rate_noiseless_phase`.
+Coherent numerics use the single-mode optimum (one signal mode, no idler): each
+output is a displaced thermal state, built from its displacement centred on the cell.
+EPR numerics use one two-mode squeezed signal/idler pair, whose outputs are
+block-diagonal in n_S - n_R and are built and diagonalised as d blocks of size d, one
+per (n_S - n_R) mod d. The noiseless phase rate of s such pairs is in closed form:
+:func:`epr_rate_noiseless_phase`.
 :func:`bounding_rates` is the one entry into these numerics: it composes the cell channel
 with each tau-attenuator of a sweep and gives all of them one batched Fock build and
 eigensolve. :func:`holevo_rate` is its tau = 1 case.
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import MarginalCell, epr_output_blocks, pure_state_cell_output
+from .channels import MarginalCell, coherent_cell_output, epr_output_blocks
 from .errors import ConvergenceError
 from .states import (
     DEFAULT_DIM_PER_MODE,
@@ -84,7 +86,7 @@ def gaussian_output_entropy(tx: TransmitterSpec, z: complex, n_th: float,
     """Exact entropy in bits of one symbol's Gaussian output, from its symplectic spectrum.
 
     A coherent output has covariance (1 + 2 n_th) I, so its entropy is g(n_th).
-    An EPR output (s = 1) is a two-mode state in standard form with variances a
+    An EPR output is a two-mode state in standard form with variances a
     (signal), b (idler) and correlation c; with e = |z|^2 and T = tau^2 its
     eigenvalues nu+- have sum sqrt((b - a)^2 + 4 nu+ nu-) and product
     ab - c^2 = 1 + 2n(e(1 - T) + T(1 - e)) + 2 n_th b, a sum of terms >= 0
@@ -128,17 +130,12 @@ def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
     taus = [float(tau) for tau in taus]
     if not all(0.0 <= tau <= 1.0 for tau in taus):
         raise ValueError("tau must lie in [0, 1]")
-    if tx.kind == "epr" and tx.s != 1:
-        raise NotImplementedError(
-            "numeric EPR rates are restricted to s=1; use "
-            "epr_rate_noiseless_phase for general s"
-        )
     reflectances = [[tau * z for z in cell.reflectances] for tau in taus]
     noise = [n_th * tau * tau for tau in taus]
     idler_loss = [tau if attenuate_idler else 1.0 for tau in taus]
     if dim is None:
         dim = DEFAULT_DIM_SINGLE if tx.kind == "coherent" else DEFAULT_DIM_PER_MODE
-    amps = tx.amplitudes(dim)
+    schmidt = tx.amplitudes(dim) if tx.kind == "epr" else None
     probs, bound = cell.probs, shannon_entropy_d(cell.probs[1:])
     block = dim ** (2 if tx.kind == "coherent" else 3)  # terms of one state's blocks
     step = max(1, _MAX_STACK_TERMS // ((len(probs) + 1) * block))
@@ -147,9 +144,9 @@ def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
         rows = slice(start, start + step)
         zs, nths, idlers = reflectances[rows], noise[rows], idler_loss[rows]
         if tx.kind == "coherent":
-            outputs = pure_state_cell_output(amps, zs, nths)[:, :, None]
+            outputs = coherent_cell_output(tx.n, zs, nths, dim)[:, :, None]
         else:
-            outputs = epr_output_blocks(amps, zs, nths, idlers)
+            outputs = epr_output_blocks(schmidt, zs, nths, idlers)
         stack = np.empty((len(zs), len(probs) + 1) + outputs.shape[2:], outputs.dtype)
         stack[:, :-1] = outputs
         stack[:, -1] = sum(p * outputs[:, u] for u, p in enumerate(probs))  # the mixture

@@ -1,7 +1,9 @@
-"""Probes as their d real Fock amplitudes, the entropies of states given as
-stacks of diagonal blocks, and the thermal entropy g(n) that the closed-form
-Gaussian entropies are built from. No probe vector or full multi-mode density
-matrix is built here; the dense ones are test oracles.
+"""Transmitters (an EPR probe as its d real Schmidt coefficients), the
+entropies of states given as stacks of diagonal blocks, and the thermal
+entropy g(n) that the closed-form Gaussian entropies are built from. No probe
+vector or full multi-mode density matrix is built here; the dense ones are
+test oracles. A coherent probe has no amplitudes here: its outputs are built
+from their displacements (channels.coherent_cell_output).
 
 Conventions used throughout the package:
 
@@ -21,7 +23,6 @@ import numpy as np
 
 from .errors import StateValidationError, TruncationError
 
-HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = 1e-14
 NEGATIVITY_TOL = 1e-10
 
@@ -45,10 +46,7 @@ def g_thermal(nbar: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _check_states(blocks: np.ndarray) -> np.ndarray:
-    """Each state's trace in a (..., count, b, b) block stack, checked Hermitian and in (0, 1]."""
-    dev = np.max(np.abs(blocks - np.swapaxes(blocks, -1, -2).conj()))
-    if dev > HERMITICITY_TOL:
-        raise StateValidationError(f"matrix not Hermitian: max deviation {dev:.3e}")
+    """Each state's trace in a (..., count, b, b) block stack, checked to lie in (0, 1]."""
     tr = np.trace(blocks, axis1=-2, axis2=-1).real.sum(axis=-1)
     bad = tr[~((tr > 0.0) & (tr <= 1.0 + 1e-10))]
     if bad.size:
@@ -78,8 +76,9 @@ def phase_powers(x: complex | np.ndarray, count: int) -> np.ndarray:
 
 def block_entropies(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entropies in bits and trace deficits of states given as (..., count,
-    b, b) stacks of diagonal blocks, zero-padded to one size b. Each state is
-    checked Hermitian with its trace in (0, 1]; its spectrum is its blocks'
+    b, b) stacks of diagonal blocks, zero-padded to one size b. The builders
+    return exactly Hermitian blocks (``eigvalsh`` reads one triangle); each
+    state's trace is checked to lie in (0, 1]. Its spectrum is its blocks'
     spectra, so one batched ``eigvalsh`` serves every state. A pure state reads +0.0."""
     tr = _check_states(blocks)
     lam = np.linalg.eigvalsh(blocks).reshape(blocks.shape[:-3] + (-1,))
@@ -95,52 +94,37 @@ def block_entropies(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class TransmitterSpec:
-    """Probe description: kind, photon budget per cell, number of signal modes s."""
+    """Probe description: kind and mean photon number per cell."""
 
     kind: Literal["coherent", "epr"]
     n: float
-    s: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("mean photon number n must be >= 0")
-        if self.s < 1:
-            raise ValueError("need s >= 1")
         if self.kind not in ("coherent", "epr"):
             raise ValueError(f"unknown transmitter kind {self.kind!r}")
-        if self.kind == "coherent" and self.s != 1:
-            raise ValueError("a coherent probe has one signal mode: need s == 1")
 
     @classmethod
     def coherent(cls, n: float) -> "TransmitterSpec":
         return cls("coherent", n)
 
     @classmethod
-    def epr(cls, n: float, s: int = 1) -> "TransmitterSpec":
-        return cls("epr", n, s=s)
+    def epr(cls, n: float) -> "TransmitterSpec":
+        return cls("epr", n)
 
     def amplitudes(self, dim: int) -> np.ndarray:
-        """The probe's d real Fock amplitudes, all a rate reads of it: sqrt of
-        Poisson(n) for a coherent probe (e_0 at n = 0), the Schmidt coefficients
-        sqrt(t^m / (nbar + 1)) of one EPR copy at nbar = n/s, t = nbar / (nbar + 1).
-        Raises TruncationError if the probe's weight below ``dim`` falls short of
-        1 by more than DEFAULT_EPS_TRUNC (for EPR, over all s copies)."""
+        """The EPR probe's d real Schmidt coefficients sqrt(t^m / (n + 1)),
+        t = n / (n + 1), all a rate reads of it. Raises TruncationError if their
+        weight falls short of 1 by more than DEFAULT_EPS_TRUNC, and ValueError
+        for a coherent probe, whose outputs are built from their displacements."""
+        if self.kind != "epr":
+            raise ValueError("a coherent probe has no amplitudes: "
+                             "channels.coherent_cell_output builds its outputs")
         if dim < 2:
             raise ValueError("dim must be >= 2")
-        m = np.arange(dim)
-        if self.kind == "coherent":
-            a = math.sqrt(self.n)
-            if a ** 2 > dim / 4.0:
-                raise TruncationError(f"|amplitude|^2 = {a**2:.3g} too large for dim {dim}")
-            if a == 0:
-                return np.eye(1, dim)[0]
-            amp = np.exp(-a ** 2 / 2 + m * np.log(a) - log_factorials(dim) / 2)
-            name = "coherent-state"
-        else:
-            nbar = self.n / self.s
-            amp = np.sqrt((nbar / (nbar + 1.0)) ** m / (nbar + 1.0))
-            name = "EPR-state"
-        deficit = 1.0 - float(np.vdot(amp, amp)) ** self.s
+        amp = np.sqrt((self.n / (self.n + 1.0)) ** np.arange(dim) / (self.n + 1.0))
+        deficit = 1.0 - float(np.vdot(amp, amp))
         if deficit > DEFAULT_EPS_TRUNC:
-            raise TruncationError(f"{name} norm deficit {deficit:.3e} > {DEFAULT_EPS_TRUNC:.1e}")
+            raise TruncationError(f"EPR-state norm deficit {deficit:.3e} > {DEFAULT_EPS_TRUNC:.1e}")
         return amp

@@ -1,6 +1,7 @@
 """Reference oracles for the tests: dense probe vectors (a complex coherent
 state, s interleaved EPR copies), a dense multi-mode density matrix and its
-entropy, the cell channel as dense Kraus stacks on it, Fock-state helpers,
+entropy, the cell channel as dense Kraus stacks on it and as the generic
+pure-state builder, Fock-state helpers,
 the general Gaussian phase-space picture (covariance matrices, the channel
 on them, symplectic spectra), and the diffraction overlap, Gram and transfer
 matrices. The library computes none of these.
@@ -21,7 +22,6 @@ from qreading import DiffractionGeometry, TransmitterSpec
 from qreading.channels import amplifier_amplitudes, loss_amplitudes
 from qreading.errors import ConvergenceError, StateValidationError
 from qreading.states import (
-    HERMITICITY_TOL,
     NEGATIVITY_TOL,
     _check_states,
     block_entropies,
@@ -30,6 +30,7 @@ from qreading.states import (
     phase_powers,
 )
 
+HERMITICITY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-9
 
 _QUAD_TOL = 1e-8  # absolute tolerance of each transfer-matrix quadrature
@@ -87,6 +88,9 @@ class FockDensityMatrix:
         if self.data.shape != (size, size):
             raise StateValidationError(
                 f"data shape {self.data.shape} does not match dims {self.dims}")
+        dev = np.max(np.abs(self.data - self.data.conj().T))
+        if dev > HERMITICITY_TOL:
+            raise StateValidationError(f"matrix not Hermitian: max deviation {dev:.3e}")
         _check_states(self.data[None])
 
     @property
@@ -164,6 +168,33 @@ def apply_cell_channel(rho: FockDensityMatrix, z: complex, n_th: float,
                        mode: int = 0) -> FockDensityMatrix:
     """Loss by z then classical noise n_th on the designated mode."""
     return apply_classical_noise(apply_loss(rho, z, mode), n_th, mode)
+
+
+def pure_state_cell_output(vec: np.ndarray, reflectances: Sequence[Sequence[complex]],
+                           n_th: Sequence[float]) -> np.ndarray:
+    """The (entry, u, d, d) stack of cell-channel outputs on |vec><vec|, for any
+    pure single-mode probe truncated at d = vec.size: entry e reads row e of
+    ``reflectances``, one output per reflectance, at noise n_th[e].
+
+    Each loss output is one Gram product over the d shifted vectors; the
+    amplifier adds that Gram shifted diagonally by j and scaled by
+    outer(b_j, b_j). The library's coherent builder is checked against it.
+    """
+    psi = np.asarray(vec)
+    d = psi.size
+    gain = 1.0 + np.asarray(n_th, dtype=float)
+    a = loss_amplitudes([[complex(z) / math.sqrt(g) for z in row]
+                         for row, g in zip(reflectances, gain.tolist())], d)
+    b = amplifier_amplitudes(gain, d)[:, None]
+    k, n = np.arange(d)[:, None], np.arange(d)
+    source = np.minimum(n + k, d - 1)  # branch k takes |n + k> to |n>
+    shifted = np.where(n + k < d, a[..., k, source], 0.0) * psi[source]
+    gram = np.swapaxes(shifted, -1, -2) @ shifted.conj()
+    rho = np.zeros_like(gram)
+    for j in np.flatnonzero(b.any(axis=(0, 1, 3))):  # only branch 0 when every n_th = 0
+        bj = b[..., j, :d - j]
+        rho[..., j:, j:] += bj[..., :, None] * bj[..., None, :] * gram[..., :d - j, :d - j]
+    return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
 
 
 def check_positive(rho: FockDensityMatrix) -> None:
@@ -289,7 +320,7 @@ def gaussian_probe(tx: TransmitterSpec) -> GaussianState:
     """The transmitter's probe state in phase space."""
     if tx.kind == "coherent":
         return GaussianState.coherent(complex(math.sqrt(tx.n)))
-    return GaussianState.epr(tx.n, tx.s)
+    return GaussianState.epr(tx.n)
 
 
 def _spectrum_entropy(cov: mpmath.matrix, mode_count: int) -> float:

@@ -1,5 +1,6 @@
 """Memory-cell channel: loss, classical displacement noise, both pictures."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qreading import MarginalCell
+from qreading import MarginalCell, TransmitterSpec
 from qreading.channels import (
     amplifier_amplitudes,
+    coherent_cell_output,
     epr_output_blocks,
     loss_amplitudes,
-    pure_state_cell_output,
 )
 
 from oracles import (
@@ -29,6 +30,7 @@ from oracles import (
     gaussian_channel_action,
     loss_kraus,
     partial_trace,
+    pure_state_cell_output,
     thermal_state,
 )
 
@@ -264,9 +266,12 @@ class TestCellChannel:
         # one call per ensemble gives each symbol's one-symbol output, in order
         d, n_th = 12, 0.4
         vec, schmidt = coherent_state(0.7, d), np.diagonal(epr_state(0.2, 1, d).reshape(d, d))
+        centre = sum(map(complex, zs)) / len(zs)  # a one-symbol row is its own centre
         for stack, single in (
                 (pure_state_cell_output(vec, [zs], [n_th])[0],
                  lambda z: pure_state_cell_output(vec, [[z]], [n_th])[0, 0]),
+                (coherent_cell_output(0.49, [zs], [n_th], d)[0],
+                 lambda z: coherent_cell_output(0.49, [[z - centre, centre - z]], [n_th], d)[0, 0]),
                 (epr_output_blocks(schmidt, [zs], [n_th], [0.7])[0],
                  lambda z: epr_output_blocks(schmidt, [[z]], [n_th], [0.7])[0, 0])):
             assert stack.shape[0] == len(zs)
@@ -282,9 +287,11 @@ class TestCellChannel:
         settings = [(0.0, 1.0), (0.4, 1.0), (0.4, 0.7), (0.0, 0.0)]
         n_th, idler = zip(*settings)
         coherent = pure_state_cell_output(vec, [zs] * 4, n_th)
+        displaced = coherent_cell_output(0.49, [zs] * 4, n_th, d)
         epr = epr_output_blocks(schmidt, [zs] * 4, n_th, idler)
         for e, (nth, tau) in enumerate(settings):
             assert np.array_equal(coherent[e], pure_state_cell_output(vec, [zs], [nth])[0])
+            assert np.array_equal(displaced[e], coherent_cell_output(0.49, [zs], [nth], d)[0])
             assert np.array_equal(epr[e], epr_output_blocks(schmidt, [zs], [nth], [tau])[0])
 
     def test_epr_signal_killed_leaves_thermal_marginal(self):
@@ -315,6 +322,41 @@ class TestCellChannel:
             ref = gaussian_channel_action(gauss, z, n_th, mode=0)
             assert np.max(np.abs(mean - ref.mean)) < 1e-6
             assert np.max(np.abs(cov - ref.cov)) < 1e-5
+
+
+class TestCoherentCellOutput:
+    @pytest.mark.parametrize("zs", [(0.0, 1.0), (0.9 * np.exp(0.7j), 0.5 * np.exp(-1.2j)),
+                                    (0.0, 1.0, -1.0)], ids=["real", "complex", "ternary"])
+    @pytest.mark.parametrize("n_th", [0.0, 0.7])
+    @pytest.mark.parametrize("n,d", [(1.0, 12), (4.0, 24)])
+    def test_is_the_top_block_of_the_pure_state_builder(self, zs, n_th, n, d):
+        # the oracle truncates the probe at 3d, whose tail past it is below 1e-30:
+        # its top-left (d, d) block is P rho P on the centred cell
+        centre = sum(map(complex, zs)) / len(zs)
+        wide = pure_state_cell_output(coherent_state(math.sqrt(n), 3 * d),
+                                      [[z - centre for z in zs]], [n_th])[0]
+        out = coherent_cell_output(n, [zs], [n_th], d)[0]
+        assert out.shape == (len(zs), d, d)
+        assert out.dtype == (np.float64 if np.isrealobj(zs) else np.complex128)
+        assert np.max(np.abs(out - wide[:, :d, :d])) <= 1e-15
+
+
+reflectance = st.one_of(st.floats(-1.0, 1.0).map(complex),
+                        st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)))
+
+
+@given(p0=st.floats(0.0, 1.0), z0=reflectance, z1=reflectance, n=st.floats(0.0, 0.3),
+       n_th=st.floats(0.0, 2.0), idler=st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_builders_are_exactly_hermitian(p0, z0, z1, n, n_th, idler):
+    # block_entropies checks no Hermiticity: the stacks and their mixture are Hermitian bit for bit
+    d, probs = 16, (p0, 1.0 - p0)
+    schmidt = TransmitterSpec.epr(n).amplitudes(d)
+    for outputs in (coherent_cell_output(n, [(z0, z1)], [n_th], d)[0],
+                    epr_output_blocks(schmidt, [(z0, z1)], [n_th], [idler])[0]):
+        mixture = sum(p * outputs[u] for u, p in enumerate(probs))
+        for x in (outputs, mixture):
+            assert np.array_equal(x, x.conj().swapaxes(-1, -2))
 
 
 class TestGaussianChannel:

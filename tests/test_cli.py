@@ -29,7 +29,7 @@ from qreading import (
     rates,
     tau_extrema,
 )
-from qreading.channels import pure_state_cell_output
+from qreading.channels import coherent_cell_output
 from qreading.cli import main, parse_grid
 from qreading.errors import ConfigError
 
@@ -38,6 +38,7 @@ from oracles import (
     apply_cell_channel,
     apply_classical_noise,
     check_positive,
+    pure_state_cell_output,
     thermal_state,
     transfer_matrix,
 )
@@ -80,6 +81,13 @@ class TestRateCommand:
         assert methods["analytic_noiseless"]["rate_bits"] == "0.715349166711"
         num = float(methods["fock_numeric"]["rate_bits"])
         assert abs(num - 0.7153491667107217) < 1e-7
+
+    def test_large_coherent_probe_runs(self, capsys):
+        # the output is built from its centred displacement: no probe is truncated
+        code, out, err = run(capsys, "rate", "--n", "100", "--transmitter", "coherent")
+        assert code == 0, err
+        methods = {r["method"]: float(r["rate_bits"]) for r in parse_csv(out)}
+        assert abs(methods["fock_numeric"] - methods["analytic_noiseless"]) <= 1e-8
 
     def test_epr_phase_analytic_row(self, capsys):
         code, out, _ = run(capsys, "rate", "--n", "1", "--nth", "0",
@@ -174,11 +182,12 @@ class TestConfigFile:
 
     # files configparser itself rejects, some with a message of several lines
     @pytest.mark.parametrize("text", [
-        "n = 0.1\n", "[rate]\nn = 0.1\nout = 5%.csv\n", "[rate]\nn = 0.1\nn = 0.2\n",
-    ], ids=["no-section", "interpolation", "duplicate-key"])
+        b"n = 0.1\n", b"[rate]\nn = 0.1\nout = 5%.csv\n", b"[rate]\nn = 0.1\nn = 0.2\n",
+        b"[rate]\nn = 0.1\xff\xfe",
+    ], ids=["no-section", "interpolation", "duplicate-key", "not-utf-8"])
     def test_unparsable_file_is_one_error_line(self, capsys, tmp_path, text):
         cfg = tmp_path / "run.ini"
-        cfg.write_text(text, encoding="utf-8")
+        cfg.write_bytes(text)
         code, out, err = run(capsys, "rate", "--config", str(cfg))
         assert code == 2
         assert out == ""
@@ -485,12 +494,14 @@ class TestRemovedKnobs:
     @pytest.mark.parametrize("call,keyword", [
         (lambda: tau_extrema(DiffractionGeometry(1.0), grid_size=4096), "grid_size"),
         (lambda: rate_bounds(None, 0.1, None, 0.1, grid_size=4096), "grid_size"),
-        (lambda: TransmitterSpec("epr", 1.0, s=1, r=1), "'r'"),
+        (lambda: TransmitterSpec("epr", 1.0, r=1), "'r'"),
+        (lambda: TransmitterSpec("epr", 0.1, s=2), "'s'"),
         (lambda: TransmitterSpec.epr(0.1).amplitudes(8, eps_trunc=1e-2), "eps_trunc"),
         (lambda: FockDensityMatrix((2,), np.eye(2) / 2, eps_trunc=0.1), "eps_trunc"),
         (lambda: FockDensityMatrix.from_pure(np.ones(1), (1,), eps_trunc=0.1), "eps_trunc"),
         (lambda: thermal_state(0.5, 4, eps_trunc=0.1), "eps_trunc"),
         (lambda: pure_state_cell_output(np.ones(1), [[1.0]], [0.0], mode=0), "mode"),
+        (lambda: coherent_cell_output(0.0, [[1.0, -1.0]], [0.0], 2, mode=0), "mode"),
         (lambda: transfer_matrix(DiffractionGeometry(1.0), [0], [0], cells=40, quad_tol=1e-8),
          "quad_tol"),
         (lambda: check_positive(thermal_state(0.5, 4), floor=1e-10), "floor"),
@@ -498,10 +509,10 @@ class TestRemovedKnobs:
                              0.1, 8, idler_attenuation=0.5), "idler_attenuation"),
         (lambda: holevo_rate(MarginalCell.binary(0.5, 0.0, 1.0), TransmitterSpec.epr(0.1),
                              0.1, 8, check_convergence=True), "check_convergence"),
-    ], ids=["tau_extrema", "rate_bounds", "TransmitterSpec.r", "amplitudes.eps_trunc",
-            "FockDensityMatrix", "from_pure", "thermal_state", "pure_state_cell_output",
-            "transfer_matrix", "check_positive", "holevo_rate.idler_attenuation",
-            "holevo_rate.check_convergence"])
+    ], ids=["tau_extrema", "rate_bounds", "TransmitterSpec.r", "TransmitterSpec.s",
+            "amplitudes.eps_trunc", "FockDensityMatrix", "from_pure", "thermal_state",
+            "pure_state_cell_output", "coherent_cell_output", "transfer_matrix",
+            "check_positive", "holevo_rate.idler_attenuation", "holevo_rate.check_convergence"])
     def test_single_value_settings_rejected(self, call, keyword):
         with pytest.raises(TypeError, match=keyword):
             call()
@@ -519,7 +530,8 @@ class TestRemovedKnobs:
         assert not hasattr(TransmitterSpec, "fock_vector")
         source = "".join(path.read_text(encoding="utf-8")
                          for path in sorted(Path(qreading.__file__).parent.glob("*.py")))
-        for word in ("kron", "fock_vector", "eps_trunc", "def coherent_state", "def epr_state"):
+        for word in ("kron", "fock_vector", "eps_trunc", "def coherent_state", "def epr_state",
+                     "pure_state_cell_output"):
             assert word not in source
 
     def test_no_memo_in_the_package(self):
@@ -545,13 +557,14 @@ class TestRemovedKnobs:
         lambda: apply_classical_noise(None, 0.1, quad_order=14),
         lambda: apply_cell_channel(None, 1.0, 0.1, quad_order=14),
         lambda: pure_state_cell_output(None, None, quad_order=14),
+        lambda: coherent_cell_output(None, None, None, quad_order=14),
         lambda: holevo_rate(None, None, 0.1, quad_order=14),
         lambda: gains(None, 0.1, 0.1, quad_order=14),
         lambda: concavity_scan(None, [0.1, 0.2, 0.3], 0.1, quad_order=14),
         lambda: bounding_rates(None, None, 0.1, [1.0], quad_order=14),
         lambda: rate_bounds(None, 0.1, [], 0.1, quad_order=14),
     ], ids=["apply_classical_noise", "apply_cell_channel", "pure_state_cell_output",
-            "holevo_rate", "gains", "concavity_scan", "bounding_rates",
+            "coherent_cell_output", "holevo_rate", "gains", "concavity_scan", "bounding_rates",
             "rate_bounds"])
     def test_library_rejects_quad_order(self, call):
         with pytest.raises(TypeError, match="quad_order"):

@@ -61,7 +61,7 @@ def embed(blocks, d):
 
 def dense_rate(cell, tx, n_th, d, tau):
     """A one-entry rate's numbers from dense d^2 x d^2 outputs: rate, deficit, cross."""
-    vec = epr_state(tx.n, tx.s, d)
+    vec = epr_state(tx.n, 1, d)
     rhos, cond, cross, deficit = [], 0.0, 0.0, 0.0
     for p, z in zip(cell.probs, cell.reflectances):
         rho = dense_output(vec, d, z, n_th, tau)

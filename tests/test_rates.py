@@ -169,10 +169,6 @@ class TestHolevoRate:
         res = holevo_rate(cell, TransmitterSpec.coherent(1.0), dim=30)
         assert 0.0 < res.rate_bits <= math.log2(3.0) + 1e-9
 
-    def test_general_s_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            holevo_rate(AMP_CELL, TransmitterSpec.epr(1.0, s=2))
-
     @pytest.mark.parametrize("tau", [1.5, -0.1])
     @pytest.mark.parametrize("tx", [TransmitterSpec.coherent(0.1), TransmitterSpec.epr(0.1)],
                              ids=["coherent", "epr"])
@@ -350,9 +346,25 @@ class TestBoundingRates:
             bounding_rates(AMP_CELL, tx, -1.0, [0.0], 8)  # tau^2 n_th would read -0.0
         with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\]"):
             bounding_rates(AMP_CELL, tx, 0.1, [0.5, 1.5], 8)
-        with pytest.raises(NotImplementedError):
-            bounding_rates(AMP_CELL, TransmitterSpec.epr(0.1, s=2), 0.1, [1.0], 8)
         assert bounding_rates(AMP_CELL, tx, 0.1, [], 8) == []
+
+
+class TestDisplacementCovariance:
+    @given(p0=st.floats(0.05, 0.95), z0=reflectance, z1=reflectance, n=st.floats(0.0, 1.0),
+           n_th=st.floats(0.0, 0.5), phi=st.floats(-math.pi, math.pi), reach=st.floats(0.0, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_common_shift_leaves_coherent_rate(self, p0, z0, z1, n, n_th, phi, reach):
+        # move the cell's midpoint along phi, as far as keeps every |z| <= 1 times reach:
+        # D(-c sqrt(n)) on every output changes no rate
+        half = (z0 - z1) / 2
+        along = (cmath.exp(-1j * phi) * half).real
+        far = math.sqrt(along * along + 1.0 - min(abs(half), 1.0) ** 2) - abs(along)
+        mid = reach * far * cmath.exp(1j * phi)
+        tx = TransmitterSpec.coherent(n)
+        one = holevo_rate(MarginalCell.binary(p0, z0, z1), tx, n_th, 60)
+        two = holevo_rate(MarginalCell.binary(p0, mid + half, mid - half), tx, n_th, 60)
+        assert one.trace_deficit < 1e-12
+        assert abs(one.rate_bits - two.rate_bits) <= 1e-9
 
 
 class TestFiniteResults:

@@ -14,6 +14,7 @@ from qreading import (
     TruncationError,
     g_thermal,
 )
+from qreading.channels import coherent_cell_output
 from qreading.states import block_entropies
 
 from oracles import (
@@ -32,22 +33,28 @@ from oracles import (
 )
 
 
+def coherent_output(n, dim, n_th=0.0):
+    """The channel output on |sqrt(n)> for the phase cell (1, -1): its first
+    symbol is displaced by +sqrt(n), so at n_th = 0 it is |sqrt(n)><sqrt(n)|."""
+    return coherent_cell_output(n, [[1.0, -1.0]], [n_th], dim)[0, 0]
+
+
 class TestCoherentState:
     def test_vacuum_amplitude(self):
-        vec = TransmitterSpec.coherent(0.0).amplitudes(8)
-        expected = np.zeros(8)
-        expected[0] = 1.0
-        assert np.allclose(vec, expected)
+        out = coherent_output(0.0, 8)
+        expected = np.zeros((8, 8))
+        expected[0, 0] = 1.0
+        assert np.allclose(out, expected)
 
     def test_ground_coefficient_unit_amplitude(self):
         # c_0 = exp(-|alpha|^2 / 2) = exp(-1/2)
-        vec = TransmitterSpec.coherent(1.0).amplitudes(30)
-        assert abs(vec[0] - 0.6065306597126334) < 1e-12
-        assert abs(np.vdot(vec, vec).real - 1.0) < 1e-10
+        out = coherent_output(1.0, 30)
+        assert abs(math.sqrt(out[0, 0]) - 0.6065306597126334) < 1e-12
+        assert abs(np.trace(out) - 1.0) < 1e-10
 
     def test_mean_photon_number(self):
-        vec = TransmitterSpec.coherent(0.1).amplitudes(25)
-        mean = np.sum(np.arange(25) * np.abs(vec) ** 2)
+        out = coherent_output(0.1, 25)
+        mean = np.sum(np.arange(25) * np.diagonal(out))
         assert abs(mean - 0.1) < 1e-10
 
     def test_complex_amplitude_phases(self):
@@ -57,14 +64,21 @@ class TestCoherentState:
         assert np.allclose(vec, ref * np.exp(1j * 0.9 * np.arange(25)))
 
     def test_too_large_amplitude_rejected(self):
-        with pytest.raises(TruncationError, match=r"\|amplitude\|\^2 = 9 too large for dim 10"):
-            TransmitterSpec.coherent(9.0).amplitudes(10)
+        # Poisson(9) puts 0.41 of its weight at 10 photons or more
+        with pytest.raises(TruncationError,
+                           match=r"coherent-state norm deficit 4\.1\d\de-01 > 1\.0e-08"):
+            coherent_output(9.0, 10)
 
     @given(st.floats(min_value=0.0, max_value=2.25))
     @settings(max_examples=25, deadline=None)
     def test_norm_deficit_small(self, n):
-        vec = TransmitterSpec.coherent(n).amplitudes(40)
-        assert 1.0 - np.vdot(vec, vec).real < 1e-8
+        out = coherent_output(n, 40)
+        assert 1.0 - np.trace(out) < 1e-8
+
+    @pytest.mark.parametrize("n,n_th", [(math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan)])
+    def test_guard_fails_closed_on_nan(self, n, n_th):
+        with pytest.raises(TruncationError, match="coherent-state norm deficit nan"):
+            coherent_output(n, 8, n_th)
 
 
 class TestEprState:
@@ -273,11 +287,6 @@ class TestGaussianPicture:
 
 
 class TestTransmitterSpec:
-    def test_coherent_probe_has_one_signal_mode(self):
-        with pytest.raises(ValueError, match="s == 1"):
-            TransmitterSpec("coherent", 0.1, s=2)
-        assert TransmitterSpec("coherent", 0.1, s=1) == TransmitterSpec.coherent(0.1)
-
     def test_negative_energy_rejected(self):
         with pytest.raises(ValueError):
             TransmitterSpec.coherent(-0.1)
@@ -286,33 +295,22 @@ class TestTransmitterSpec:
            st.integers(min_value=30, max_value=60))
     @settings(max_examples=40, deadline=None)
     def test_amplitudes_equal_oracle_builders(self, n_coh, n_epr, dim):
-        # bit for bit: the real coherent vector, the dense EPR vector's diagonal,
-        # and for s = 2 one copy at n/2
-        assert np.array_equal(TransmitterSpec.coherent(n_coh).amplitudes(dim),
-                              coherent_state(math.sqrt(n_coh), dim))
+        # the outer product of the real coherent vector (to rounding of its logs),
+        # and bit for bit the dense EPR vector's diagonal
+        vec = coherent_state(math.sqrt(n_coh), dim)
+        assert np.max(np.abs(coherent_output(n_coh, dim) - np.outer(vec, vec))) <= 1e-15
         schmidt = TransmitterSpec.epr(n_epr).amplitudes(dim)
         assert np.array_equal(schmidt, np.diagonal(epr_state(n_epr, 1, dim).reshape(dim, dim)))
-        assert np.array_equal(TransmitterSpec.epr(2.0 * n_epr, 2).amplitudes(dim), schmidt)
-
-    def test_two_copies_are_the_dense_vector_diagonal(self):
-        d = 8
-        amps = TransmitterSpec.epr(0.1, 2).amplitudes(d)
-        psi = epr_state(0.1, 2, d).reshape((d,) * 4)  # modes (S_1, R_1, S_2, R_2)
-        m = np.arange(d)
-        assert np.array_equal(psi[m[:, None], m[:, None], m, m], np.outer(amps, amps))
-
-    def test_epr_deficit_counts_every_copy(self):
-        # one copy drops 7e-9 of its weight below d = 10, two copies about 1.4e-8
-        t = 7e-9 ** 0.1
-        nbar = t / (1.0 - t)
-        TransmitterSpec.epr(nbar).amplitudes(10)
-        with pytest.raises(TruncationError, match="EPR-state norm deficit 1.4"):
-            TransmitterSpec.epr(2.0 * nbar, 2).amplitudes(10)
 
     def test_amplitudes_need_two_levels(self):
-        for tx in (TransmitterSpec.coherent(0.0), TransmitterSpec.epr(0.0)):
-            with pytest.raises(ValueError, match="dim must be >= 2"):
-                tx.amplitudes(1)
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            coherent_output(0.0, 1)
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            TransmitterSpec.epr(0.0).amplitudes(1)
+
+    def test_coherent_probe_has_no_amplitudes(self):
+        with pytest.raises(ValueError, match="coherent_cell_output"):
+            TransmitterSpec.coherent(0.1).amplitudes(8)
 
     def test_amplitudes_roundtrip(self):
         tx = TransmitterSpec.epr(0.7)
