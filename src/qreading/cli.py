@@ -167,7 +167,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qreading",
         description="Holevo readout rates of optical memories under thermal "
@@ -184,6 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f"--{key}", type=opt.type, default=opt.default,
                                choices=opt.choices, help=opt.help)
     return parser
+
+
+_PARSER = _parser()  # once per process: parse_args keeps no state between calls
 
 
 def _config_flags(command: str, path: str) -> list[str]:
@@ -214,11 +217,10 @@ def _config_flags(command: str, path: str) -> list[str]:
 def _settings(argv: list[str]) -> tuple[str, dict[str, Any]]:
     """The subcommand and its settings. A config file's flags go between the
     subcommand and the command line's flags, and argparse keeps the last value."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.config:
-        args = parser.parse_args([*argv[:1], *_config_flags(args.command, args.config),
-                                  *argv[1:]])
+        args = _PARSER.parse_args([*argv[:1], *_config_flags(args.command, args.config),
+                                   *argv[1:]])
     options = _OPTIONS[args.command]
     cfg = {key: getattr(args, key.replace("-", "_")) for key in options}
     for key, opt in options.items():
@@ -329,6 +331,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except QReadingError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the allocation; Python's is empty
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     if cfg["out"]:
         try:

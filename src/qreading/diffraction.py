@@ -133,105 +133,67 @@ def _symbol_unit_fill(t: np.ndarray, ratio: float) -> np.ndarray:
     return np.where(m_lo > m_hi, 0.0, f)
 
 
-def _brent_bounded(func, lo: float, hi: float) -> tuple[float, float]:
-    """Minimise ``func`` over [lo, hi] by Brent's bounded method (Brent 1973,
-    ch. 5), golden-section and parabolic steps: a plain-float, step-for-step
-    port of scipy's ``minimize_scalar(method="bounded")`` at xatol = 1e-12,
-    capped at 500 evaluations. Returns (x, func(x)) at the best point."""
-    xatol, sqrt_eps = 1e-12, math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = float(lo), float(hi)
-    xf = fulc = nfc = a + golden_mean * (b - a)
-    fx = ffulc = fnfc = func(xf)
-    rat = e = 0.0
-    num = 1
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < 500:
-        golden = True
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        step = max(abs(rat), tol1)
-        x = xf + (step if rat >= 0.0 else -step)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return xf, fx
+def _zoom(func, lo: float, hi: float) -> float:
+    """Least value of ``func`` sampled on [lo, hi]: 33 points per array call,
+    the bracket narrowed to the best point's neighbours until 1e-12 wide."""
+    best = math.inf
+    while hi - lo > 1e-12:
+        z = np.linspace(lo, hi, 33)
+        f = func(z)
+        i = int(np.argmin(f))
+        best = min(best, float(f[i]))
+        lo, hi = z[max(i - 1, 0)], z[min(i + 1, 32)]
+    return best
 
 
 def tau_extrema(geom: DiffractionGeometry) -> tuple[float, float]:
-    """Extreme amplitude attenuations (tau_min, tau_max) of the optics: the
-    square roots of the symbol's extrema, found on a grid and then polished.
+    """Extreme amplitude attenuations (tau_min, tau_max): the square roots of
+    the symbol's essential extrema, found on a grid and at the window edges.
 
-    M M^dag is real, symmetric and Toeplitz, so its symbol is even and
-    2pi-periodic: f(z) = f(-z) = f(2pi - z), even about each of z = 0, pi
-    and 2pi. An extremal candidate at one of them is returned with no
-    polish. Where f is smooth there, the point is stationary and is the
-    extremum itself. Where a window edge sits on it (an integer ratio at
-    z = 0, a half-integer one at z = pi), f is still even about it. If f
-    moves away from the point in the sought direction (up, for the maximum),
-    the edge candidates straddled at +-1e-9 beat the point and are polished
-    instead; otherwise the point is itself the local extremum.
+    The symbol jumps at each window edge t = m +- ell/x_R, where a term
+    enters or leaves the window. Its on-edge value holds that term at weight
+    1/2, so the limits on the two sides are that value plus and minus half
+    the term; they are equal where t + ell/x_R and t - ell/x_R are both
+    integers, as one term enters while another leaves. A limit that beats
+    every sampled value is the extremum, and no point attains it.
+
+    M M^dag is real symmetric Toeplitz, so f is even about z = 0, pi and 2pi,
+    and an extremal candidate there takes no polish: where f is smooth it is
+    stationary; where an edge sits on it (an integer ratio at z = 0, a
+    half-integer one at z = pi) and f moves away in the sought direction,
+    the edge candidates straddled at +-1e-9 beat it and are polished instead.
     """
-    # candidate points: grid, z = pi and the window-edge breakpoints,
-    # straddled; the stable merge keeps a grid point ahead of an equal one
+    # grid, z = pi and each edge straddled; the stable sort keeps a grid point first
     z_grid = np.linspace(0.0, 2.0 * math.pi, GRID_SIZE, endpoint=True)
-    ratio = geom.ell_over_xr
-    edges = np.concatenate((
-        np.arange(math.floor(ratio) - 1, math.ceil(ratio) + 2) - ratio,     # lower edges
-        np.arange(-math.ceil(ratio) - 1, -math.floor(ratio) + 2) + ratio))  # upper edges
+    ratio, dl = geom.ell_over_xr, geom.d_over_ell
+    edges = np.concatenate((  # as float: past int64 the aranges hold Python ints
+        np.arange(math.floor(ratio) - 1, math.ceil(ratio) + 2) - ratio,      # lower edges
+        np.arange(-math.ceil(ratio) - 1, -math.floor(ratio) + 2) + ratio)).astype(float)
     extra = (2.0 * math.pi * (edges[:, None] + np.array([-1e-9, 0.0, 1e-9]))).ravel()
     extra = np.append(extra[(extra >= 0.0) & (extra <= 2.0 * math.pi)], math.pi)
     cand = np.concatenate((z_grid, extra))
     vals = np.concatenate((toeplitz_symbol(geom, z_grid), toeplitz_symbol(geom, extra)))
+    # an edge's one-sided limits are its value +- half the boundary term; from 2^53
+    # on the ratio is an even integer, every edge a double one and the term unused
+    t = extra / (2.0 * math.pi)
+    hi_on, lo_on = (np.abs(x - np.round(x)) <= _BOUNDARY_TOL for x in (t + ratio, t - ratio))
+    half = np.where(hi_on != lo_on, 0.5 * dl * _sinc(math.pi * dl * min(ratio, 2.0 ** 53)) ** 2, 0)
+    limits = np.concatenate((vals[GRID_SIZE:] - half, vals[GRID_SIZE:] + half))
     order = np.argsort(cand, kind="stable")
     cand, vals = cand[order], vals[order]
 
-    def polish(idx: int, sign: float) -> float:
-        lo = cand[max(idx - 1, 0)]
-        hi = cand[min(idx + 1, cand.size - 1)]
-        t = cand[idx] / (2.0 * math.pi)
-        if hi - lo <= 0 or t in (0.0, 0.5, 1.0):
-            return sign * vals[idx]
-        _, fun = _brent_bounded(lambda zz: sign * toeplitz_symbol(geom, zz), lo, hi)
-        return min(sign * vals[idx], fun)
+    def least(sign: float) -> float:
+        idx = int(np.argmin(sign * vals))
+        best, limit = sign * vals[idx], float(np.min(sign * limits))
+        if limit < best:
+            return limit
+        lo, hi = cand[max(idx - 1, 0)], cand[min(idx + 1, cand.size - 1)]
+        if hi - lo <= 0 or cand[idx] / (2.0 * math.pi) in (0.0, 0.5, 1.0):
+            return best
+        return min(best, _zoom(lambda zz: sign * toeplitz_symbol(geom, zz), lo, hi))
 
-    f_min = min(max(polish(int(np.argmin(vals)), 1.0), 0.0), 1.0)
-    f_max = min(max(-polish(int(np.argmax(vals)), -1.0), 0.0), 1.0)
+    f_min = min(max(least(1.0), 0.0), 1.0)
+    f_max = min(max(-least(-1.0), 0.0), 1.0)
     return math.sqrt(f_min), math.sqrt(f_max)
 
 

@@ -269,13 +269,14 @@ class TestDiffractionCommand:
         assert "lxr-grid" in err
 
 
-def _fresh_process(*args: str, **variables: str) -> subprocess.CompletedProcess:
+def _fresh_process(*args: str, preexec_fn=None,
+                   **variables: str) -> subprocess.CompletedProcess:
     """A new interpreter run with ``args`` and extra environment ``variables``
-    on this checkout's src/."""
+    on this checkout's src/, after ``preexec_fn`` in the child if given."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env, preexec_fn=preexec_fn,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -314,7 +315,7 @@ class TestStartup:
 
     def test_diffraction_at_symmetry_points_never_imports_scipy(self):
         # every extremum of these ratios sits at z = 0 or pi, away from a
-        # window edge, so no Brent polish and no scipy.optimize
+        # window edge, so no polish and no scipy.optimize
         code = ("import sys, qreading.cli as c; "
                 "print(c.main(['diffraction', '--lxr-grid', '0.9,1.2', '--n', '0.01', "
                 "'--nth', '0.1', '--dim', '12'])); " + _SCIPY_LOADED)
@@ -322,7 +323,7 @@ class TestStartup:
 
     def test_diffraction_and_gain_map_never_import_scipy(self):
         # at d/ell = 0.7 the extrema sit off the symmetry points and take the
-        # plain-Python Brent polish; gain-map runs on the same numpy core
+        # numpy zoom polish; gain-map runs on the same numpy core
         code = ("import sys, qreading.cli as c; "
                 "print([c.main(['diffraction', '--lxr-grid', '0.6:2.7:8', '--n', '0.01', "
                 "'--nth', '0.1', '--dim', '12', '--d-over-ell', '0.7', '--both-sides']), "
@@ -365,6 +366,34 @@ class TestProgram:
         assert proc.stdout == ""
         assert proc.stderr == (f"error: cannot parse config file {cfg}: "
                                "File contains no section headers.\n")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS caps the address space on Linux")
+    def test_out_of_memory_exits_1(self):
+        # --dim 100000 asks for one 149 GiB array, which a 4 GB address space refuses
+        import resource
+        cap = 4 << 30
+        proc = _fresh_process("-m", "qreading.cli", "rate", "--n", "0.1", "--dim", "100000",
+                              "--transmitter", "coherent", OPENBLAS_NUM_THREADS="1",
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                    (cap, cap)))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate 149. GiB")
+        assert proc.stderr.count("\n") == 1
+
+    def test_parser_built_once_per_process(self):
+        # argparse keeps no state between parse_args calls, so main reuses
+        # the parser built at import
+        code = ("import argparse, io, contextlib, qreading.cli as c; built = []; "
+                "init = argparse.ArgumentParser.__init__; "
+                "argparse.ArgumentParser.__init__ = "
+                "lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+                "argv = ['rate', '--n', '0.1', '--dim', '8', '--transmitter', 'coherent']; "
+                "out = contextlib.redirect_stdout(io.StringIO()); out.__enter__(); "
+                "codes = [c.main(argv), c.main(argv)]; out.__exit__(None, None, None); "
+                "print(codes, len(built))")
+        assert _fresh_interpreter(code)[-1] == "[0, 0] 0"
 
     # a fresh interpreter, because under pytest the root logger already has
     # handlers and logging.basicConfig does nothing
@@ -620,6 +649,20 @@ class TestBoundaryExits:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 149. GiB for an array", "out of memory: Unable to allocate 149. "
+                                                     "GiB for an array"),
+        ("", "out of memory")], ids=["numpy", "python"])
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch, message, line):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(qreading.cli, "holevo_rate", exhausted)
+        code, out, err = run(capsys, "rate", "--n", "0.1", "--dim", "8")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {line}\n"
 
     def test_truncated_epr_probe_exits_1(self, capsys):
         # n = 3 puts more than the truncation bound of the EPR probe past dim 30

@@ -82,9 +82,30 @@ def reference_points(ratio: float) -> np.ndarray:
     return np.concatenate((np.linspace(0.0, 2.0 * math.pi, 4096), 2.0 * math.pi * np.array(t)))
 
 
+def edge_limits_ref(ratio: float, dl: float) -> list[float]:
+    """Both one-sided limits of the symbol at every window edge t = m +- ratio
+    in [0, 1]: a plain-Python fsum of the in-window terms, where a term on the
+    window boundary counts on the side it enters from."""
+    limits = []
+    for m in range(-math.ceil(ratio) - 1, math.ceil(ratio) + 2):
+        for edge in (m - ratio, m + ratio):
+            if not 0.0 <= edge <= 1.0:
+                continue
+            for side in (-1.0, 1.0):
+                terms = []
+                for k in range(math.floor(edge - ratio) - 1, math.ceil(edge + ratio) + 2):
+                    dist = abs(edge - k)
+                    entering = abs(dist - ratio) <= TOL and side * (k - edge) > 0
+                    if dist < ratio - TOL or entering:
+                        terms.append(dl * _sinc2_ref((edge - k) * dl))
+                limits.append(math.fsum(terms))
+    return limits
+
+
 def spectrum_ref(geom: DiffractionGeometry) -> tuple[float, float]:
-    """(tau_min, tau_max) with a scipy bounded-Brent polish of every extremum,
-    symmetry point or not, over the grid and the straddled window edges."""
+    """(tau_min, tau_max): a scipy bounded-Brent polish of every sampled
+    extremum, symmetry point or not, over the grid and the straddled window
+    edges, against every one-sided edge limit of :func:`edge_limits_ref`."""
     z_grid = np.linspace(0.0, 2.0 * math.pi, diffraction.GRID_SIZE)
     ratio = geom.ell_over_xr
     edges = np.concatenate((
@@ -95,15 +116,17 @@ def spectrum_ref(geom: DiffractionGeometry) -> tuple[float, float]:
     vals = toeplitz_symbol(geom, cand)
     order = np.argsort(cand, kind="stable")
     cand, vals = cand[order], vals[order]
+    limits = edge_limits_ref(ratio, geom.d_over_ell)
 
     def polish(idx: int, sign: float) -> float:
+        best = min(sign * vals[idx], *(sign * v for v in limits))
         lo, hi = cand[max(idx - 1, 0)], cand[min(idx + 1, cand.size - 1)]
         if hi - lo <= 0:
-            return sign * vals[idx]
+            return best
         res = scipy.optimize.minimize_scalar(
             lambda zz: sign * toeplitz_symbol(geom, zz), bounds=(lo, hi),
             method="bounded", options={"xatol": 1e-12})
-        return min(sign * vals[idx], float(res.fun))
+        return min(best, float(res.fun))
 
     f_min = min(max(polish(int(np.argmin(vals)), 1.0), 0.0), 1.0)
     f_max = min(max(-polish(int(np.argmax(vals)), -1.0), 0.0), 1.0)
@@ -360,15 +383,35 @@ class TestSpectrum:
             assert diffraction.GRID_SIZE < sum(points) < diffraction.GRID_SIZE + 256
 
     @pytest.mark.parametrize("d_over_ell", np.round(np.linspace(0.55, 1.0, 10), 2))
-    def test_extrema_match_brent_everywhere(self, d_over_ell):
-        # skipping the polish at z = 0, pi, 2pi moves no tau: against a
-        # Brent polish of every extremum, including ratios whose window
-        # edge sits on a symmetry point (integers at 0, half-integers at pi)
+    def test_extrema_match_the_exact_reference(self, d_over_ell):
+        # against a Brent polish of every extremum and every one-sided edge
+        # limit, including ratios whose window edge sits on a symmetry point
+        # (integers at 0, half-integers at pi): skipping the polish there moves
+        # no tau, and an edge is read as its limits, not at edge +-1e-9 (300 of
+        # these 1360 taus missed the limits that way, by up to 1.9e-9 relative)
         for ratio in [*np.linspace(0.2, 5.0, 63), 0.5, 1.0, 1.5, 2.0, 3.0]:
             geom = DiffractionGeometry(ratio, d_over_ell)
             for got, ref in zip(tau_extrema(geom), spectrum_ref(geom)):
                 assert abs(got - ref) <= 1e-15 * ref
                 assert f"{got:.12g}" == f"{ref:.12g}"
+
+    @pytest.mark.parametrize("ratio,d_over_ell,extremum,printed", [
+        (1.975, 0.55, max, "0.955369895171"), (0.5016915596871784, 1.0, min, "0.638771824452")])
+    def test_extremum_at_an_edge_is_its_limit(self, ratio, d_over_ell, extremum, printed):
+        # read at edge +-1e-9, tau_max printed 0.955369895159 and tau_min
+        # 0.638771825723: the limits are no point's value
+        limit = math.sqrt(extremum(edge_limits_ref(ratio, d_over_ell)))
+        tau = tau_extrema(DiffractionGeometry(ratio, d_over_ell))[extremum is max]
+        assert abs(tau - limit) <= 1e-15 * limit
+        assert f"{tau:.12g}" == printed
+
+    @given(st.floats(min_value=0.2, max_value=5.0), st.floats(min_value=0.5, max_value=1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_extrema_enclose_every_edge_limit(self, ratio, dl):
+        tau_min, tau_max = tau_extrema(DiffractionGeometry(ratio, dl))
+        limits = edge_limits_ref(ratio, dl)
+        assert tau_min ** 2 <= min(limits) + 1e-15
+        assert tau_max ** 2 >= max(limits) - 1e-15
 
     def test_maximum_beside_an_edge_at_a_symmetry_point(self):
         # an integer ratio puts a window edge, and a kink, at z = 0; just
@@ -394,45 +437,19 @@ class TestSpectrum:
         assert len(calls) <= budget
 
 
-class TestBrentPort:
-    """_brent_bounded takes scipy's bounded-Brent steps: the same points, the
-    same x and f(x), the same evaluation count, bit for bit."""
-
-    @staticmethod
-    def assert_matches_scipy(func, lo, hi):
-        ours, theirs = [], []
-        x, fun = diffraction._brent_bounded(lambda v: ours.append(v) or func(v), lo, hi)
-        res = scipy.optimize.minimize_scalar(
-            lambda v: theirs.append(v) or func(v), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12})
-        assert (x, fun, len(ours)) == (res.x, res.fun, res.nfev)
-        assert ours == theirs
-
-    @pytest.mark.parametrize("func,lo,hi", [
-        (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
-        (math.cos, 1.0, 5.0),
-        (lambda x: 2.0 * x + 1.0, 0.0, 1.0),  # minimum at the lower edge
-        (lambda x: 3.0, -2.0, 2.0),
-        (lambda x: abs(x - 0.37), 0.0, 1.0),
-        (lambda x: (x - 1.1) ** 4, 0.0, 3.0),
-    ], ids=["quadratic", "cos", "linear", "constant", "abs", "quartic"])
-    def test_matches_scipy_on_test_functions(self, func, lo, hi):
-        self.assert_matches_scipy(func, lo, hi)
-
-    @pytest.mark.parametrize("d_over_ell", [0.7, 0.55])
-    def test_matches_scipy_on_polish_brackets(self, monkeypatch, d_over_ell):
-        # every bracket the spectrum search polishes, with its +-symbol
-        brackets = []
-        real = diffraction._brent_bounded
-        monkeypatch.setattr(diffraction, "_brent_bounded",
-                            lambda func, lo, hi: brackets.append((func, lo, hi))
-                            or real(func, lo, hi))
-        for ratio in parse_grid("0.6:2.7:8"):
-            tau_extrema(DiffractionGeometry(ratio, d_over_ell))
-        monkeypatch.undo()
-        assert brackets
-        for func, lo, hi in brackets:
-            self.assert_matches_scipy(func, lo, hi)
+class TestZoom:
+    @pytest.mark.parametrize("func,lo,hi,least", [
+        (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 0.0),
+        (np.cos, 1.0, 5.0, -1.0),
+        (lambda x: 2.0 * x + 1.0, 0.0, 1.0, 1.0),  # minimum at the lower edge
+        (lambda x: np.abs(x - 0.37), 0.0, 1.0, 0.0),
+    ], ids=["quadratic", "cos", "linear", "abs"])
+    def test_finds_the_least_value(self, func, lo, hi, least):
+        calls = []
+        got = diffraction._zoom(lambda z: calls.append(z.size) or func(z), lo, hi)
+        assert abs(got - least) <= 1e-12
+        # each round samples 33 points and cuts the bracket at least 16-fold
+        assert set(calls) == {33} and len(calls) <= math.ceil(math.log(1e12 * (hi - lo), 16))
 
 
 class TestRateBounds:
