@@ -44,6 +44,7 @@ log = logging.getLogger("qreading")
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
 _HEAP_RETAIN_BYTES = 32 << 20
+_MAX_GRID_COUNT = 10 ** 6  # points a 'start:stop:count' grid may ask for
 
 
 def _retain_freed_heap() -> None:
@@ -137,9 +138,9 @@ def parse_grid(text: str) -> list[float]:
             start, stop, count = float(start_s), float(stop_s), int(count_s)
             if count < 1:
                 raise ValueError
-            if count == 1:
-                return [start]
-            step = (stop - start) / (count - 1)
+            if count > _MAX_GRID_COUNT:
+                raise ConfigError(f"grid {text!r}: count is above {_MAX_GRID_COUNT}")
+            step = (stop - start) / (count - 1) if count > 1 else 0.0
             return [start + i * step for i in range(count)]
         vals = [float(v) for v in text.split(",") if v.strip() != ""]
         if not vals:

@@ -24,7 +24,7 @@ from .rates import TransmitterSpec, bounding_rates
 
 _BOUNDARY_TOL = 1e-12
 _MAX_TERMS = 1 << 18  # (points x shifts) entries per aliased-sum chunk
-GRID_SIZE = 4096  # uniform symbol samples over [0, 2pi] before the extremum polish
+GRID_SIZE = 2049  # uniform symbol samples over [0, pi], where f is even, before the polish
 # B_2 .. B_14: for x >= 12 the first omitted term, B_16 / x^17, is < 4e-17 of psi'(x)
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
@@ -128,7 +128,7 @@ def _symbol_unit_fill(t: np.ndarray, ratio: float) -> np.ndarray:
     correction = (np.where(hi_on, 0.5 * _sinc(math.pi * (t - m_hi)) ** 2, 0.0)
                   + np.where(lo_on, 0.5 * _sinc(math.pi * (t - m_lo)) ** 2, 0.0))
     sin2 = np.sin(math.pi * t) ** 2
-    tails = _trigamma((m_hi + 1) - t) + _trigamma(t - (m_lo - 1))
+    tails = _trigamma(np.stack(((m_hi + 1) - t, t - (m_lo - 1)))).sum(axis=0)
     f = np.maximum(0.0, 1.0 - sin2 / math.pi ** 2 * tails - correction)
     return np.where(m_lo > m_hi, 0.0, f)
 
@@ -157,28 +157,27 @@ def tau_extrema(geom: DiffractionGeometry) -> tuple[float, float]:
     integers, as one term enters while another leaves. A limit that beats
     every sampled value is the extremum, and no point attains it.
 
-    M M^dag is real symmetric Toeplitz, so f is even about z = 0, pi and 2pi,
-    and an extremal candidate there takes no polish: where f is smooth it is
-    stationary; where an edge sits on it (an integer ratio at z = 0, a
-    half-integer one at z = pi) and f moves away in the sought direction,
-    the edge candidates straddled at +-1e-9 beat it and are polished instead.
+    M M^dag is real symmetric Toeplitz, so f is even, f(z) = f(2pi - z), and one
+    symbol call samples [0, pi]: a grid and each edge straddled at +-1e-9 (the
+    edges t = m +- ell/x_R mirror about t = 1/2). A candidate at z = 0 or pi takes
+    no polish: where f is smooth it is stationary; where an edge sits on it and f
+    moves away in the sought direction, the straddled edges beat it and are polished.
     """
-    # grid, z = pi and each edge straddled; the stable sort keeps a grid point first
-    z_grid = np.linspace(0.0, 2.0 * math.pi, GRID_SIZE, endpoint=True)
     ratio, dl = geom.ell_over_xr, geom.d_over_ell
     edges = np.concatenate((  # as float: past int64 the aranges hold Python ints
         np.arange(math.floor(ratio) - 1, math.ceil(ratio) + 2) - ratio,      # lower edges
         np.arange(-math.ceil(ratio) - 1, -math.floor(ratio) + 2) + ratio)).astype(float)
     extra = (2.0 * math.pi * (edges[:, None] + np.array([-1e-9, 0.0, 1e-9]))).ravel()
-    extra = np.append(extra[(extra >= 0.0) & (extra <= 2.0 * math.pi)], math.pi)
-    cand = np.concatenate((z_grid, extra))
-    vals = np.concatenate((toeplitz_symbol(geom, z_grid), toeplitz_symbol(geom, extra)))
-    # an edge's one-sided limits are its value +- half the boundary term; from 2^53
-    # on the ratio is an even integer, every edge a double one and the term unused
+    extra = extra[(extra >= 0.0) & (extra <= math.pi)]
+    cand = np.concatenate((extra, np.linspace(0.0, math.pi, GRID_SIZE)))
+    vals = toeplitz_symbol(geom, cand)
+    # an edge's one-sided limits are its value +- half the boundary term (from 2^53 on
+    # the ratio is an even integer, every edge a double one and the term unused); a grid
+    # sample within _BOUNDARY_TOL of an edge has none, as they would extend a piece past it
     t = extra / (2.0 * math.pi)
     hi_on, lo_on = (np.abs(x - np.round(x)) <= _BOUNDARY_TOL for x in (t + ratio, t - ratio))
     half = np.where(hi_on != lo_on, 0.5 * dl * _sinc(math.pi * dl * min(ratio, 2.0 ** 53)) ** 2, 0)
-    limits = np.concatenate((vals[GRID_SIZE:] - half, vals[GRID_SIZE:] + half))
+    limits = np.concatenate((vals[:extra.size] - half, vals[:extra.size] + half))
     order = np.argsort(cand, kind="stable")
     cand, vals = cand[order], vals[order]
 
@@ -188,7 +187,7 @@ def tau_extrema(geom: DiffractionGeometry) -> tuple[float, float]:
         if limit < best:
             return limit
         lo, hi = cand[max(idx - 1, 0)], cand[min(idx + 1, cand.size - 1)]
-        if hi - lo <= 0 or cand[idx] / (2.0 * math.pi) in (0.0, 0.5, 1.0):
+        if hi - lo <= 0 or cand[idx] / (2.0 * math.pi) in (0.0, 0.5):
             return best
         return min(best, _zoom(lambda zz: sign * toeplitz_symbol(geom, zz), lo, hi))
 

@@ -32,6 +32,9 @@ from qreading.states import (
 
 HERMITICITY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-9
+# the reference's own uniform symbol samples over the full period [0, 2pi],
+# fixed apart from the library's half-period grid
+REFERENCE_GRID_SIZE = 4096
 
 _QUAD_TOL = 1e-8  # absolute tolerance of each transfer-matrix quadrature
 

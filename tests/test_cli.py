@@ -30,10 +30,12 @@ from qreading import (
     tau_extrema,
 )
 from qreading.channels import coherent_cell_output
+from qreading import cli
 from qreading.cli import main, parse_grid
 from qreading.errors import ConfigError
 
 from oracles import (
+    REFERENCE_GRID_SIZE,
     FockDensityMatrix,
     apply_cell_channel,
     apply_classical_noise,
@@ -68,6 +70,22 @@ class TestGridParsing:
         for text in ("0:1:0", "a,b", "1:2", ""):
             with pytest.raises(ConfigError):
                 parse_grid(text)
+
+    def test_count_above_the_cap_refused(self, capsys):
+        # refused before the list is built: a billion points took 32 GB
+        assert cli._MAX_GRID_COUNT == 10 ** 6
+        text = f"0.5:3:{10 ** 6 + 1}"
+        with pytest.raises(ConfigError, match=r"count is above 1000000$"):
+            parse_grid(text)
+        code, out, err = run(capsys, "diffraction", "--lxr-grid", text, "--dim", "4")
+        assert (code, out) == (2, "")
+        assert err == f"error: grid '{text}': count is above 1000000\n"
+
+    def test_count_at_the_cap_accepted(self, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_COUNT", 5)
+        assert parse_grid("0:1:5") == [0.0, 0.25, 0.5, 0.75, 1.0]
+        with pytest.raises(ConfigError):
+            parse_grid("0:1:6")
 
 
 class TestRateCommand:
@@ -308,7 +326,7 @@ class TestStartup:
     def test_symbol_grid_never_imports_scipy(self):
         # the d = ell branch sums its tails with a numpy trigamma
         code = ("import sys, numpy as np; from qreading import diffraction as D; "
-                "z = np.linspace(0.0, 2.0 * np.pi, D.GRID_SIZE); "
+                f"z = np.linspace(0.0, 2.0 * np.pi, {REFERENCE_GRID_SIZE}); "
                 "[D.toeplitz_symbol(D.DiffractionGeometry(1.3, dl), z) "
                 "for dl in (1.0, 0.7)]; " + _SCIPY_LOADED)
         assert _fresh_interpreter(code)[-1] == "[]"
@@ -381,6 +399,21 @@ class TestProgram:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: out of memory: Unable to allocate 149. GiB")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS caps the address space on Linux")
+    def test_huge_grid_count_exits_2(self):
+        # without the count cap, a billion-point grid filled the 1 GiB address
+        # space while building its list and exited 1 out of memory
+        import resource
+        cap = 1 << 30
+        proc = _fresh_process("-m", "qreading.cli", "diffraction", "--lxr-grid",
+                              "0.5:3:1000000000", "--dim", "4", OPENBLAS_NUM_THREADS="1",
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                    (cap, cap)))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: grid '0.5:3:1000000000': count is above 1000000\n"
 
     def test_parser_built_once_per_process(self):
         # argparse keeps no state between parse_args calls, so main reuses
