@@ -1,15 +1,23 @@
 """Readout rates of digital optical memories probed by quantum light.
 
-Core pieces:
+One module per layer of the model:
 
-* :mod:`qreading.states` — probes as truncated-Fock amplitudes and
-  block-diagonal entropies;
 * :mod:`qreading.channels` — the memory-cell channel (loss + classical
-  Gaussian displacement noise) in the Fock basis;
-* :mod:`qreading.rates` — Holevo rates, closed forms, gains;
+  Gaussian displacement noise) on a probe, in the Fock basis, with the
+  probes' truncation guards;
+* :mod:`qreading.rates` — transmitters, Holevo rates of the output
+  ensembles, closed forms, gains and the ``rate`` table's rows;
 * :mod:`qreading.diffraction` — near-field interbit interference, the
   extrema of its Toeplitz symbol and the resulting rate bounds;
-* :mod:`qreading.cli` — the ``qreading`` command.
+* :mod:`qreading.cli` — the ``qreading`` command: parse, one library call
+  per subcommand, render.
+
+Conventions used throughout the package:
+
+* quadratures are x = a + a^dag, p = -i(a - a^dag), so the vacuum covariance
+  matrix is the identity (variance 1) and a thermal state with mean photon
+  number ``nbar`` has covariance (2*nbar + 1) * I;
+* entropies are in bits (log base 2).
 """
 
 from .channels import MarginalCell
@@ -31,17 +39,20 @@ from .rates import (
     ConcavityReport,
     GainResult,
     RateResult,
+    RateRow,
+    TransmitterSpec,
     bounding_rates,
     coherent_capacity_faint,
     coherent_capacity_noiseless,
     concavity_scan,
     epr_rate_faint,
     epr_rate_noiseless_phase,
+    g_thermal,
     gains,
     holevo_rate,
+    rate_rows,
     shannon_entropy_d,
 )
-from .states import TransmitterSpec, g_thermal
 
 __all__ = [
     "MarginalCell",
@@ -51,7 +62,7 @@ __all__ = [
     "RateResult", "bounding_rates", "coherent_capacity_faint", "coherent_capacity_noiseless",
     "concavity_scan", "epr_rate_faint", "epr_rate_noiseless_phase", "gains",
     "holevo_rate", "shannon_entropy_d",
-    "TransmitterSpec", "g_thermal",
+    "TransmitterSpec", "g_thermal", "RateRow", "rate_rows",
 ]
 
 __version__ = "0.1.0"

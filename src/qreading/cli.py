@@ -31,14 +31,7 @@ from typing import Any, Callable, NoReturn, Sequence
 from .channels import MarginalCell
 from .diffraction import DiffractionGeometry, rate_bounds
 from .errors import ConfigError, QReadingError
-from .rates import (
-    TransmitterSpec,
-    coherent_capacity_noiseless,
-    epr_rate_noiseless_phase,
-    gains,
-    holevo_rate,
-)
-from .states import DEFAULT_DIM_PER_MODE
+from .rates import DEFAULT_DIM_PER_MODE, gains, rate_rows
 
 log = logging.getLogger("qreading")
 
@@ -251,28 +244,9 @@ def _cell(cfg: dict[str, Any]) -> tuple[MarginalCell, dict[str, Any]]:
 
 def cmd_rate(cfg: dict[str, Any]) -> list[dict[str, Any]]:
     cell, echo = _cell(cfg)
-    (p0, p1), (z0, z1) = cell.probs, cell.reflectances
-    n, nth = cfg["n"], cfg["nth"]
     kinds = ("coherent", "epr") if cfg["transmitter"] == "both" else (cfg["transmitter"],)
-    rows: list[dict[str, Any]] = []
-    for kind in kinds:
-        tx = TransmitterSpec.coherent(n) if kind == "coherent" else TransmitterSpec.epr(n)
-        res = holevo_rate(cell, tx, nth, cfg["dim"])
-        rows.append(dict(echo, transmitter=kind, method="fock_numeric", dim=res.truncation_dim,
-                         rate_bits=res.rate_bits, trace_deficit=res.trace_deficit,
-                         cross_check_bits=res.cross_check_error))
-        if nth != 0.0:
-            continue
-        analytic = None
-        if kind == "coherent":
-            analytic = coherent_capacity_noiseless(cell, n)
-        elif abs(abs(z0) - 1.0) < 1e-12 and abs(abs(z1) - 1.0) < 1e-12:
-            analytic = epr_rate_noiseless_phase(p0, p1, cmath.phase(z1) - cmath.phase(z0), n)
-        if analytic is not None:
-            rows.append(dict(echo, transmitter=kind, method="analytic_noiseless",
-                             dim=res.truncation_dim, rate_bits=analytic,
-                             trace_deficit=0.0, cross_check_bits=0.0))
-    return rows
+    return [dict(echo, **vars(row))
+            for row in rate_rows(cell, cfg["n"], cfg["nth"], cfg["dim"], kinds)]
 
 
 def cmd_gain_map(cfg: dict[str, Any]) -> list[dict[str, Any]]:

@@ -1,6 +1,7 @@
-"""Holevo readout rates: exact Fock-basis numerics, closed-form noiseless
-expressions, faint-signal approximations, information gains, and the
-concavity scan backing the classical-optimality conjecture.
+"""Transmitters and Holevo readout rates: exact Fock-basis numerics,
+closed-form noiseless expressions, faint-signal approximations, information
+gains, the ``rate`` table's rows (:func:`rate_rows`), and the concavity scan
+backing the classical-optimality conjecture.
 
 Coherent numerics use the single-mode optimum (one signal mode, no idler): each
 output is a displaced thermal state, built from its displacement centred on the cell.
@@ -10,29 +11,58 @@ per (n_S - n_R) mod d. The noiseless phase rate of s such pairs is in closed for
 :func:`epr_rate_noiseless_phase`.
 :func:`bounding_rates` is the one entry into these numerics: it composes the cell channel
 with each tau-attenuator of a sweep and gives all of them one batched Fock build and
-eigensolve. :func:`holevo_rate` is its tau = 1 case.
+eigensolve. :func:`holevo_rate` is its tau = 1 case. A Fock output's entropy comes
+from the spectra of its diagonal blocks (:func:`block_entropies`), each Gaussian one's
+from g(n) (:func:`g_thermal`).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .channels import MarginalCell, coherent_cell_output, epr_output_blocks
-from .errors import ConvergenceError
-from .states import (
-    DEFAULT_DIM_PER_MODE,
-    DEFAULT_DIM_SINGLE,
-    TransmitterSpec,
-    block_entropies,
-    g_thermal,
-)
+from .channels import MarginalCell, coherent_cell_output, epr_amplitudes, epr_output_blocks
+from .errors import ConvergenceError, StateValidationError
 
+EIGENVALUE_FLOOR = 1e-14
+NEGATIVITY_TOL = 1e-10
+DEFAULT_DIM_SINGLE = 60
+DEFAULT_DIM_PER_MODE = 30
 RATE_FLOOR = 1e-9
 _MAX_STACK_TERMS = 1 << 19  # matrix entries in one chunk's stack of outputs and mixtures
+
+
+def _check_photons(name: str, x: float) -> None:
+    """Raise ValueError unless the photon number ``x`` is finite and >= 0 (NaN fails)."""
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"{name} must be >= 0" if x < 0 else f"{name} must be finite")
+
+
+@dataclass(frozen=True)
+class TransmitterSpec:
+    """Probe description: kind and mean photon number per cell. An EPR probe
+    is its Schmidt coefficients, channels.epr_amplitudes(n, d); a coherent
+    one is built from its displacements (channels.coherent_cell_output)."""
+
+    kind: Literal["coherent", "epr"]
+    n: float
+
+    def __post_init__(self) -> None:
+        _check_photons("mean photon number n", self.n)
+        if self.kind not in ("coherent", "epr"):
+            raise ValueError(f"unknown transmitter kind {self.kind!r}")
+
+    @classmethod
+    def coherent(cls, n: float) -> "TransmitterSpec":
+        return cls("coherent", n)
+
+    @classmethod
+    def epr(cls, n: float) -> "TransmitterSpec":
+        return cls("epr", n)
 
 
 @dataclass(frozen=True)
@@ -53,6 +83,18 @@ class GainResult:
     gain_relative: float | None
     trace_deficit: float  # worst of the two rates
     cross_check_bits: float  # worst of the two rates
+
+
+@dataclass(frozen=True)
+class RateRow:
+    """One rate of a transmitter; the fields are the rate columns after the inputs, in order."""
+
+    transmitter: str
+    method: str  # "fock_numeric", or "analytic_noiseless" for a closed form
+    dim: int
+    rate_bits: float
+    trace_deficit: float  # 0 on a closed form
+    cross_check_bits: float  # 0 on a closed form
 
 
 @dataclass(frozen=True)
@@ -79,6 +121,39 @@ def shannon_entropy_d(q: Sequence[float]) -> float:
 
 def _h2(q: float) -> float:
     return shannon_entropy_d([q])
+
+
+def g_thermal(nbar: float) -> float:
+    """Entropy in bits of a thermal state with mean photon number ``nbar``:
+    (n+1) log(n+1) - n log n, summed as log1p(n) + n log(1 + 1/n) so no large
+    terms cancel; below n = 1 that log is log1p(n) - log(n) (1/n overflows)."""
+    if nbar <= 0.0:
+        return 0.0
+    tail = math.log1p(1.0 / nbar) if nbar >= 1.0 else math.log1p(nbar) - math.log(nbar)
+    return (math.log1p(nbar) + nbar * tail) / math.log(2.0)
+
+
+def _check_states(blocks: np.ndarray) -> np.ndarray:
+    """Each state's trace in a (..., count, b, b) block stack, checked to lie in (0, 1]."""
+    tr = np.trace(blocks, axis1=-2, axis2=-1).real.sum(axis=-1)
+    bad = tr[~((tr > 0.0) & (tr <= 1.0 + 1e-10))]
+    if bad.size:
+        raise StateValidationError(f"trace {bad[0]} outside (0, 1]")
+    return tr
+
+
+def block_entropies(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies in bits and trace deficits of states given as (..., count,
+    b, b) stacks of diagonal blocks, zero-padded to one size b. The builders
+    return exactly Hermitian blocks (``eigvalsh`` reads one triangle); each
+    state's trace is checked to lie in (0, 1]. Its spectrum is its blocks'
+    spectra, so one batched ``eigvalsh`` serves every state. A pure state reads +0.0."""
+    tr = _check_states(blocks)
+    lam = np.linalg.eigvalsh(blocks).reshape(blocks.shape[:-3] + (-1,))
+    if lam.min() < -NEGATIVITY_TOL:
+        raise StateValidationError(f"eigenvalue {lam.min():.3e} below negativity floor")
+    lam = np.where(lam > EIGENVALUE_FLOOR, lam, 1.0)
+    return np.maximum(0.0, -np.sum(lam * np.log2(lam), axis=-1)) + 0.0, np.maximum(0.0, 1.0 - tr)
 
 
 def gaussian_output_entropy(tx: TransmitterSpec, z: complex, n_th: float,
@@ -125,8 +200,7 @@ def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
     against the closed-form Gaussian value of :func:`gaussian_output_entropy`,
     with the worst deviation reported.
     """
-    if n_th < 0:
-        raise ValueError("n_th must be >= 0")
+    _check_photons("n_th", n_th)
     taus = [float(tau) for tau in taus]
     if not all(0.0 <= tau <= 1.0 for tau in taus):
         raise ValueError("tau must lie in [0, 1]")
@@ -135,7 +209,7 @@ def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
     idler_loss = [tau if attenuate_idler else 1.0 for tau in taus]
     if dim is None:
         dim = DEFAULT_DIM_SINGLE if tx.kind == "coherent" else DEFAULT_DIM_PER_MODE
-    schmidt = tx.amplitudes(dim) if tx.kind == "epr" else None
+    schmidt = epr_amplitudes(tx.n, dim) if tx.kind == "epr" else None
     probs, bound = cell.probs, shannon_entropy_d(cell.probs[1:])
     block = dim ** (2 if tx.kind == "coherent" else 3)  # terms of one state's blocks
     step = max(1, _MAX_STACK_TERMS // ((len(probs) + 1) * block))
@@ -225,6 +299,29 @@ def epr_rate_faint(cell: MarginalCell, n: float, n_th: float,
     for p, z in ((p0, z0), (p1, z1)):
         rate -= p * shannon_entropy_d([(1.0 - abs(z) ** 2) * n, n_th])
     return rate
+
+
+def rate_rows(cell: MarginalCell, n: float, n_th: float = 0.0, dim: int | None = None,
+              kinds: Sequence[str] = ("coherent", "epr")) -> list[RateRow]:
+    """The rate table of one cell: per transmitter kind, its Fock rate, then at
+    n_th = 0 its noiseless closed form where one exists (coherent: any binary
+    cell; EPR: a binary cell with |z0| = |z1| = 1, within 1e-12)."""
+    rows = []
+    for kind in kinds:
+        res = holevo_rate(cell, TransmitterSpec(kind, n), n_th, dim)
+        rows.append(RateRow(kind, "fock_numeric", res.truncation_dim, res.rate_bits,
+                            res.trace_deficit, res.cross_check_error))
+        if n_th != 0.0 or cell.d != 2:
+            continue
+        (p0, p1), (z0, z1) = cell.probs, cell.reflectances
+        if kind == "coherent":
+            analytic = coherent_capacity_noiseless(cell, n)
+        elif abs(abs(z0) - 1.0) < 1e-12 and abs(abs(z1) - 1.0) < 1e-12:
+            analytic = epr_rate_noiseless_phase(p0, p1, cmath.phase(z1) - cmath.phase(z0), n)
+        else:
+            continue
+        rows.append(RateRow(kind, "analytic_noiseless", res.truncation_dim, analytic, 0.0, 0.0))
+    return rows
 
 
 def gains(cell: MarginalCell, n: float, n_th: float,

@@ -19,16 +19,14 @@ import scipy.integrate
 import scipy.special
 
 from qreading import DiffractionGeometry, TransmitterSpec
-from qreading.channels import amplifier_amplitudes, loss_amplitudes
-from qreading.errors import ConvergenceError, StateValidationError
-from qreading.states import (
-    NEGATIVITY_TOL,
-    _check_states,
-    block_entropies,
-    g_thermal,
+from qreading.channels import (
+    amplifier_amplitudes,
     log_factorials,
+    loss_amplitudes,
     phase_powers,
 )
+from qreading.errors import ConvergenceError, StateValidationError
+from qreading.rates import NEGATIVITY_TOL, _check_states, block_entropies, g_thermal
 
 HERMITICITY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-9

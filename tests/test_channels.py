@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qreading import MarginalCell, TransmitterSpec
+from qreading import MarginalCell
 from qreading.channels import (
     amplifier_amplitudes,
     coherent_cell_output,
+    epr_amplitudes,
     epr_output_blocks,
     loss_amplitudes,
 )
@@ -351,7 +352,7 @@ reflectance = st.one_of(st.floats(-1.0, 1.0).map(complex),
 def test_builders_are_exactly_hermitian(p0, z0, z1, n, n_th, idler):
     # block_entropies checks no Hermiticity: the stacks and their mixture are Hermitian bit for bit
     d, probs = 16, (p0, 1.0 - p0)
-    schmidt = TransmitterSpec.epr(n).amplitudes(d)
+    schmidt = epr_amplitudes(n, d)
     for outputs in (coherent_cell_output(n, [(z0, z1)], [n_th], d)[0],
                     epr_output_blocks(schmidt, [(z0, z1)], [n_th], [idler])[0]):
         mixture = sum(p * outputs[u] for u, p in enumerate(probs))

@@ -1,7 +1,9 @@
 """Command-line interface: parsing, config merging, output formats, errors."""
 
+import cmath
 import dataclasses
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -19,6 +21,7 @@ from qreading import (
     DiffractionGeometry,
     MarginalCell,
     RateBounds,
+    RateRow,
     TransmitterSpec,
     bounding_rates,
     concavity_scan,
@@ -26,10 +29,11 @@ from qreading import (
     gains,
     holevo_rate,
     rate_bounds,
+    rate_rows,
     rates,
     tau_extrema,
 )
-from qreading.channels import coherent_cell_output
+from qreading.channels import coherent_cell_output, epr_amplitudes
 from qreading import cli
 from qreading.cli import main, parse_grid
 from qreading.errors import ConfigError
@@ -123,6 +127,22 @@ class TestRateCommand:
         assert code == 0
         rows = parse_csv(out)
         assert all(float(r["rate_bits"]) < 1e-9 for r in rows)
+
+    @pytest.mark.parametrize("transmitter", ["both", "coherent", "epr"])
+    @pytest.mark.parametrize("nth", ["0", "0.3"])
+    @pytest.mark.parametrize("z0_mod,z0_phase", [("1", "180"), ("0", "0")], ids=["phase", "amp"])
+    def test_rows_are_the_library_rows(self, capsys, transmitter, nth, z0_mod, z0_phase):
+        code, out, err = run(capsys, "rate", "--n", "0.2", "--nth", nth, "--dim", "12",
+                             "--z0-mod", z0_mod, "--z0-phase-deg", z0_phase,
+                             "--transmitter", transmitter, "--format", "json")
+        assert code == 0, err
+        echo = {"p0": 0.5, "z0_mod": float(z0_mod), "z0_phase_deg": float(z0_phase),
+                "z1_mod": 1.0, "z1_phase_deg": 0.0, "n": 0.2, "n_th": float(nth)}
+        cell = MarginalCell.binary(0.5, cmath.rect(float(z0_mod), math.radians(float(z0_phase))),
+                                   1.0)
+        kinds = ("coherent", "epr") if transmitter == "both" else (transmitter,)
+        rows = [dict(echo, **vars(r)) for r in rate_rows(cell, 0.2, float(nth), 12, kinds)]
+        assert json.loads(out) == [{k: cli._fmt(v) for k, v in row.items()} for row in rows]
 
     def test_missing_required_field(self, capsys):
         code, out, err = run(capsys, "rate", "--transmitter", "coherent")
@@ -558,7 +578,7 @@ class TestRemovedKnobs:
         (lambda: rate_bounds(None, 0.1, None, 0.1, grid_size=4096), "grid_size"),
         (lambda: TransmitterSpec("epr", 1.0, r=1), "'r'"),
         (lambda: TransmitterSpec("epr", 0.1, s=2), "'s'"),
-        (lambda: TransmitterSpec.epr(0.1).amplitudes(8, eps_trunc=1e-2), "eps_trunc"),
+        (lambda: epr_amplitudes(0.1, 8, eps_trunc=1e-2), "eps_trunc"),
         (lambda: FockDensityMatrix((2,), np.eye(2) / 2, eps_trunc=0.1), "eps_trunc"),
         (lambda: FockDensityMatrix.from_pure(np.ones(1), (1,), eps_trunc=0.1), "eps_trunc"),
         (lambda: thermal_state(0.5, 4, eps_trunc=0.1), "eps_trunc"),
@@ -605,6 +625,24 @@ class TestRemovedKnobs:
         source = "".join(path.read_text(encoding="utf-8")
                          for path in sorted(Path(qreading.__file__).parent.glob("*.py")))
         assert [w for w in ("lru_cache", "functools", "cache_clear") if w in source] == []
+
+    def test_rate_row_fields_are_the_rate_columns(self, capsys):
+        # the columns that follow the seven input columns, in order
+        names = [f.name for f in dataclasses.fields(RateRow)]
+        assert names == ["transmitter", "method", "dim", "rate_bits", "trace_deficit",
+                         "cross_check_bits"]
+        code, out, _ = run(capsys, "rate", "--n", "0.1", "--dim", "8")
+        assert code == 0
+        assert out.split("\n")[0].split(",")[7:] == names
+
+    def test_states_module_folded_away(self):
+        # each piece of the old states module lives next to its one reader, and
+        # the rate command makes one library call: it names no rate or closed form
+        assert importlib.util.find_spec("qreading.states") is None
+        assert not hasattr(TransmitterSpec, "amplitudes")
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        assert [w for w in ("holevo_rate", "coherent_capacity_noiseless",
+                            "epr_rate_noiseless_phase", "TransmitterSpec") if w in source] == []
 
     def test_rate_bounds_fields_are_the_diffraction_columns(self):
         # one flat record per geometry, in the CLI's column order; the
@@ -691,7 +729,7 @@ class TestBoundaryExits:
         def exhausted(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(qreading.cli, "holevo_rate", exhausted)
+        monkeypatch.setattr(qreading.cli, "rate_rows", exhausted)
         code, out, err = run(capsys, "rate", "--n", "0.1", "--dim", "8")
         assert code == 1
         assert out == ""

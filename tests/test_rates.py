@@ -12,20 +12,27 @@ from hypothesis import strategies as st
 
 from qreading import (
     ConvergenceError,
+    DiffractionGeometry,
     MarginalCell,
+    RateRow,
     TransmitterSpec,
+    TruncationError,
     bounding_rates,
     coherent_capacity_faint,
     coherent_capacity_noiseless,
     concavity_scan,
+    diffraction,
     epr_rate_faint,
     epr_rate_noiseless_phase,
     g_thermal,
     gains,
     holevo_rate,
+    rate_bounds,
+    rate_rows,
     rates,
     shannon_entropy_d,
 )
+from qreading.channels import epr_amplitudes
 from qreading.rates import gaussian_output_entropy
 
 from oracles import symplectic_output_entropy
@@ -312,6 +319,36 @@ reflectance = st.one_of(st.floats(-1.0, 1.0).map(complex),
                         st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi)))
 
 
+class TestRateRows:
+    @staticmethod
+    def methods(cell, n_th):
+        return [(r.transmitter, r.method) for r in rate_rows(cell, 0.2, n_th, 12)]
+
+    def test_closed_forms_where_they_exist(self):
+        fock, analytic = "fock_numeric", "analytic_noiseless"
+        assert self.methods(PHASE_CELL, 0.0) == [("coherent", fock), ("coherent", analytic),
+                                                 ("epr", fock), ("epr", analytic)]
+        # a coherent closed form for any binary cell, an EPR one only at |z0| = |z1| = 1
+        for cell in (AMP_CELL, MarginalCell.binary(0.3, 1.0, 1.0 - 1e-9)):
+            assert self.methods(cell, 0.0) == [("coherent", fock), ("coherent", analytic),
+                                               ("epr", fock)]
+        for cell in (AMP_CELL, PHASE_CELL):
+            assert self.methods(cell, 0.3) == [("coherent", fock), ("epr", fock)]
+
+    def test_rows_carry_the_rates(self):
+        rows = rate_rows(PHASE_CELL, 0.2, 0.0, 12, kinds=("epr",))
+        res = holevo_rate(PHASE_CELL, TransmitterSpec.epr(0.2), 0.0, 12)
+        assert rows == [
+            RateRow("epr", "fock_numeric", 12, res.rate_bits, res.trace_deficit,
+                    res.cross_check_error),
+            RateRow("epr", "analytic_noiseless", 12,
+                    epr_rate_noiseless_phase(0.5, 0.5, math.pi, 0.2), 0.0, 0.0)]
+
+    def test_ternary_cell_gets_no_closed_form(self):
+        cell = MarginalCell((0.3, 0.3, 0.4), (1.0, -1.0, 1j))
+        assert self.methods(cell, 0.0) == [("coherent", "fock_numeric"), ("epr", "fock_numeric")]
+
+
 class TestBoundingRates:
     @given(kind=st.sampled_from(["coherent", "epr"]), p0=st.floats(0.05, 0.95),
            z0=reflectance, z1=reflectance, n=st.floats(0.0, 0.1), n_th=st.floats(0.0, 0.5),
@@ -383,6 +420,42 @@ class TestFiniteResults:
     def test_noise_past_the_float_range_is_an_error(self):
         with pytest.raises(ConvergenceError, match=r"cross-check errors \[nan, nan\]"):
             holevo_rate(AMP_CELL, TransmitterSpec.epr(0.1), 1.7e308, dim=8)
+
+
+class TestNonFiniteInputs:
+    """Every input check is written so that NaN fails it, and rejects infinity."""
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: TransmitterSpec.epr(math.nan), "n must be finite"),
+        (lambda: TransmitterSpec.coherent(math.inf), "n must be finite"),
+        (lambda: TransmitterSpec.coherent(-0.1), "n must be >= 0"),
+        (lambda: MarginalCell((math.nan, math.nan), (0, 1)), "probabilities must be >= 0"),
+        (lambda: MarginalCell((0.5, 0.5), (0, math.nan)), r"\|z_u\| must be <= 1"),
+        (lambda: MarginalCell((0.5, math.inf), (0, 1)), "probabilities sum to inf"),
+        (lambda: holevo_rate(AMP_CELL, TransmitterSpec.epr(0.1), math.nan, 8),
+         "n_th must be finite"),
+        (lambda: holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.1), math.inf, 8),
+         "n_th must be finite"),
+        (lambda: holevo_rate(AMP_CELL, TransmitterSpec.coherent(0.1), -1.0, 8),
+         "n_th must be >= 0"),
+    ], ids=["epr-nan", "coherent-inf", "coherent-negative", "probs-nan", "z-nan", "probs-inf",
+            "nth-nan", "nth-inf", "nth-negative"])
+    def test_rejected_up_front(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    def test_epr_guard_fails_closed_on_nan(self):
+        # the parameter is not checked here: the weight guard itself refuses NaN
+        with pytest.raises(TruncationError, match="EPR-state norm deficit nan"):
+            epr_amplitudes(math.nan, 8)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_rate_bounds_checks_n_before_the_search(self, monkeypatch, n):
+        searches = []
+        monkeypatch.setattr(diffraction, "tau_extrema", lambda geom: searches.append(geom))
+        with pytest.raises(ValueError, match="n must be finite"):
+            rate_bounds(AMP_CELL, n, [DiffractionGeometry(r) for r in (0.5, 1.0, 2.0)], 0.1, 8)
+        assert searches == []
 
 
 class TestAttenuationAndConcavity:

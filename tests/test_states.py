@@ -14,8 +14,8 @@ from qreading import (
     TruncationError,
     g_thermal,
 )
-from qreading.channels import coherent_cell_output
-from qreading.states import block_entropies
+from qreading.channels import coherent_cell_output, epr_amplitudes
+from qreading.rates import block_entropies
 
 from oracles import (
     FockDensityMatrix,
@@ -87,7 +87,7 @@ class TestEprState:
         expected = np.zeros(36)
         expected[0] = 1.0
         assert np.allclose(vec, expected)
-        assert np.array_equal(TransmitterSpec.epr(0.0).amplitudes(6), np.eye(1, 6)[0])
+        assert np.array_equal(epr_amplitudes(0.0, 6), np.eye(1, 6)[0])
 
     def test_schmidt_weights(self):
         # n = 1, s = 1: weight of |m>|m> is (1/2)(1/2)^m
@@ -115,7 +115,7 @@ class TestEprState:
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationError, match=r"EPR-state norm deficit .* > 1\.0e-08"):
-            TransmitterSpec.epr(5.0).amplitudes(4)
+            epr_amplitudes(5.0, 4)
 
 
 class TestThermalState:
@@ -299,21 +299,16 @@ class TestTransmitterSpec:
         # and bit for bit the dense EPR vector's diagonal
         vec = coherent_state(math.sqrt(n_coh), dim)
         assert np.max(np.abs(coherent_output(n_coh, dim) - np.outer(vec, vec))) <= 1e-15
-        schmidt = TransmitterSpec.epr(n_epr).amplitudes(dim)
+        schmidt = epr_amplitudes(n_epr, dim)
         assert np.array_equal(schmidt, np.diagonal(epr_state(n_epr, 1, dim).reshape(dim, dim)))
 
     def test_amplitudes_need_two_levels(self):
         with pytest.raises(ValueError, match="dim must be >= 2"):
             coherent_output(0.0, 1)
         with pytest.raises(ValueError, match="dim must be >= 2"):
-            TransmitterSpec.epr(0.0).amplitudes(1)
-
-    def test_coherent_probe_has_no_amplitudes(self):
-        with pytest.raises(ValueError, match="coherent_cell_output"):
-            TransmitterSpec.coherent(0.1).amplitudes(8)
+            epr_amplitudes(0.0, 1)
 
     def test_amplitudes_roundtrip(self):
-        tx = TransmitterSpec.epr(0.7)
-        vec = tx.amplitudes(25)
+        vec = epr_amplitudes(0.7, 25)
         assert vec.shape == (25,)
         assert abs(np.vdot(vec, vec).real - 1.0) < 1e-8
