@@ -20,11 +20,12 @@ import numpy as np
 
 from .channels import MarginalCell
 from .errors import ConvergenceError
-from .rates import TransmitterSpec, bounding_rates
+from .rates import TransmitterSpec, _check_photons, bounding_rates
 
 _BOUNDARY_TOL = 1e-12
 _MAX_TERMS = 1 << 18  # (points x shifts) entries per aliased-sum chunk
-GRID_SIZE = 2049  # uniform symbol samples over [0, pi], where f is even, before the polish
+_CUTS = np.arange(1, 17) / 17  # where a round cuts a segment (a piece in the first) into 17
+_GAP = 2.0 ** -53  # relative gap the search proves no point beats its extremum by
 # B_2 .. B_14: for x >= 12 the first omitted term, B_16 / x^17, is < 4e-17 of psi'(x)
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
@@ -73,38 +74,46 @@ def toeplitz_symbol(geom: DiffractionGeometry, z: float | np.ndarray) -> float |
     Terms exactly at the window boundary carry weight 1/2 (the midpoint
     value of the underlying Fourier series at its jump).
     """
-    ratio = geom.ell_over_xr
-    dl = geom.d_over_ell
     t = np.asarray(z, dtype=float) / (2.0 * math.pi)
-    if dl == 1.0:
-        f = _symbol_unit_fill(t, ratio)
-    else:
-        # one (points x shifts) array per chunk; chunks bound its memory
-        window = 2 * math.ceil(ratio) + 8
-        if window > _MAX_TERMS:
-            raise ValueError(f"ell/x_R = {ratio:g} is above {(_MAX_TERMS - 8) // 2}, "
-                             "the largest the d < ell symbol sums")
-        flat, f = t.ravel(), np.empty(t.shape)
-        step = _MAX_TERMS // window
-        for i in range(0, flat.size, step):
-            tc = flat[i:i + step]
-            m = np.arange(math.floor(tc.min() - ratio) - 1, math.ceil(tc.max() + ratio) + 2)
-            diff = tc[:, None] - m
-            dist = np.abs(diff)
-            weight = (np.where(np.abs(dist - ratio) <= _BOUNDARY_TOL, 0.5, 1.0)
-                      * (dist <= ratio + _BOUNDARY_TOL))
-            f.flat[i:i + step] = np.sum(weight * (dl * _sinc(math.pi * diff * dl) ** 2), axis=1)
-    return float(f) if np.ndim(z) == 0 else f
+    f = _symbol(t.ravel(), np.full(t.size, geom.ell_over_xr), np.full(t.size, geom.d_over_ell))
+    return float(f[0]) if np.ndim(z) == 0 else f.reshape(t.shape)
+
+
+def _symbol(t: np.ndarray, ratio: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    """f at the points t = z / 2pi, point i in the geometry (ratio[i], dl[i]). A d < ell
+    point sums the terms on each side from the farthest in, so its value does not
+    depend on the other points of the call."""
+    unit = dl == 1.0
+    if unit.all():
+        return _symbol_unit_fill(t, ratio)
+    if unit.any():
+        f = np.empty(t.shape)
+        f[unit] = _symbol_unit_fill(t[unit], ratio[unit])
+        f[~unit] = _symbol(t[~unit], ratio[~unit], dl[~unit])
+        return f
+    # one (2, shifts, points) array per chunk; chunks bound its memory
+    widest = math.ceil(ratio.max())
+    if 2 * widest + 8 > _MAX_TERMS:
+        raise ValueError(f"ell/x_R = {ratio.max():g} is above {(_MAX_TERMS - 8) // 2}, "
+                         "the largest the d < ell symbol sums")
+    far = np.arange(widest, -1, -1.0)[:, None]  # shift index, far to near
+    step, sums = _MAX_TERMS // (2 * widest + 8), []
+    for i in range(0, t.size, step):
+        tc, rc, dc = t[i:i + step], ratio[i:i + step], dl[i:i + step]
+        dist = np.stack((tc - (np.floor(tc) - far), (np.floor(tc) + 1.0 + far) - tc))
+        weight = np.where(np.abs(dist - rc) <= _BOUNDARY_TOL, 0.5, 1.0) * (dist <= rc + _BOUNDARY_TOL)
+        sums.append(np.sum(weight * (dc * _sinc(math.pi * dist * dc) ** 2), axis=1).sum(axis=0))
+    return np.concatenate(sums)
 
 
 def _trigamma(x: np.ndarray) -> np.ndarray:
     """psi'(x) for x > 0: psi'(x) = psi'(x + 1) + 1/x^2 twelve times, then the
     asymptotic series 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) (Abramowitz &
     Stegun 6.4.6, 6.4.12); within 8 ulp of scipy's polygamma(1, x)."""
-    near = np.zeros(np.shape(x))
-    for _ in range(12):
+    near, x = 1.0 / x ** 2, x + 1.0
+    for _ in range(11):
         near += 1.0 / x ** 2
-        x = x + 1.0
+        x += 1.0
     u, series = 1.0 / x ** 2, 0.0
     for b in _BERNOULLI[::-1]:
         series = series * u + b
@@ -119,94 +128,117 @@ def _symbol_unit_fill(t: np.ndarray, ratio: float) -> np.ndarray:
     """
     # the symbol reads 1.0 to the last bit from ratio ~1e17 on; the cap keeps x^2 in
     # _trigamma and pi (t - m) at the window edges finite
-    ratio = min(ratio, 1e150)
+    ratio = np.minimum(ratio, 1e150)
     hi_edge, lo_edge = t + ratio, t - ratio
     hi_on = np.abs(hi_edge - np.round(hi_edge)) <= _BOUNDARY_TOL
     lo_on = np.abs(lo_edge - np.round(lo_edge)) <= _BOUNDARY_TOL
     m_hi = np.where(hi_on, np.round(hi_edge), np.floor(hi_edge + _BOUNDARY_TOL))
     m_lo = np.where(lo_on, np.round(lo_edge), np.ceil(lo_edge - _BOUNDARY_TOL))
-    correction = (np.where(hi_on, 0.5 * _sinc(math.pi * (t - m_hi)) ** 2, 0.0)
-                  + np.where(lo_on, 0.5 * _sinc(math.pi * (t - m_lo)) ** 2, 0.0))
+    correction = 0.0 if not (hi_on.any() or lo_on.any()) else (
+        np.where(hi_on, 0.5 * _sinc(math.pi * (t - m_hi)) ** 2, 0.0)
+        + np.where(lo_on, 0.5 * _sinc(math.pi * (t - m_lo)) ** 2, 0.0))
     sin2 = np.sin(math.pi * t) ** 2
     tails = _trigamma(np.stack(((m_hi + 1) - t, t - (m_lo - 1)))).sum(axis=0)
     f = np.maximum(0.0, 1.0 - sin2 / math.pi ** 2 * tails - correction)
     return np.where(m_lo > m_hi, 0.0, f)
 
 
-def _zoom(func, lo: float, hi: float) -> float:
-    """Least value of ``func`` sampled on [lo, hi]: 33 points per array call,
-    the bracket narrowed to the best point's neighbours until 1e-12 wide."""
-    best = math.inf
-    while hi - lo > 1e-12:
-        z = np.linspace(lo, hi, 33)
-        f = func(z)
-        i = int(np.argmin(f))
-        best = min(best, float(f[i]))
-        lo, hi = z[max(i - 1, 0)], z[min(i + 1, 32)]
-    return best
+def _curvature(t: np.ndarray, ratio: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    """Bound on |f''| in t units over the piece around t, a point off the window edges.
+
+    A term's f'' is pi^2 c^3 (sinc^2)''(y), c = d/ell, where (sinc^2)''(y) = 2 cos 2y / y^2
+    - 4 sin 2y / y^3 + 3 (1 - cos 2y) / y^4 is at most 2/3 and H(y) = min(2/3, 2/y^2 + 4/y^3
+    + 6/y^4). The bound is the least of: 2/3 per in-window term; the out-of-window terms
+    (f is 1 minus them, by Poisson summation for c <= 1), beyond y0 = pi c ell/x_R on each
+    side, as H(y0) plus the integral of H past y0; and, for c < 1, that tail by Abel
+    summation, as its phases 2y step by 2 pi c.
+    """
+    with np.errstate(divide="ignore", over="ignore"):  # an infinite term is a valid bound
+        y = math.pi * dl * ratio
+        terms = np.floor(t + ratio) - np.ceil(t - ratio) + 1  # the in-window shifts
+        tail = 2 * (np.minimum(2 / 3, 2 / y ** 2 + 4 / y ** 3 + 6 / y ** 4) + 2 / (y * math.pi * dl)
+                    + 2 / (y ** 2 * math.pi * dl) + 2 / (y ** 3 * math.pi * dl))
+        abel = 2 * ((2 / y ** 2 + 4 / y ** 3 + 3 / y ** 4) / np.abs(np.sin(math.pi * dl))
+                    + 3 / y ** 4 + 1 / (math.pi * dl * y ** 3))
+    return math.pi ** 2 * dl ** 3 * np.minimum(np.minimum(2 / 3 * terms, tail), abel)
+
+
+def _sweep_extrema(geoms: Sequence[DiffractionGeometry]) -> list[tuple[float, float]]:
+    """(tau_min, tau_max) of each geometry: the square roots of the symbol's
+    essential extrema, from one branch and bound over the whole sweep.
+
+    In t = z / 2pi the symbol is even about 0 and 1/2, and the window edges
+    t = m +- ell/x_R leave one edge e = min(frac, 1 - frac) of ell/x_R in [0, 1/2].
+    It cuts [0, 1/2] into pieces [0, e] and [e, 1/2], on each of which the
+    in-window shifts are fixed and f is smooth. A piece's ends are its one-sided
+    limits: the on-edge value holds the boundary term at weight 1/2, and a term
+    enters to the right at t = m - ell/x_R and leaves at t = m + ell/x_R; where
+    both hold (within the 1e-12 edge tolerance) the two cancel.
+
+    Enclosure: |f''| <= M (:func:`_curvature`) on a piece gives, on a segment [a, b]
+    of it, min(f(a), f(b)) - M (b - a)^2 / 8 <= f <= max(f(a), f(b)) + M (b - a)^2 / 8.
+    Each round cuts 17 ways, in one symbol call for every geometry and both signs,
+    the pieces at first, then the segments whose bound passes the best value so far
+    by more than 2^-53 of it, until none is left (a segment with no float inside
+    holds no other computed value; the minimum stops at 0 and the maximum at 1, the
+    clamps). So no point beats the returned extremum by more than 2^-53 of it, up
+    to the symbol's own rounding (1e-15 against a plain sum).
+    """
+    ratio, dl = np.array([(g.ell_over_xr, g.d_over_ell) for g in geoms], dtype=float).reshape(-1, 2).T
+    count = ratio.size
+    edge = np.minimum(ratio % 1.0, 1.0 - ratio % 1.0)
+    geo = np.tile(np.arange(count), 2)  # the pieces [0, e] then [e, 1/2] of every geometry
+    a, b = np.concatenate((np.zeros(count), edge)), np.concatenate((edge, np.full(count, 0.5)))
+    bound = _curvature((a + b) / 2, ratio[geo], dl[geo])
+    t = np.column_stack((a, a[:, None] + (b - a)[:, None] * _CUTS, b))  # the first round: ends too
+    at = np.repeat(geo, t.shape[1])
+    f = _symbol(t.ravel(), ratio[at], dl[at]).reshape(t.shape)
+    hi_on, lo_on = (np.abs(x - np.round(x)) <= _BOUNDARY_TOL for x in (edge + ratio, edge - ratio))
+    half = 0.5 * dl * _sinc(math.pi * dl * np.minimum(ratio, 2.0 ** 53)) ** 2
+    jump = np.where(hi_on == lo_on, 0.0, np.where(hi_on, half, -half))  # + where a term enters
+    f[:count, -1] -= jump  # the left limit at e ends [0, e], the right one starts [e, 1/2]
+    f[count:, 0] += jump
+    low, high = np.full(count, np.inf), np.full(count, -np.inf)
+    while True:
+        np.minimum.at(low, geo, f.min(axis=1))
+        np.maximum.at(high, geo, f.max(axis=1))
+        geo, bound = np.repeat(geo, t.shape[1] - 1), np.repeat(bound, t.shape[1] - 1)
+        a, b, fa, fb = t[:, :-1].ravel(), t[:, 1:].ravel(), f[:, :-1].ravel(), f[:, 1:].ravel()
+        bulge = bound * (b - a) ** 2 / 8
+        split = (((np.minimum(fa, fb) - bulge < low[geo] * (1 - _GAP)) & (low[geo] > 0))
+                 | ((np.maximum(fa, fb) + bulge > high[geo] * (1 + _GAP)) & (high[geo] < 1)))
+        split &= (a < (a + b) / 2) & ((a + b) / 2 < b)
+        geo, a, b, fa, fb, bound = (x[split] for x in (geo, a, b, fa, fb, bound))
+        if not a.size:
+            break
+        inner, at = a[:, None] + (b - a)[:, None] * _CUTS, np.repeat(geo, _CUTS.size)
+        t = np.column_stack((a, inner, b))
+        f = np.column_stack((fa, _symbol(inner.ravel(), ratio[at], dl[at]).reshape(inner.shape), fb))
+    return [(math.sqrt(min(max(lo, 0.0), 1.0)), math.sqrt(min(max(hi, 0.0), 1.0)))
+            for lo, hi in zip(low.tolist(), high.tolist())]
 
 
 def tau_extrema(geom: DiffractionGeometry) -> tuple[float, float]:
-    """Extreme amplitude attenuations (tau_min, tau_max): the square roots of
-    the symbol's essential extrema, found on a grid and at the window edges.
-
-    The symbol jumps at each window edge t = m +- ell/x_R, where a term
-    enters or leaves the window. Its on-edge value holds that term at weight
-    1/2, so the limits on the two sides are that value plus and minus half
-    the term; they are equal where t + ell/x_R and t - ell/x_R are both
-    integers, as one term enters while another leaves. A limit that beats
-    every sampled value is the extremum, and no point attains it.
-
-    M M^dag is real symmetric Toeplitz, so f is even, f(z) = f(2pi - z), and one
-    symbol call samples [0, pi]: a grid and each edge straddled at +-1e-9 (the
-    edges t = m +- ell/x_R mirror about t = 1/2). A candidate at z = 0 or pi takes
-    no polish: where f is smooth it is stationary; where an edge sits on it and f
-    moves away in the sought direction, the straddled edges beat it and are polished.
-    """
-    ratio, dl = geom.ell_over_xr, geom.d_over_ell
-    edges = np.concatenate((  # as float: past int64 the aranges hold Python ints
-        np.arange(math.floor(ratio) - 1, math.ceil(ratio) + 2) - ratio,      # lower edges
-        np.arange(-math.ceil(ratio) - 1, -math.floor(ratio) + 2) + ratio)).astype(float)
-    extra = (2.0 * math.pi * (edges[:, None] + np.array([-1e-9, 0.0, 1e-9]))).ravel()
-    extra = extra[(extra >= 0.0) & (extra <= math.pi)]
-    cand = np.concatenate((extra, np.linspace(0.0, math.pi, GRID_SIZE)))
-    vals = toeplitz_symbol(geom, cand)
-    # an edge's one-sided limits are its value +- half the boundary term (from 2^53 on
-    # the ratio is an even integer, every edge a double one and the term unused); a grid
-    # sample within _BOUNDARY_TOL of an edge has none, as they would extend a piece past it
-    t = extra / (2.0 * math.pi)
-    hi_on, lo_on = (np.abs(x - np.round(x)) <= _BOUNDARY_TOL for x in (t + ratio, t - ratio))
-    half = np.where(hi_on != lo_on, 0.5 * dl * _sinc(math.pi * dl * min(ratio, 2.0 ** 53)) ** 2, 0)
-    limits = np.concatenate((vals[:extra.size] - half, vals[:extra.size] + half))
-    order = np.argsort(cand, kind="stable")
-    cand, vals = cand[order], vals[order]
-
-    def least(sign: float) -> float:
-        idx = int(np.argmin(sign * vals))
-        best, limit = sign * vals[idx], float(np.min(sign * limits))
-        if limit < best:
-            return limit
-        lo, hi = cand[max(idx - 1, 0)], cand[min(idx + 1, cand.size - 1)]
-        if hi - lo <= 0 or cand[idx] / (2.0 * math.pi) in (0.0, 0.5):
-            return best
-        return min(best, _zoom(lambda zz: sign * toeplitz_symbol(geom, zz), lo, hi))
-
-    f_min = min(max(least(1.0), 0.0), 1.0)
-    f_max = min(max(-least(-1.0), 0.0), 1.0)
-    return math.sqrt(f_min), math.sqrt(f_max)
+    """Extreme amplitude attenuations (tau_min, tau_max) of one geometry: the
+    one-geometry case of the sweep search :func:`_sweep_extrema`."""
+    return _sweep_extrema([geom])[0]
 
 
 def rate_bounds(cell: MarginalCell, n: float, geoms: Sequence[DiffractionGeometry],
                 n_th: float = 0.0, dim: int | None = None, *,
                 attenuate_idler: bool = False) -> list[RateBounds]:
     """Coherent and EPR reading-rate bounds of each geometry at probe energy n,
-    from the bounding channels at tau_min / tau_max: one tau search per
-    geometry, then one :func:`bounding_rates` call per transmitter over the
-    distinct taus of the whole sweep. ``attenuate_idler`` extends the
-    attenuation to the retained ancilla modes (both-sides variant).
+    from the bounding channels at tau_min / tau_max: one tau search for the
+    whole sweep, then one :func:`bounding_rates` call per transmitter over the
+    distinct taus. ``attenuate_idler`` extends the attenuation to the
+    retained ancilla modes (both-sides variant). n, n_th and dim are checked,
+    with :func:`bounding_rates`' messages, before the search.
     """
-    txs = (TransmitterSpec.coherent(n), TransmitterSpec.epr(n))  # checks n before the search
-    extrema = [tau_extrema(geom) for geom in geoms]
+    txs = (TransmitterSpec.coherent(n), TransmitterSpec.epr(n))
+    _check_photons("n_th", n_th)
+    if dim is not None and dim < 2:
+        raise ValueError("dim must be >= 2")
+    extrema = _sweep_extrema(geoms)
     taus = list(dict.fromkeys(tau for pair in extrema for tau in pair))
     results = [[] for _ in extrema]  # per geometry: coherent, then EPR (lower, upper)
     for tx in txs:

@@ -30,8 +30,7 @@ from qreading.rates import NEGATIVITY_TOL, _check_states, block_entropies, g_the
 
 HERMITICITY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-9
-# the reference's own uniform symbol samples over the full period [0, 2pi],
-# fixed apart from the library's half-period grid
+# the reference's own uniform symbol samples over the full period [0, 2pi]
 REFERENCE_GRID_SIZE = 4096
 
 _QUAD_TOL = 1e-8  # absolute tolerance of each transfer-matrix quadrature

@@ -352,8 +352,7 @@ class TestStartup:
         assert _fresh_interpreter(code)[-1] == "[]"
 
     def test_diffraction_at_symmetry_points_never_imports_scipy(self):
-        # every extremum of these ratios sits at z = 0 or pi, away from a
-        # window edge, so no polish and no scipy.optimize
+        # the tau search evaluates the symbol on numpy arrays alone
         code = ("import sys, qreading.cli as c; "
                 "print(c.main(['diffraction', '--lxr-grid', '0.9,1.2', '--n', '0.01', "
                 "'--nth', '0.1', '--dim', '12'])); " + _SCIPY_LOADED)
@@ -505,14 +504,14 @@ class TestThinShell:
 
     def test_one_rate_per_distinct_tau(self, capsys, monkeypatch):
         searches, calls = [], []
-        real_search, real_rates = diffraction.tau_extrema, diffraction.bounding_rates
+        real_search, real_rates = diffraction._sweep_extrema, diffraction.bounding_rates
 
         def counted(cell, tx, n_th, taus, *args, **kwargs):
             calls.append((tx.kind, len(taus)))
             return real_rates(cell, tx, n_th, taus, *args, **kwargs)
 
-        monkeypatch.setattr(diffraction, "tau_extrema",
-                            lambda geom: searches.append(geom) or real_search(geom))
+        monkeypatch.setattr(diffraction, "_sweep_extrema",
+                            lambda geoms: searches.append(geoms) or real_search(geoms))
         monkeypatch.setattr(diffraction, "bounding_rates", counted)
         code, out, _ = run(capsys, *self.ARGS)
         assert code == 0
@@ -520,10 +519,12 @@ class TestThinShell:
         taus = {row[col] for row in rows for col in ("tau_min", "tau_max")}
         # tau_max = 1 at every ratio when d = ell, so taus repeat across rows;
         # each transmitter takes every distinct tau in one call, and both
-        # transmitters share one tau search per geometry
+        # transmitters share one tau search of the whole sweep
         assert len(taus) < 2 * len(rows)
         assert calls == [("coherent", len(taus)), ("epr", len(taus))]
-        assert len(searches) == len(rows)
+        assert len(searches) == 1
+        assert [geom.ell_over_xr for geom in searches[0]] == [
+            float(row["ell_over_xr"]) for row in rows]
 
     def test_one_eigensolve_per_transmitter(self, capsys, monkeypatch):
         # an 8-ratio sweep: every bounding rate of a transmitter shares one

@@ -105,10 +105,12 @@ def edge_limits_ref(ratio: float, dl: float) -> list[float]:
 
 
 def spectrum_ref(geom: DiffractionGeometry) -> tuple[float, float]:
-    """(tau_min, tau_max): a scipy bounded-Brent polish of every sampled
+    """(tau_min, tau_max): scipy bounded-Brent polishes of every sampled
     extremum, symmetry point or not, over the full-period reference grid and
     the straddled window edges, against every one-sided edge limit of
-    :func:`edge_limits_ref`."""
+    :func:`edge_limits_ref`. Each extremum is polished across the
+    reference-grid steps on either side of it, not just up to its merged
+    neighbours: beside a window edge, the maximum can lie past the straddles."""
     z_grid = np.linspace(0.0, 2.0 * math.pi, REFERENCE_GRID_SIZE)
     ratio = geom.ell_over_xr
     edges = np.concatenate((
@@ -123,13 +125,15 @@ def spectrum_ref(geom: DiffractionGeometry) -> tuple[float, float]:
 
     def polish(idx: int, sign: float) -> float:
         best = min(sign * vals[idx], *(sign * v for v in limits))
-        lo, hi = cand[max(idx - 1, 0)], cand[min(idx + 1, cand.size - 1)]
-        if hi - lo <= 0:
-            return best
-        res = scipy.optimize.minimize_scalar(
-            lambda zz: sign * toeplitz_symbol(geom, zz), bounds=(lo, hi),
-            method="bounded", options={"xatol": 1e-12})
-        return min(best, float(res.fun))
+        k = int(np.searchsorted(z_grid, cand[idx], side="right")) - 1
+        for lo, hi in ((z_grid[max(k - 1, 0)], cand[idx]),
+                       (cand[idx], z_grid[min(k + 2, z_grid.size - 1)])):
+            if hi - lo > 0:
+                res = scipy.optimize.minimize_scalar(
+                    lambda zz: sign * toeplitz_symbol(geom, zz), bounds=(lo, hi),
+                    method="bounded", options={"xatol": 1e-12})
+                best = min(best, float(res.fun))
+        return best
 
     f_min = min(max(polish(int(np.argmin(vals)), 1.0), 0.0), 1.0)
     f_max = min(max(-polish(int(np.argmax(vals)), -1.0), 0.0), 1.0)
@@ -386,18 +390,17 @@ class TestSpectrum:
         assert tau_min ** 2 <= np.min(samples) + 1e-9
         assert tau_max ** 2 >= np.max(samples) - 1e-9
 
-    @pytest.mark.parametrize("ratio,d_over_ell", [(0.9, 1.0), (2.5, 1.0), (1e300, 1.0),
-                                                  (1.7, 0.6), (3.3, 0.4)])
-    def test_grid_symbol_evaluated_once(self, monkeypatch, ratio, d_over_ell):
-        # the half-period grid and the window edges in [0, pi] take one call,
-        # and these extrema need no polish
+    @pytest.mark.parametrize("d_over_ell", [1.0, 0.7])
+    def test_symbol_point_budget(self, monkeypatch, d_over_ell):
+        # the pieces and their refinement take at most 4096 symbol points per
+        # 8-ratio sweep (the 2049-point grid and the zoom took 16 417 and 16 681)
         points = []
-        real = diffraction.toeplitz_symbol
-        monkeypatch.setattr(diffraction, "toeplitz_symbol",
-                            lambda geom, z: points.append(np.size(z)) or real(geom, z))
-        tau_extrema(DiffractionGeometry(ratio, d_over_ell))
-        assert len(points) == 1
-        assert diffraction.GRID_SIZE < points[0] <= diffraction.GRID_SIZE + 64
+        real = diffraction._symbol
+        monkeypatch.setattr(diffraction, "_symbol",
+                            lambda t, ratio, dl: points.append(t.size) or real(t, ratio, dl))
+        diffraction._sweep_extrema([DiffractionGeometry(r, d_over_ell)
+                                    for r in parse_grid("0.6:2.7:8")])
+        assert 0 < sum(points) <= 4096
 
     @pytest.mark.parametrize("d_over_ell", np.round(np.linspace(0.55, 1.0, 10), 2))
     def test_extrema_match_the_exact_reference(self, d_over_ell):
@@ -428,8 +431,10 @@ class TestSpectrum:
         # a window edge lies under 1e-12 from a grid sample t = k / 4096, which
         # the symbol then holds on the edge; limits read off that sample extend
         # a piece past its edge and put tau_min up to 8e-13 relative too low
+        # (the grid was the 2049 points t = k / 4096 of [0, 1/2] before the search
+        # took the symbol's pieces; these edges still lie within 1e-12 of a point)
         geom = DiffractionGeometry(ratio, d_over_ell)
-        t = np.arange(diffraction.GRID_SIZE) / (2 * (diffraction.GRID_SIZE - 1))
+        t = np.arange(2049) / 4096
         edge_gap = np.min(np.abs(((t[:, None] + [ratio, -ratio]) + 0.5) % 1.0 - 0.5))
         assert 0.0 < edge_gap <= TOL
         for got, ref in zip(tau_extrema(geom), spectrum_ref(geom)):
@@ -443,43 +448,81 @@ class TestSpectrum:
         assert tau_min ** 2 <= min(limits) + 1e-15
         assert tau_max ** 2 >= max(limits) - 1e-15
 
-    def test_maximum_beside_an_edge_at_a_symmetry_point(self):
-        # an integer ratio puts a window edge, and a kink, at z = 0; just
-        # below d = ell the maximum sits beside it, 1e-13 above f(0), and
-        # the straddled edge candidates and their polish must find it
-        for ratio in (1.0, 2.0, 3.0):
-            geom = DiffractionGeometry(ratio, 0.9999)
-            tau_max = tau_extrema(geom)[1]
-            assert abs(tau_max - spectrum_ref(geom)[1]) <= 1e-15 * tau_max
-            assert tau_max > math.sqrt(toeplitz_symbol(geom, 0.0)) + 1e-14
+    @pytest.mark.parametrize("ratio,tau_max", [
+        (1.0, 0.99995000593607631), (2.0, 0.99995001495650007), (3.0, 0.99995002457452182)])
+    def test_maximum_beside_an_edge_at_a_symmetry_point(self, ratio, tau_max):
+        # an integer ratio puts a double window edge, and a kink, at z = 0; just
+        # below d = ell the maximum sits beside it at z ~ 3e-4, 1.6e-9 to 4.4e-9
+        # above f(0). tau_max is the 40-digit value; the grid and zoom returned
+        # the kink's 0.999950003751 at ratio 1, and so did the reference oracle
+        geom = DiffractionGeometry(ratio, 0.9999)
+        got = tau_extrema(geom)[1]
+        assert abs(got - tau_max) <= 1e-15 * tau_max
+        assert abs(spectrum_ref(geom)[1] - tau_max) <= 1e-15 * tau_max
+        assert got > math.sqrt(toeplitz_symbol(geom, 0.0)) + 1e-10
 
     @pytest.mark.parametrize("d_over_ell,budget", [(1.0, 8), (0.7, 16)])
     def test_symbol_call_budget(self, monkeypatch, d_over_ell, budget):
-        # one call per geometry samples the grid and the edges, and extrema
-        # at the symmetry points need no polish (426 and 368 calls when every
-        # extremum was polished)
+        # one symbol call per round for the whole sweep (426 and 368 calls when
+        # every extremum was polished one geometry at a time)
         calls = []
-        real = diffraction.toeplitz_symbol
-        monkeypatch.setattr(diffraction, "toeplitz_symbol",
-                            lambda geom, z: calls.append(1) or real(geom, z))
-        for ratio in parse_grid("0.6:2.7:8"):
-            tau_extrema(DiffractionGeometry(ratio, d_over_ell))
-        assert len(calls) <= budget
+        real = diffraction._symbol
+        monkeypatch.setattr(diffraction, "_symbol",
+                            lambda t, ratio, dl: calls.append(1) or real(t, ratio, dl))
+        diffraction._sweep_extrema([DiffractionGeometry(r, d_over_ell)
+                                    for r in parse_grid("0.6:2.7:8")])
+        assert 0 < len(calls) <= budget
 
 
-class TestZoom:
-    @pytest.mark.parametrize("func,lo,hi,least", [
-        (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 0.0),
-        (np.cos, 1.0, 5.0, -1.0),
-        (lambda x: 2.0 * x + 1.0, 0.0, 1.0, 1.0),  # minimum at the lower edge
-        (lambda x: np.abs(x - 0.37), 0.0, 1.0, 0.0),
-    ], ids=["quadratic", "cos", "linear", "abs"])
-    def test_finds_the_least_value(self, func, lo, hi, least):
-        calls = []
-        got = diffraction._zoom(lambda z: calls.append(z.size) or func(z), lo, hi)
-        assert abs(got - least) <= 1e-12
-        # each round samples 33 points and cuts the bracket at least 16-fold
-        assert set(calls) == {33} and len(calls) <= math.ceil(math.log(1e12 * (hi - lo), 16))
+class TestCertificate:
+    @example(1.0, 0.9999)  # the grid and zoom missed this maximum by 4.4e-9
+    @example(2.5, 0.7)
+    @given(st.one_of(st.floats(min_value=0.2, max_value=8.0),
+                     st.integers(1, 8).map(float), st.integers(1, 15).map(lambda k: k / 2)),
+           st.one_of(st.floats(min_value=0.3, max_value=1.0),
+                     st.integers(1, 8).map(lambda k: 1.0 - 10.0 ** -k)))
+    @settings(max_examples=100, deadline=None)
+    def test_extrema_enclose_a_dense_scan(self, ratio, dl):
+        # the reference grid, seeded uniform points, and seeded points within
+        # 1e-3 of every window edge t = m +- ratio, where the kinks sit
+        rng = np.random.default_rng(7)
+        edges = np.array([m + s * ratio for s in (-1, 1)
+                          for m in range(-math.ceil(ratio) - 1, math.ceil(ratio) + 2)])
+        t = np.concatenate((rng.uniform(0.0, 1.0, 1024),
+                            (edges[:, None] + rng.uniform(-1e-3, 1e-3, (edges.size, 64))).ravel()))
+        z = np.concatenate((np.linspace(0.0, 2.0 * math.pi, REFERENCE_GRID_SIZE),
+                            2.0 * math.pi * (t % 1.0)))
+        vals = toeplitz_symbol(DiffractionGeometry(ratio, dl), z)
+        tau_min, tau_max = tau_extrema(DiffractionGeometry(ratio, dl))
+        assert tau_min ** 2 <= np.min(vals) + 2.0 ** -52
+        assert tau_max ** 2 >= np.max(vals) - 2.0 ** -52
+
+    @pytest.mark.parametrize("ratios,d_over_ell", [((0.2, 8.0), None), ((5.0, 400.0), 0.7)],
+                             ids=["all-terms", "abel-tail"])
+    def test_second_difference_within_the_curvature_bound(self, ratios, d_over_ell):
+        # on random pieces, (f(t + h) - 2 f(t) + f(t - h)) / h^2 is f'' at some
+        # point of the piece, so it must lie within the piece's bound
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(200):
+            ratio = rng.uniform(*ratios)
+            dl = d_over_ell or (1.0 if rng.random() < 0.3 else rng.uniform(0.3, 1.0))
+            edge = min(ratio % 1.0, 1.0 - ratio % 1.0)
+            a, b = max(((0.0, edge), (edge, 0.5)), key=lambda p: p[1] - p[0])
+            h = min(1e-3, (b - a) / 8)
+            t = rng.uniform(a + h, b - h, 16)
+            f = [diffraction._symbol(x, np.full(16, ratio), np.full(16, dl))
+                 for x in (t - h, t, t + h)]
+            second = np.abs(f[0] - 2.0 * f[1] + f[2]) / h ** 2
+            bound = diffraction._curvature(t, np.full(16, ratio), np.full(16, dl))
+            worst = max(worst, float(np.max(second / bound)))
+        assert 0.0 < worst <= 1.0
+
+    def test_sweep_search_equals_one_geometry_at_a_time(self):
+        # a d < ell point's sum does not depend on the widest window in its call
+        geoms = [DiffractionGeometry(r, dl) for r, dl in
+                 ((0.6, 0.7), (300.3, 0.7), (1.3, 1.0), (2.2, 0.55), (1.0, 0.9999), (1e300, 1.0))]
+        assert diffraction._sweep_extrema(geoms) == [tau_extrema(geom) for geom in geoms]
 
 
 class TestRateBounds:

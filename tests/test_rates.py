@@ -449,13 +449,22 @@ class TestNonFiniteInputs:
         with pytest.raises(TruncationError, match="EPR-state norm deficit nan"):
             epr_amplitudes(math.nan, 8)
 
-    @pytest.mark.parametrize("n", [math.nan, math.inf])
-    def test_rate_bounds_checks_n_before_the_search(self, monkeypatch, n):
+    @pytest.mark.parametrize("n,n_th,dim,match", [
+        (math.nan, 0.1, 8, "n must be finite"), (math.inf, 0.1, 8, "n must be finite"),
+        (0.1, math.nan, 8, "n_th must be finite"), (0.1, -1.0, 8, "n_th must be >= 0"),
+        (0.1, 0.1, 1, "dim must be >= 2")], ids=["nan", "inf", "nth-nan", "nth-negative", "dim-1"])
+    def test_rate_bounds_checks_n_before_the_search(self, monkeypatch, n, n_th, dim, match):
+        # the sweep's one tau search never starts on an input bounding_rates refuses
         searches = []
-        monkeypatch.setattr(diffraction, "tau_extrema", lambda geom: searches.append(geom))
-        with pytest.raises(ValueError, match="n must be finite"):
-            rate_bounds(AMP_CELL, n, [DiffractionGeometry(r) for r in (0.5, 1.0, 2.0)], 0.1, 8)
+        real = diffraction._sweep_extrema
+        monkeypatch.setattr(diffraction, "_sweep_extrema",
+                            lambda geoms: searches.append(geoms) or real(geoms))
+        geoms = [DiffractionGeometry(r) for r in (0.5, 1.0, 2.0)]
+        with pytest.raises(ValueError, match=match):
+            rate_bounds(AMP_CELL, n, geoms, n_th, dim)
         assert searches == []
+        rate_bounds(AMP_CELL, 0.1, geoms, 0.1, 8)
+        assert searches == [geoms]
 
 
 class TestAttenuationAndConcavity:
