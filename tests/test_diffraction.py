@@ -390,18 +390,6 @@ class TestSpectrum:
         assert tau_min ** 2 <= np.min(samples) + 1e-9
         assert tau_max ** 2 >= np.max(samples) - 1e-9
 
-    @pytest.mark.parametrize("d_over_ell", [1.0, 0.7])
-    def test_symbol_point_budget(self, monkeypatch, d_over_ell):
-        # the pieces and their refinement take at most 4096 symbol points per
-        # 8-ratio sweep (the 2049-point grid and the zoom took 16 417 and 16 681)
-        points = []
-        real = diffraction._symbol
-        monkeypatch.setattr(diffraction, "_symbol",
-                            lambda t, ratio, dl: points.append(t.size) or real(t, ratio, dl))
-        diffraction._sweep_extrema([DiffractionGeometry(r, d_over_ell)
-                                    for r in parse_grid("0.6:2.7:8")])
-        assert 0 < sum(points) <= 4096
-
     @pytest.mark.parametrize("d_over_ell", np.round(np.linspace(0.55, 1.0, 10), 2))
     def test_extrema_match_the_exact_reference(self, d_over_ell):
         # against a Brent polish of every extremum and every one-sided edge
@@ -464,14 +452,16 @@ class TestSpectrum:
     @pytest.mark.parametrize("d_over_ell,budget", [(1.0, 8), (0.7, 16)])
     def test_symbol_call_budget(self, monkeypatch, d_over_ell, budget):
         # one symbol call per round for the whole sweep (426 and 368 calls when
-        # every extremum was polished one geometry at a time)
-        calls = []
+        # every extremum was polished one geometry at a time), and at most 4096
+        # points (the 2049-point grid and the zoom took 16 417 and 16 681)
+        points = []
         real = diffraction._symbol
         monkeypatch.setattr(diffraction, "_symbol",
-                            lambda t, ratio, dl: calls.append(1) or real(t, ratio, dl))
+                            lambda t, ratio, dl: points.append(t.size) or real(t, ratio, dl))
         diffraction._sweep_extrema([DiffractionGeometry(r, d_over_ell)
                                     for r in parse_grid("0.6:2.7:8")])
-        assert 0 < len(calls) <= budget
+        assert 0 < len(points) <= budget
+        assert sum(points) <= 4096
 
 
 class TestCertificate:
