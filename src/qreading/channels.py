@@ -179,12 +179,10 @@ def coherent_cell_output(n: float, reflectances: Sequence[Sequence[complex]],
         raise TruncationError(
             f"coherent-state norm deficit {deficit:.3e} > {DEFAULT_EPS_TRUNC:.1e}")
     vec = mags * phase_powers(np.array(gammas), dim)
-    pure = vec[..., :, None] * vec[..., None, :].conj()
-    b = amplifier_amplitudes(np.array(gain), dim)[:, None]
-    rho = np.zeros_like(pure)
-    for j in np.flatnonzero(b.any(axis=(0, 1, 3))):  # only branch 0 when every n_th = 0
-        bj = b[..., j, :dim - j]
-        rho[..., j:, j:] += bj[..., :, None] * bj[..., None, :] * pure[..., :dim - j, :dim - j]
+    terms = amplifier_amplitudes(np.array(gain), dim)[:, None] * vec[..., None, :]  # b[j, m] vec[m]
+    r, j = np.ogrid[:dim, :dim]  # branch j sends |(r - j) % d> to |r>; b is 0 where it wraps
+    branches = np.take(terms.reshape(terms.shape[:2] + (-1,)), j * dim + (r - j) % dim, axis=-1)
+    rho = branches @ np.swapaxes(branches, -1, -2).conj()
     return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
 
 

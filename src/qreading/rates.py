@@ -209,6 +209,8 @@ def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
     idler_loss = [tau if attenuate_idler else 1.0 for tau in taus]
     if dim is None:
         dim = DEFAULT_DIM_SINGLE if tx.kind == "coherent" else DEFAULT_DIM_PER_MODE
+    if dim < 2:  # before the chunk size divides by dim
+        raise ValueError("dim must be >= 2")
     schmidt = epr_amplitudes(tx.n, dim) if tx.kind == "epr" else None
     probs, bound = cell.probs, shannon_entropy_d(cell.probs[1:])
     block = dim ** (2 if tx.kind == "coherent" else 3)  # terms of one state's blocks

@@ -329,7 +329,7 @@ class TestCoherentCellOutput:
     @pytest.mark.parametrize("zs", [(0.0, 1.0), (0.9 * np.exp(0.7j), 0.5 * np.exp(-1.2j)),
                                     (0.0, 1.0, -1.0)], ids=["real", "complex", "ternary"])
     @pytest.mark.parametrize("n_th", [0.0, 0.7])
-    @pytest.mark.parametrize("n,d", [(1.0, 12), (4.0, 24)])
+    @pytest.mark.parametrize("n,d", [(1.0, 12), (4.0, 24), (1.0, 60)])
     def test_is_the_top_block_of_the_pure_state_builder(self, zs, n_th, n, d):
         # the oracle truncates the probe at 3d, whose tail past it is below 1e-30:
         # its top-left (d, d) block is P rho P on the centred cell

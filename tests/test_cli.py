@@ -407,7 +407,7 @@ class TestProgram:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="RLIMIT_AS caps the address space on Linux")
     def test_out_of_memory_exits_1(self):
-        # --dim 100000 asks for one 149 GiB array, which a 4 GB address space refuses
+        # --dim 100000 asks for one 74.5 GiB array, which a 4 GB address space refuses
         import resource
         cap = 4 << 30
         proc = _fresh_process("-m", "qreading.cli", "rate", "--n", "0.1", "--dim", "100000",
@@ -416,7 +416,7 @@ class TestProgram:
                                                                     (cap, cap)))
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: out of memory: Unable to allocate 149. GiB")
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate 74.5 GiB")
         assert proc.stderr.count("\n") == 1
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -714,6 +714,8 @@ class TestBoundaryExits:
         ("diffraction", "--lxr-grid", "0.5,1", "--n", "-1"),
         ("diffraction", "--lxr-grid", "0.5,1", "--dim", "1"),
         ("diffraction", "--lxr-grid", "0.5,1", "--d-over-ell", "0"),
+        ("rate", "--n", "0.1", "--dim", "0"),
+        ("gain-map", "--n-grid", "0.1", "--nth-grid", "0", "--dim", "0"),
     ])
     def test_out_of_domain_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -55,6 +55,7 @@ def _refuse(constant):
 @example(["diffraction", f"--lxr-grid={sys.float_info.max!r}"], 4, "csv")
 @example(["diffraction", "--lxr-grid=1e9", "--d-over-ell=0.7", "--n=0.01"], 4, "csv")
 @example(["diffraction", "--lxr-grid=1e20", "--d-over-ell=0.7", "--n=0.01"], 4, "csv")
+@example(["rate", "--n=0.1"], 0, "csv")
 def test_every_input_ends_cleanly(argv, dim, fmt):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
