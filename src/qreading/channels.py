@@ -12,14 +12,19 @@ to a[k, m] |m - k> and amplifier branch j sends |m> to b[j, m] |m + j>,
 from (d, d) tables (float64 when z is real). Loss keeps a coherent state
 coherent, so a coherent output needs no loss table: it is built from its
 displacement, centred on the cell, with no probe truncation. The builders
-take a stack of entries (a row of reflectances with its n_th and idler
-loss) and build all their tables in one array call per kind. A setting is
-plain scalars: the cell ensemble checks |z| <= 1, and the attenuator
-composition (tau z, tau^2 n_th) lives in rates.bounding_rates.
+take a stack of entries (a row of reflectances with its noise) and build all
+their tables in one array call per kind. A setting is plain scalars: the cell
+ensemble checks |z| <= 1, and the attenuator composition (tau z, tau^2 n_th)
+lives in rates.bounding_rates.
 
-An EPR probe is its d real Schmidt coefficients (epr_amplitudes). Both
-probe-truncation guards live here: each probe's weight below d must fall
-short of 1 by at most DEFAULT_EPS_TRUNC, and NaN fails either guard.
+An EPR probe is its d real Schmidt coefficients (epr_amplitudes), one row per
+entry. Idler loss tau on a two-mode squeezed vacuum of energy n is that state
+at energy tau^2 n with its signal through a quantum-limited amplifier of gain
+(n + 1) / (tau^2 n + 1): both have idler variance 2 tau^2 n + 1, correlation
+2 tau sqrt(n (n + 1)) and signal variance 2n + 1 (Caruso, Giovannetti and
+Holevo, NJP 8, 310 (2006)). So no idler enters the builder, and every EPR
+output is exactly P rho P. Both probe guards live here: each probe's weight
+below d must fall short of 1 by at most DEFAULT_EPS_TRUNC (NaN fails).
 """
 
 from __future__ import annotations
@@ -132,16 +137,18 @@ def amplifier_amplitudes(gain: float | np.ndarray, dim: int) -> np.ndarray:
         / np.sqrt(gain)[..., None, None]
 
 
-def epr_amplitudes(n: float, dim: int) -> np.ndarray:
-    """The EPR probe's d real Schmidt coefficients sqrt(t^m / (n + 1)),
-    t = n / (n + 1), all a rate reads of it. Raises TruncationError unless
-    their weight falls short of 1 by at most DEFAULT_EPS_TRUNC (NaN fails)."""
+def epr_amplitudes(n: float | np.ndarray, dim: int) -> np.ndarray:
+    """The EPR probe's d real Schmidt coefficients sqrt(t^m / (n + 1)), t = n / (n + 1),
+    along a new last axis of n. Raises TruncationError unless each probe's
+    weight falls short of 1 by at most DEFAULT_EPS_TRUNC (NaN fails)."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
+    n = np.asarray(n, dtype=float)[..., None]
     amp = np.sqrt((n / (n + 1.0)) ** np.arange(dim) / (n + 1.0))
-    deficit = 1.0 - float(np.vdot(amp, amp))
-    if not deficit <= DEFAULT_EPS_TRUNC:
-        raise TruncationError(f"EPR-state norm deficit {deficit:.3e} > {DEFAULT_EPS_TRUNC:.1e}")
+    deficit = 1.0 - np.sum(amp * amp, axis=-1)
+    if not np.all(deficit <= DEFAULT_EPS_TRUNC):
+        raise TruncationError(
+            f"EPR-state norm deficit {deficit.max():.3e} > {DEFAULT_EPS_TRUNC:.1e}")
     return amp
 
 
@@ -187,33 +194,25 @@ def coherent_cell_output(n: float, reflectances: Sequence[Sequence[complex]],
 
 
 def epr_output_blocks(schmidt: np.ndarray, reflectances: Sequence[Sequence[complex]],
-                      n_th: Sequence[float], idler_attenuation: Sequence[float]) -> np.ndarray:
-    """The cell channel on sum_m c_m |m, m> (then idler loss), by blocks, per entry
-    (a row of ``reflectances`` with its n_th and idler attenuation) and reflectance.
+                      n_th: Sequence[Sequence[float]]) -> np.ndarray:
+    """The cell channel on sum_m c_m |m, m>, by blocks, per entry e (Schmidt
+    row ``schmidt[e]`` and a row of ``reflectances``) and symbol u, at noise n_th[e][u].
 
-    Each step commutes with exp(i phi (n_S - n_R)): loss branch k, amplifier
-    branch j and idler-loss branch l send c_m |m, m> into block j - k + l.
-    Entry [e, u, delta % d, r, r'] of the (entry, u, d, d, d) result is symbol
-    u's <r + delta, r| rho |r' + delta, r'>, 0 past the cutoff. Fold i holds
+    Each step commutes with exp(i phi (n_S - n_R)): loss branch k and
+    amplifier branch j send c_m |m, m> into block j - k. Entry [e, u,
+    delta % d, r, r'] of the (entry, u, d, d, d) result is symbol u's
+    <r + delta, r| rho |r' + delta, r'>, 0 past the cutoff. Fold i holds
     delta = i on idler levels r < d - i and delta = i - d on r >= d - i
     (where n_S = r + delta fits below d), so the two never share an entry
     and the fold's spectrum is the union of theirs. Cost O(d^4), not O(d^6).
     """
-    d, gain = len(schmidt), 1.0 + np.asarray(n_th, dtype=float)
-    a = loss_amplitudes([[complex(z) / math.sqrt(g) for z in row]  # at z / sqrt(G)
-                         for row, g in zip(reflectances, gain.tolist())], d)
-    b = amplifier_amplitudes(gain, d)
+    d, gain = schmidt.shape[-1], 1.0 + np.asarray(n_th, dtype=float)
+    a = loss_amplitudes([[complex(z) / math.sqrt(g) for z, g in zip(row, gs)]  # at z / sqrt(G)
+                         for row, gs in zip(reflectances, gain.tolist())], d)
+    same = (gain == gain[:, :1]).all()  # then one amplifier table per entry serves every symbol
+    b = amplifier_amplitudes(gain[:, :1] if same else gain, d)
     fold, k, m = np.ogrid[:d, :d, :d]  # amplifier branch (k + fold) % d takes loss branch k
-    b = np.take(b.reshape(len(a), 1, d * d), (k + fold) % d * d + (m - k) % d, axis=-1)
-    branches = schmidt * a[:, :, None] * b  # b[e, 0, (k + fold) % d, (m - k) % d]
+    b = np.take(b.reshape(b.shape[:2] + (d * d,)), (k + fold) % d * d + (m - k) % d, axis=-1)
+    branches = schmidt[:, None, None, None] * a[:, :, None] * b  # axes (e, u, fold, k, m)
     blocks = np.swapaxes(branches, -1, -2) @ branches.conj()
-    lossy = np.flatnonzero(np.asarray(idler_attenuation) < 1.0)  # entries with idler loss
-    if lossy.size:
-        c = loss_amplitudes(np.asarray(idler_attenuation)[lossy], d)[:, None, None]
-        part, acc = blocks[lossy], np.zeros((lossy.size,) + blocks.shape[1:], blocks.dtype)
-        for l in range(d):
-            w = c[..., l, l:, None] * c[..., l, None, l:].conj()  # idler r -> r - l, fold +l
-            acc[..., :d - l, :d - l] += w * part[:, :, (np.arange(d) - l) % d, l:, l:]
-        blocks[lossy] = acc
     return 0.5 * (blocks + np.swapaxes(blocks, -1, -2).conj())
-

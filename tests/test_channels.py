@@ -273,8 +273,8 @@ class TestCellChannel:
                  lambda z: pure_state_cell_output(vec, [[z]], [n_th])[0, 0]),
                 (coherent_cell_output(0.49, [zs], [n_th], d)[0],
                  lambda z: coherent_cell_output(0.49, [[z - centre, centre - z]], [n_th], d)[0, 0]),
-                (epr_output_blocks(schmidt, [zs], [n_th], [0.7])[0],
-                 lambda z: epr_output_blocks(schmidt, [[z]], [n_th], [0.7])[0, 0])):
+                (epr_output_blocks(schmidt[None], [zs], [[n_th] * len(zs)])[0],
+                 lambda z: epr_output_blocks(schmidt[None], [[z]], [[n_th]])[0, 0])):
             assert stack.shape[0] == len(zs)
             for out, z in zip(stack, zs):
                 assert np.max(np.abs(out - single(z))) < 1e-15
@@ -282,18 +282,20 @@ class TestCellChannel:
     @pytest.mark.parametrize("zs", [(0.0, 1.0), (0.9 * np.exp(0.7j), -0.5)],
                              ids=["real", "complex"])
     def test_builders_stack_entries(self, zs):
-        # one call over entries (n_th, idler tau) gives each entry's own output, bit for bit
+        # one call over entries gives each entry's own output, bit for bit; EPR entries
+        # differ in probe energy and in each symbol's noise
         d = 12
-        vec, schmidt = coherent_state(0.7, d), np.diagonal(epr_state(0.2, 1, d).reshape(d, d))
-        settings = [(0.0, 1.0), (0.4, 1.0), (0.4, 0.7), (0.0, 0.0)]
-        n_th, idler = zip(*settings)
+        vec = coherent_state(0.7, d)
+        n_th = (0.0, 0.4, 0.4, 0.0)
         coherent = pure_state_cell_output(vec, [zs] * 4, n_th)
         displaced = coherent_cell_output(0.49, [zs] * 4, n_th, d)
-        epr = epr_output_blocks(schmidt, [zs] * 4, n_th, idler)
-        for e, (nth, tau) in enumerate(settings):
+        schmidt = epr_amplitudes(np.array([0.2, 0.2, 0.098, 0.0]), d)
+        noise = [(0.0, 0.0), (0.4, 0.4), (0.4, 0.13), (0.0, 0.7)]
+        epr = epr_output_blocks(schmidt, [zs] * 4, noise)
+        for e, nth in enumerate(n_th):
             assert np.array_equal(coherent[e], pure_state_cell_output(vec, [zs], [nth])[0])
             assert np.array_equal(displaced[e], coherent_cell_output(0.49, [zs], [nth], d)[0])
-            assert np.array_equal(epr[e], epr_output_blocks(schmidt, [zs], [nth], [tau])[0])
+            assert np.array_equal(epr[e], epr_output_blocks(schmidt[e:e + 1], [zs], [noise[e]])[0])
 
     def test_epr_signal_killed_leaves_thermal_marginal(self):
         vec = epr_state(0.8, 1, 26)
@@ -347,14 +349,14 @@ reflectance = st.one_of(st.floats(-1.0, 1.0).map(complex),
 
 
 @given(p0=st.floats(0.0, 1.0), z0=reflectance, z1=reflectance, n=st.floats(0.0, 0.3),
-       n_th=st.floats(0.0, 2.0), idler=st.floats(0.0, 1.0))
+       n_th=st.floats(0.0, 2.0), n_th1=st.floats(0.0, 2.0))
 @settings(max_examples=40, deadline=None)
-def test_builders_are_exactly_hermitian(p0, z0, z1, n, n_th, idler):
+def test_builders_are_exactly_hermitian(p0, z0, z1, n, n_th, n_th1):
     # block_entropies checks no Hermiticity: the stacks and their mixture are Hermitian bit for bit
     d, probs = 16, (p0, 1.0 - p0)
     schmidt = epr_amplitudes(n, d)
     for outputs in (coherent_cell_output(n, [(z0, z1)], [n_th], d)[0],
-                    epr_output_blocks(schmidt, [(z0, z1)], [n_th], [idler])[0]):
+                    epr_output_blocks(schmidt[None], [(z0, z1)], [(n_th, n_th1)])[0]):
         mixture = sum(p * outputs[u] for u, p in enumerate(probs))
         for x in (outputs, mixture):
             assert np.array_equal(x, x.conj().swapaxes(-1, -2))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qreading import (
     MarginalCell,
     TransmitterSpec,
+    TruncationError,
     bounding_rates,
     shannon_entropy_d,
 )
@@ -18,11 +19,11 @@ from qreading.channels import epr_output_blocks
 
 from oracles import (
     FockDensityMatrix,
-    apply_cell_channel,
-    apply_loss,
+    amplifier_kraus,
     epr_state,
     gaussian_channel_action,
     gaussian_probe,
+    loss_kraus,
     symplectic_entropy,
     von_neumann_entropy,
 )
@@ -39,9 +40,35 @@ IDS = ["complex-z-noisy", "z0-noisy", "complex-z-noiseless", "idler-loss-noisele
        "idler-loss-noisy", "z0-idler-loss"]
 
 
-def dense_output(vec, d, z, n_th, tau):
-    rho = apply_cell_channel(FockDensityMatrix.from_pure(vec, (d, d)), z, n_th)
-    return apply_loss(rho, tau, 1) if tau < 1.0 else rho
+def on_signal(rho, kraus):
+    """sum_k K_k rho K_k^dag, each K_k acting on the first mode of a (D, d, D, d) operator."""
+    left = np.tensordot(kraus, rho, axes=([2], [0]))  # (k, i, r, b, r')
+    return np.tensordot(left, kraus.conj(), axes=([0, 3], [0, 2])).transpose(0, 1, 3, 2)
+
+
+def dense_output(n, d, z, n_th, tau):
+    """P rho P, P onto levels below d, for loss tau on the idler of a two-mode squeezed
+    vacuum of energy n and the cell channel (z, n_th) on its signal, as dense Kraus sums.
+    The probe is truncated at D levels, where its dropped weight t^D is below 1e-16."""
+    t = n / (n + 1.0)
+    top = max(d, math.ceil(math.log(1e-16) / math.log(t))) if t > 0 else d
+    psi = epr_state(n, 1, top).reshape(top, top)
+    lost = np.einsum("sr,lqr->lsq", psi, loss_kraus(tau, top)[:, :d])  # idler r -> q < d
+    rho = np.einsum("lsq,ltp->sqtp", lost, lost.conj())
+    gain = 1.0 + n_th  # noise: loss to 1 / G, then the amplifier of gain G
+    for kraus in (loss_kraus(z, top), loss_kraus(1.0 / math.sqrt(gain), top),
+                  amplifier_kraus(gain, top)):
+        rho = on_signal(rho, kraus)
+    return FockDensityMatrix((d, d), rho[:d, :, :d].reshape(d * d, d * d))
+
+
+def mapped_blocks(n, d, z, n_th, tau):
+    """The builder's blocks of the same output: idler loss tau is the probe at
+    tau^2 n with a gain T = (n + 1) / (tau^2 n + 1) amplifier on the signal."""
+    gain = (n + 1.0) / (tau * tau * n + 1.0)
+    schmidt = np.diagonal(epr_state(tau * tau * n, 1, d).reshape(d, d))
+    return epr_output_blocks(schmidt[None], [[z * math.sqrt(gain)]],
+                             [[n_th + abs(z) ** 2 * (gain - 1.0)]])[0, 0]
 
 
 def embed(blocks, d):
@@ -61,10 +88,9 @@ def embed(blocks, d):
 
 def dense_rate(cell, tx, n_th, d, tau):
     """A one-entry rate's numbers from dense d^2 x d^2 outputs: rate, deficit, cross."""
-    vec = epr_state(tx.n, 1, d)
     rhos, cond, cross, deficit = [], 0.0, 0.0, 0.0
     for p, z in zip(cell.probs, cell.reflectances):
-        rho = dense_output(vec, d, z, n_th, tau)
+        rho = dense_output(tx.n, d, z, n_th, tau)
         gauss = gaussian_channel_action(gaussian_probe(tx), z, n_th, 0)
         if tau < 1.0:
             gauss = gaussian_channel_action(gauss, tau, 0.0, 1)
@@ -81,9 +107,8 @@ class TestBlockOracle:
     @pytest.mark.parametrize("z,n_th,tau", CASES, ids=IDS)
     def test_blocks_equal_dense_output(self, z, n_th, tau):
         d = 8
-        vec = epr_state(0.6, 1, d)  # weight reaches the cutoff
-        dense = dense_output(vec, d, z, n_th, tau).data
-        blocks = epr_output_blocks(np.diagonal(vec.reshape(d, d)), [[z]], [n_th], [tau])[0, 0]
+        dense = dense_output(0.6, d, z, n_th, tau).data  # weight reaches the cutoff
+        blocks = mapped_blocks(0.6, d, z, n_th, tau)
         assert blocks.shape == (d, d, d)
         embedded, inside = embed(blocks, d)
         assert np.max(np.abs(embedded - dense)) < 1e-12
@@ -100,6 +125,29 @@ class TestBlockOracle:
         assert abs(res.rate_bits - max(rate, 0.0)) < 1e-12
         assert abs(res.trace_deficit - deficit) < 1e-12
         assert abs(res.cross_check_error - cross) < 1e-12
+
+
+class TestIdlerLoss:
+    # idler loss is the probe at tau^2 n with an amplifier on its signal, so every
+    # output is exactly P rho P and the truncated probe is the lower-energy one
+    AMP = MarginalCell.binary(0.5, 0.0, 1.0)
+
+    def test_rate_is_exact_at_the_default_dim(self):
+        [res] = bounding_rates(self.AMP, TransmitterSpec.epr(1.0), 1.0, [0.5], 30,
+                               attenuate_idler=True)
+        [ref] = bounding_rates(self.AMP, TransmitterSpec.epr(1.0), 1.0, [0.5], 70,
+                               attenuate_idler=True)
+        assert abs(res.rate_bits - ref.rate_bits) < 1e-11
+        assert res.cross_check_error < 1e-10
+
+    def test_guard_reads_the_truncated_probe(self):
+        # TMSV(3) drops 1.8e-4 of its weight at d = 30; TMSV(0.75), the probe built, does not
+        tx = TransmitterSpec.epr(3.0)
+        [res] = bounding_rates(self.AMP, tx, 1.0, [0.5], 30, attenuate_idler=True)
+        [ref] = bounding_rates(self.AMP, tx, 1.0, [0.5], 90, attenuate_idler=True)
+        assert abs(res.rate_bits - ref.rate_bits) < 1e-9  # the output's deficit is 9.4e-10
+        with pytest.raises(TruncationError, match="EPR-state norm deficit"):
+            bounding_rates(self.AMP, tx, 1.0, [1.0], 30, attenuate_idler=True)
 
 
 class TestCostGuard:
@@ -167,3 +215,14 @@ def test_rate_bounded_and_monotone_in_tau(p0, z0, z1, n, n_th, dim, taus, both_s
     assert 0.0 <= r_lo <= bound + 1e-9
     assert 0.0 <= r_hi <= bound + 1e-9
     assert r_lo <= r_hi + 1e-7
+
+
+@given(p0=st.floats(0.05, 0.95), z0=reflectance, z1=reflectance, n=st.floats(0.0, 0.1),
+       n_th=st.floats(0.0, 0.2), dim=st.integers(10, 12))
+@settings(max_examples=20, deadline=None)
+def test_idler_untouched_at_tau_one(p0, z0, z1, n, n_th, dim):
+    # at tau = 1 the amplifier's gain is exactly 1: both variants agree bit for bit
+    cell, tx = MarginalCell.binary(p0, z0, z1), TransmitterSpec.epr(n)
+    one, two = (bounding_rates(cell, tx, n_th, [1.0], dim, attenuate_idler=both)[0]
+                for both in (False, True))
+    assert one == two

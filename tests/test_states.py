@@ -312,3 +312,13 @@ class TestTransmitterSpec:
         vec = epr_amplitudes(0.7, 25)
         assert vec.shape == (25,)
         assert abs(np.vdot(vec, vec).real - 1.0) < 1e-8
+
+    def test_amplitudes_one_row_per_energy(self):
+        # one array call gives each energy's own row bit for bit, and guards every row
+        energies = [0.0, 0.098, 0.2, 0.75, 1.0]
+        rows = epr_amplitudes(np.array(energies), 30)
+        assert rows.shape == (5, 30)
+        for n, row in zip(energies, rows):
+            assert np.array_equal(row, epr_amplitudes(n, 30))
+        with pytest.raises(TruncationError, match="EPR-state norm deficit 1.786e-04"):
+            epr_amplitudes(np.array([0.75, 3.0]), 30)
