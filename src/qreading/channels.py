@@ -14,17 +14,11 @@ coherent, so a coherent output needs no loss table: it is built from its
 displacement, centred on the cell, with no probe truncation. The builders
 take a stack of entries (a row of reflectances with its noise) and build all
 their tables in one array call per kind. A setting is plain scalars: the cell
-ensemble checks |z| <= 1, and the attenuator composition (tau z, tau^2 n_th)
-lives in rates.bounding_rates.
-
+ensemble checks |z| <= 1, and rates.bounding_rates composes the attenuator.
 An EPR probe is its d real Schmidt coefficients (epr_amplitudes), one row per
-entry. Idler loss tau on a two-mode squeezed vacuum of energy n is that state
-at energy tau^2 n with its signal through a quantum-limited amplifier of gain
-(n + 1) / (tau^2 n + 1): both have idler variance 2 tau^2 n + 1, correlation
-2 tau sqrt(n (n + 1)) and signal variance 2n + 1 (Caruso, Giovannetti and
-Holevo, NJP 8, 310 (2006)). So no idler enters the builder, and every EPR
-output is exactly P rho P. Both probe guards live here: each probe's weight
-below d must fall short of 1 by at most DEFAULT_EPS_TRUNC (NaN fails).
+entry; no idler enters the builder, so every EPR output is exactly P rho P.
+Both probe guards live here: each probe's weight below d must fall short of 1
+by at most DEFAULT_EPS_TRUNC (NaN fails).
 """
 
 from __future__ import annotations
@@ -34,6 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import TruncationError
 
@@ -145,10 +140,9 @@ def epr_amplitudes(n: float | np.ndarray, dim: int) -> np.ndarray:
         raise ValueError("dim must be >= 2")
     n = np.asarray(n, dtype=float)[..., None]
     amp = np.sqrt((n / (n + 1.0)) ** np.arange(dim) / (n + 1.0))
-    deficit = 1.0 - np.sum(amp * amp, axis=-1)
-    if not np.all(deficit <= DEFAULT_EPS_TRUNC):
-        raise TruncationError(
-            f"EPR-state norm deficit {deficit.max():.3e} > {DEFAULT_EPS_TRUNC:.1e}")
+    deficit = float(np.max(1.0 - np.sum(amp * amp, axis=-1), initial=0.0))  # NaN stays NaN
+    if not deficit <= DEFAULT_EPS_TRUNC:
+        raise TruncationError(f"EPR-state norm deficit {deficit:.3e} > {DEFAULT_EPS_TRUNC:.1e}")
     return amp
 
 
@@ -198,21 +192,19 @@ def epr_output_blocks(schmidt: np.ndarray, reflectances: Sequence[Sequence[compl
     """The cell channel on sum_m c_m |m, m>, by blocks, per entry e (Schmidt
     row ``schmidt[e]`` and a row of ``reflectances``) and symbol u, at noise n_th[e][u].
 
-    Each step commutes with exp(i phi (n_S - n_R)): loss branch k and
-    amplifier branch j send c_m |m, m> into block j - k. Entry [e, u,
-    delta % d, r, r'] of the (entry, u, d, d, d) result is symbol u's
-    <r + delta, r| rho |r' + delta, r'>, 0 past the cutoff. Fold i holds
-    delta = i on idler levels r < d - i and delta = i - d on r >= d - i
-    (where n_S = r + delta fits below d), so the two never share an entry
-    and the fold's spectrum is the union of theirs. Cost O(d^4), not O(d^6).
+    Each step commutes with exp(i phi (n_S - n_R)): loss branch k and amplifier branch j
+    send c_m |m, m> into block j - k. Entry [e, u, delta % d, r, r'] of the (entry, u,
+    d, d, d) result is symbol u's <r + delta, r| rho |r' + delta, r'>, 0 past the cutoff.
+    Fold i holds delta = i on idler levels r < d - i and delta = i - d on r >= d - i
+    (where n_S = r + delta fits below d), so the two never share an entry and the
+    fold's spectrum is the union of theirs. Cost O(d^4), not O(d^6).
     """
     d, gain = schmidt.shape[-1], 1.0 + np.asarray(n_th, dtype=float)
     a = loss_amplitudes([[complex(z) / math.sqrt(g) for z, g in zip(row, gs)]  # at z / sqrt(G)
                          for row, gs in zip(reflectances, gain.tolist())], d)
-    same = (gain == gain[:, :1]).all()  # then one amplifier table per entry serves every symbol
-    b = amplifier_amplitudes(gain[:, :1] if same else gain, d)
-    fold, k, m = np.ogrid[:d, :d, :d]  # amplifier branch (k + fold) % d takes loss branch k
-    b = np.take(b.reshape(b.shape[:2] + (d * d,)), (k + fold) % d * d + (m - k) % d, axis=-1)
+    b = np.tile(amplifier_amplitudes(gain, d), (2, 2))  # branch (k + fold) % d takes loss branch k:
+    row, col = b.strides[-2:]  # b[(k + fold) % d, (m - k) % d] is tiled b[k + fold, d - k + m]
+    b = as_strided(b[..., :1, d:], b.shape[:2] + (d,) * 3, b.strides[:2] + (row, row - col, col))
     branches = schmidt[:, None, None, None] * a[:, :, None] * b  # axes (e, u, fold, k, m)
     blocks = np.swapaxes(branches, -1, -2) @ branches.conj()
     return 0.5 * (blocks + np.swapaxes(blocks, -1, -2).conj())

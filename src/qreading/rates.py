@@ -194,16 +194,15 @@ def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
 
     The composed channel is the cell channel at z -> tau z, n_th -> tau^2 n_th.
     ``attenuate_idler`` also attenuates an EPR probe's idler by tau: that is the
-    probe at energy tau^2 n with its signal amplified by T = (n + 1) /
-    (tau^2 n + 1), since both covariances read idler 2 tau^2 n + 1, correlation
-    2 tau sqrt(n (n + 1)) and signal 2n + 1 (Caruso, Giovannetti and Holevo,
-    NJP 8, 310 (2006)); so symbol u sees tau z_u sqrt(T) at noise
-    tau^2 n_th + tau^2 |z_u|^2 (T - 1). All the taus' outputs and mixtures
-    share one batched Fock build and block_entropies call per chunk (for EPR,
-    blocks of n_S - n_R) of at most _MAX_STACK_TERMS matrix entries. Each
-    symbol entropy is cross-checked against the closed form of
-    :func:`gaussian_output_entropy`, which applies the idler loss itself, with
-    the worst deviation reported.
+    probe at energy tau^2 n with its signal amplified by T = (n + 1) / (tau^2 n + 1),
+    since both covariances read idler 2 tau^2 n + 1, correlation 2 tau sqrt(n (n + 1))
+    and signal 2n + 1 (Caruso, Giovannetti and Holevo, NJP 8, 310 (2006)); so symbol
+    u sees tau z_u sqrt(T) at noise tau^2 n_th + tau^2 |z_u|^2 (T - 1). All the taus'
+    outputs and mixtures share one batched Fock build and block_entropies call per
+    chunk (for EPR, blocks of n_S - n_R) of at most _MAX_STACK_TERMS matrix entries.
+    Each symbol entropy is cross-checked against the closed form of
+    :func:`gaussian_output_entropy`, which applies the idler loss itself, with the
+    worst deviation reported.
     """
     _check_photons("n_th", n_th)
     taus = [float(tau) for tau in taus]
@@ -211,17 +210,16 @@ def bounding_rates(cell: MarginalCell, tx: TransmitterSpec, n_th: float,
         raise ValueError("tau must lie in [0, 1]")
     reflectances = [[tau * z for z in cell.reflectances] for tau in taus]
     noise = [n_th * tau * tau for tau in taus]
-    idler_loss = [tau if attenuate_idler else 1.0 for tau in taus]
+    idler_loss = taus if attenuate_idler else [1.0] * len(taus)
     if dim is None:
         dim = DEFAULT_DIM_SINGLE if tx.kind == "coherent" else DEFAULT_DIM_PER_MODE
     if dim < 2:  # before the chunk size divides by dim
         raise ValueError("dim must be >= 2")
     if tx.kind == "epr":  # idler loss t: probe energy t^2 n, signal gain T = 1 + x
-        schmidt = epr_amplitudes(np.array([tx.n * t * t for t in idler_loss]), dim)
-        excess = [tx.n * (1.0 - t) * (1.0 + t) / (tx.n * t * t + 1.0) for t in idler_loss]
-        fock_zs = [[z * math.sqrt(1.0 + x) for z in row] for row, x in zip(reflectances, excess)]
-        fock_nths = [[nth + abs(z) ** 2 * x for z in row]
-                     for row, nth, x in zip(reflectances, noise, excess)]
+        t, z = np.array(idler_loss)[:, None], np.array(reflectances)
+        schmidt = epr_amplitudes(tx.n * t[:, 0] * t[:, 0], dim)
+        x = tx.n * (1.0 - t) * (1.0 + t) / (tx.n * t * t + 1.0)
+        fock_zs, fock_nths = z * np.sqrt(1.0 + x), np.array(noise)[:, None] + np.abs(z) ** 2 * x
     probs, bound = cell.probs, shannon_entropy_d(cell.probs[1:])
     block = dim ** (2 if tx.kind == "coherent" else 3)  # terms of one state's blocks
     step = max(1, _MAX_STACK_TERMS // ((len(probs) + 1) * block))

@@ -136,19 +136,24 @@ def amplifier_kraus(gain: float, dim: int) -> np.ndarray:
 
 def _apply_kraus_mode(rho: FockDensityMatrix, ops: np.ndarray,
                       mode: int) -> FockDensityMatrix:
-    """sum_k O_k rho O_k^dag with each O_k acting on one mode."""
+    """sum_k O_k rho O_k^dag with each O_k acting on one mode, two tensordots per
+    O_k; a (k, e, dims[mode]) stack leaves that mode its first e levels."""
     m = rho.mode_count
     if not (0 <= mode < m):
         raise ValueError(f"mode {mode} out of range for {m} modes")
     tensor = np.moveaxis(rho.data.reshape(rho.dims * 2), (mode, m + mode), (0, 1))
-    out = np.einsum("kia,ab...,kjb->ij...", ops, tensor, ops.conj(), optimize=True)
-    data = np.moveaxis(out, (0, 1), (mode, m + mode)).reshape(rho.data.shape)
-    return FockDensityMatrix(rho.dims, 0.5 * (data + data.conj().T))
+    out = sum(np.tensordot(np.tensordot(op, tensor, axes=(1, 0)), op.conj(), axes=(1, 1))
+              for op in ops)  # axes (i, ..., j)
+    dims = rho.dims[:mode] + ops.shape[1:2] + rho.dims[mode + 1:]
+    data = np.moveaxis(out, (0, -1), (mode, m + mode)).reshape((int(np.prod(dims)),) * 2)
+    return FockDensityMatrix(dims, 0.5 * (data + data.conj().T))
 
 
-def apply_loss(rho: FockDensityMatrix, z: complex, mode: int = 0) -> FockDensityMatrix:
-    """Attenuation by |z|^2 plus phase rotation arg z on one mode."""
-    return _apply_kraus_mode(rho, loss_kraus(complex(z), rho.dims[mode]), mode)
+def apply_loss(rho: FockDensityMatrix, z: complex, mode: int = 0,
+               keep: int | None = None) -> FockDensityMatrix:
+    """Attenuation by |z|^2 plus phase rotation arg z on one mode, then a projection
+    onto its first ``keep`` levels (all by default)."""
+    return _apply_kraus_mode(rho, loss_kraus(complex(z), rho.dims[mode])[:, :keep], mode)
 
 
 def apply_classical_noise(rho: FockDensityMatrix, n_th: float,

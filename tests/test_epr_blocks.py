@@ -19,11 +19,11 @@ from qreading.channels import epr_output_blocks
 
 from oracles import (
     FockDensityMatrix,
-    amplifier_kraus,
+    apply_cell_channel,
+    apply_loss,
     epr_state,
     gaussian_channel_action,
     gaussian_probe,
-    loss_kraus,
     symplectic_entropy,
     von_neumann_entropy,
 )
@@ -40,26 +40,15 @@ IDS = ["complex-z-noisy", "z0-noisy", "complex-z-noiseless", "idler-loss-noisele
        "idler-loss-noisy", "z0-idler-loss"]
 
 
-def on_signal(rho, kraus):
-    """sum_k K_k rho K_k^dag, each K_k acting on the first mode of a (D, d, D, d) operator."""
-    left = np.tensordot(kraus, rho, axes=([2], [0]))  # (k, i, r, b, r')
-    return np.tensordot(left, kraus.conj(), axes=([0, 3], [0, 2])).transpose(0, 1, 3, 2)
-
-
 def dense_output(n, d, z, n_th, tau):
     """P rho P, P onto levels below d, for loss tau on the idler of a two-mode squeezed
     vacuum of energy n and the cell channel (z, n_th) on its signal, as dense Kraus sums.
     The probe is truncated at D levels, where its dropped weight t^D is below 1e-16."""
     t = n / (n + 1.0)
     top = max(d, math.ceil(math.log(1e-16) / math.log(t))) if t > 0 else d
-    psi = epr_state(n, 1, top).reshape(top, top)
-    lost = np.einsum("sr,lqr->lsq", psi, loss_kraus(tau, top)[:, :d])  # idler r -> q < d
-    rho = np.einsum("lsq,ltp->sqtp", lost, lost.conj())
-    gain = 1.0 + n_th  # noise: loss to 1 / G, then the amplifier of gain G
-    for kraus in (loss_kraus(z, top), loss_kraus(1.0 / math.sqrt(gain), top),
-                  amplifier_kraus(gain, top)):
-        rho = on_signal(rho, kraus)
-    return FockDensityMatrix((d, d), rho[:d, :, :d].reshape(d * d, d * d))
+    probe = FockDensityMatrix.from_pure(epr_state(n, 1, top), (top, top))
+    rho = apply_cell_channel(apply_loss(probe, tau, 1, keep=d), z, n_th)  # idler r < d
+    return FockDensityMatrix((d, d), rho.data.reshape(top, d, top, d)[:d, :, :d].reshape(d * d, -1))
 
 
 def mapped_blocks(n, d, z, n_th, tau):
