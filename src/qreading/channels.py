@@ -202,9 +202,9 @@ def epr_output_blocks(schmidt: np.ndarray, reflectances: Sequence[Sequence[compl
     d, gain = schmidt.shape[-1], 1.0 + np.asarray(n_th, dtype=float)
     a = loss_amplitudes([[complex(z) / math.sqrt(g) for z, g in zip(row, gs)]  # at z / sqrt(G)
                          for row, gs in zip(reflectances, gain.tolist())], d)
-    b = np.tile(amplifier_amplitudes(gain, d), (2, 2))  # branch (k + fold) % d takes loss branch k:
-    row, col = b.strides[-2:]  # b[(k + fold) % d, (m - k) % d] is tiled b[k + fold, d - k + m]
-    b = as_strided(b[..., :1, d:], b.shape[:2] + (d,) * 3, b.strides[:2] + (row, row - col, col))
+    b = np.concatenate([np.concatenate([amplifier_amplitudes(gain, d)] * 2, -1)] * 2, -2)
+    s = b.strides  # amplifier branch (k + fold) % d of loss branch k: tiled b[k + fold, d - k + m]
+    b = as_strided(b[..., :1, d:], b.shape[:2] + (d,) * 3, s[:3] + (s[2] - s[3], s[3]))
     branches = schmidt[:, None, None, None] * a[:, :, None] * b  # axes (e, u, fold, k, m)
     blocks = np.swapaxes(branches, -1, -2) @ branches.conj()
     return 0.5 * (blocks + np.swapaxes(blocks, -1, -2).conj())
