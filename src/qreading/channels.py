@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import TruncationError
 
@@ -204,7 +203,7 @@ def epr_output_blocks(schmidt: np.ndarray, reflectances: Sequence[Sequence[compl
                          for row, gs in zip(reflectances, gain.tolist())], d)
     b = np.concatenate([np.concatenate([amplifier_amplitudes(gain, d)] * 2, -1)] * 2, -2)
     s = b.strides  # amplifier branch (k + fold) % d of loss branch k: tiled b[k + fold, d - k + m]
-    b = as_strided(b[..., :1, d:], b.shape[:2] + (d,) * 3, s[:3] + (s[2] - s[3], s[3]))
+    b = np.ndarray(b.shape[:2] + (d,) * 3, b.dtype, b, d * s[3], s[:3] + (s[2] - s[3], s[3]))
     branches = schmidt[:, None, None, None] * a[:, :, None] * b  # axes (e, u, fold, k, m)
     blocks = np.swapaxes(branches, -1, -2) @ branches.conj()
     return 0.5 * (blocks + np.swapaxes(blocks, -1, -2).conj())
