@@ -8,17 +8,17 @@ exactly as a loss by z / sqrt(G) followed by the quantum-limited amplifier
 of gain G = 1 + n_th; weight the amplifier pushes past the truncation is
 dropped and shows up as the output's trace deficit. Both stages are shifts
 (Ivan, Sabapathy and Simon, PRA 84, 042311 (2011)): loss branch k sends |m>
-to a[k, m] |m - k> and amplifier branch j sends |m> to b[j, m] |m + j>,
-from (d, d) tables (float64 when z is real). Loss keeps a coherent state
-coherent, so a coherent output needs no loss table: it is built from its
-displacement, centred on the cell, with no probe truncation. The builders
-take a stack of entries (a row of reflectances with its noise) and build all
-their tables in one array call per kind. A setting is plain scalars: the cell
-ensemble checks |z| <= 1, and rates.bounding_rates composes the attenuator.
-An EPR probe is its d real Schmidt coefficients (epr_amplitudes), one row per
-entry; no idler enters the builder, so every EPR output is exactly P rho P.
-Both probe guards live here: each probe's weight below d must fall short of 1
-by at most DEFAULT_EPS_TRUNC (NaN fails).
+to a[k, m] |m - k> and amplifier branch j sends |n - j> to b[j, n] |n>, both
+(d, d) tables of one binomial over the higher level (float64 when z is real).
+Loss keeps a coherent state coherent, so a coherent output needs no loss
+table: it is built from its displacement, centred on the cell, with no probe
+truncation. The builders take a stack of entries (a row of reflectances with
+its noise) and build all their tables in one array call per kind. A setting
+is plain scalars: the cell ensemble checks |z| <= 1, and rates.bounding_rates
+composes the attenuator. An EPR probe is its d real Schmidt coefficients
+(epr_amplitudes), one row per entry; no idler enters the builder, so every
+EPR output is exactly P rho P. Both probe guards live here: each probe's
+weight below d must fall short of 1 by at most DEFAULT_EPS_TRUNC (NaN fails).
 """
 
 from __future__ import annotations
@@ -88,21 +88,20 @@ def phase_powers(x: complex | np.ndarray, count: int) -> np.ndarray:
     return np.where(x.imag == 0.0, signs, np.exp(1j * np.angle(x) * m))
 
 
-def _binomial_amplitudes(p: np.ndarray, q: np.ndarray, k: np.ndarray, n: np.ndarray,
-                         count: int) -> np.ndarray:
-    """sqrt(C(n, k) p^k q^(n-k)) where 0 <= k <= n < count, else 0, one table per
-    entry of the equal-shaped arrays p and q, as one exp of a log sum: C(n, k)
+def _binomial_amplitudes(p: np.ndarray, q: np.ndarray, count: int) -> np.ndarray:
+    """t[..., k, n] = sqrt(C(n, k) p^k q^(n-k)) where k <= n < count, else 0, one table
+    per entry of the equal-shaped arrays p and q, as one exp of a log sum: C(n, k)
     never overflows, and p or q = 0 takes no log of 0."""
-    i = np.arange(2 * count)  # n < 2 count; entries with k > n use |n - k|
+    i = np.arange(count)
     # i log x, with 0 log 0 = 0; each log is math.log's, as for a scalar x
     logs = [[math.log(x) if x > 0 else -math.inf for x in xs.ravel().tolist()] for xs in (p, q)]
     p_log, q_log = (np.maximum(i, 1) * np.array(row).reshape(p.shape + (1,)) for row in logs)
     p_log[..., 0] = q_log[..., 0] = 0.0
-    log_fact = log_factorials(2 * count)
-    r = np.abs(n - k)
-    log_amp = (log_fact[n] - log_fact[k] - log_fact[r]
-               + np.take(p_log, k, axis=-1) + np.take(q_log, r, axis=-1))
-    return np.where((k <= n) & (n < count), np.exp(0.5 * log_amp), 0.0)
+    log_fact = log_factorials(count)
+    r = i - i[:, None]  # n - k, wrapping below 0 where the table is 0
+    log_amp = (log_fact - log_fact[:, None] - log_fact[r]
+               + p_log[..., None] + np.take(q_log, r, axis=-1))
+    return np.where(r >= 0, np.exp(0.5 * log_amp), 0.0)
 
 
 def loss_amplitudes(z: complex | np.ndarray, dim: int) -> np.ndarray:
@@ -114,21 +113,19 @@ def loss_amplitudes(z: complex | np.ndarray, dim: int) -> np.ndarray:
     if eta.max() > 1.0 + 1e-12:
         raise ValueError(f"|z| = {math.sqrt(eta.max())} exceeds 1")
     eta = np.minimum(eta, 1.0)
-    k, m = np.arange(dim)[:, None], np.arange(dim)
-    return _binomial_amplitudes(1.0 - eta, eta, k, m, dim) \
-        * np.take(phase_powers(z, dim), np.abs(m - k), axis=-1)
+    k, m = np.ogrid[:dim, :dim]
+    return _binomial_amplitudes(1.0 - eta, eta, dim) \
+        * np.take(phase_powers(z, dim), abs(m - k), axis=-1)
 
 
 def amplifier_amplitudes(gain: float | np.ndarray, dim: int) -> np.ndarray:
-    """b[..., j, m], one table per gain: amplifier branch j sends |m> to b[j, m] |m + j>,
-    with b[j, m] = sqrt(C(m+j, j) (1-1/G)^j G^-(m+1)), 0 for m + j >= ``dim``: weight
-    pushed past the cutoff shows up as trace deficit instead of being hidden."""
+    """b[..., j, n], one table per gain: amplifier branch j sends |n - j> to b[j, n] |n>, the
+    loss table at eta = 1/G over sqrt(G): sqrt(C(n, j) (1-1/G)^j G^-(n-j+1)), 0 for j > n.
+    Weight pushed past ``dim`` is dropped and shows up as trace deficit, never hidden."""
     gain = np.asarray(gain, dtype=float)
     if np.any(gain < 1.0):
         raise ValueError(f"amplifier gain {gain.min()} is below 1")
-    j, m = np.arange(dim)[:, None], np.arange(dim)
-    return _binomial_amplitudes(1.0 - 1.0 / gain, 1.0 / gain, j, j + m, dim) \
-        / np.sqrt(gain)[..., None, None]
+    return _binomial_amplitudes(1.0 - 1.0 / gain, 1.0 / gain, dim) / np.sqrt(gain)[..., None, None]
 
 
 def epr_amplitudes(n: float | np.ndarray, dim: int) -> np.ndarray:
@@ -179,9 +176,9 @@ def coherent_cell_output(n: float, reflectances: Sequence[Sequence[complex]],
         raise TruncationError(
             f"coherent-state norm deficit {deficit:.3e} > {DEFAULT_EPS_TRUNC:.1e}")
     vec = mags * phase_powers(np.array(gammas), dim)
-    terms = amplifier_amplitudes(np.array(gain), dim)[:, None] * vec[..., None, :]  # b[j, m] vec[m]
-    r, j = np.ogrid[:dim, :dim]  # branch j sends |(r - j) % d> to |r>; b is 0 where it wraps
-    branches = np.take(terms.reshape(terms.shape[:2] + (-1,)), j * dim + (r - j) % dim, axis=-1)
+    n, j = np.ogrid[:dim, :dim]  # branch j sends |(n - j) % d> to b[j, n] |n>, 0 where it wraps
+    branches = np.take(vec, (n - j) % dim, axis=-1)  # C order: the Gram's last bits depend on it
+    branches *= np.swapaxes(amplifier_amplitudes(np.array(gain), dim), -1, -2)[:, None]
     rho = branches @ np.swapaxes(branches, -1, -2).conj()
     return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
 
@@ -201,9 +198,10 @@ def epr_output_blocks(schmidt: np.ndarray, reflectances: Sequence[Sequence[compl
     d, gain = schmidt.shape[-1], 1.0 + np.asarray(n_th, dtype=float)
     a = loss_amplitudes([[complex(z) / math.sqrt(g) for z, g in zip(row, gs)]  # at z / sqrt(G)
                          for row, gs in zip(reflectances, gain.tolist())], d)
-    b = np.concatenate([np.concatenate([amplifier_amplitudes(gain, d)] * 2, -1)] * 2, -2)
-    s = b.strides  # amplifier branch (k + fold) % d of loss branch k: tiled b[k + fold, d - k + m]
-    b = np.ndarray(b.shape[:2] + (d,) * 3, b.dtype, b, d * s[3], s[:3] + (s[2] - s[3], s[3]))
+    b = np.zeros(gain.shape + (2 * d, 2 * d))
+    b[..., :d, :d] = b[..., d:, d:] = amplifier_amplitudes(gain, d)
+    s = b.strides  # fold i of loss branch k: amplifier branch k + i to level m + i of diag(b, b)
+    b = np.ndarray(gain.shape + (d,) * 3, b.dtype, b, 0, s[:2] + (s[2] + s[3],) + s[2:])
     branches = schmidt[:, None, None, None] * a[:, :, None] * b  # axes (e, u, fold, k, m)
     blocks = np.swapaxes(branches, -1, -2) @ branches.conj()
     return 0.5 * (blocks + np.swapaxes(blocks, -1, -2).conj())

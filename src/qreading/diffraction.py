@@ -34,15 +34,15 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 class DiffractionGeometry:
     """Collection optics over a linear cell array, as the two ratios that
     enter the Toeplitz symbol: cell spacing over Rayleigh length, ell / x_R,
-    and cell width over spacing, d / ell.
+    above the 1e-12 window-edge tolerance, and cell width over spacing, d / ell.
     """
 
     ell_over_xr: float
     d_over_ell: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.ell_over_xr < math.inf and 0 < self.d_over_ell <= 1):
-            raise ValueError("need ell_over_xr > 0 and 0 < d_over_ell <= 1")
+        if not (_BOUNDARY_TOL < self.ell_over_xr < math.inf and 0 < self.d_over_ell <= 1):
+            raise ValueError(f"need ell_over_xr > {_BOUNDARY_TOL:g} and 0 < d_over_ell <= 1")
 
 
 @dataclass(frozen=True)

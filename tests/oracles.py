@@ -116,22 +116,23 @@ def von_neumann_entropy(rho: FockDensityMatrix) -> float:
     return float(block_entropies(rho.data[None])[0])
 
 
-def _kraus_stack(table: np.ndarray, sign: int) -> np.ndarray:
-    """Dense stack (k, dim, dim) with ops[k] |m> = table[k, m] |m + sign k>."""
+def _kraus_stack(table: np.ndarray) -> np.ndarray:
+    """Dense stack (k, dim, dim) with ops[k] |m> = table[k, m] |m - k>."""
     k, m = np.nonzero(table)
     ops = np.zeros((len(table),) * 3, dtype=table.dtype)
-    ops[k, m + sign * k, m] = table[k, m]
+    ops[k, m - k, m] = table[k, m]
     return ops
 
 
 def loss_kraus(z: complex, dim: int) -> np.ndarray:
     """Kraus stack (k, dim, dim) of the attenuation channel, from ``loss_amplitudes``."""
-    return _kraus_stack(loss_amplitudes(z, dim), -1)
+    return _kraus_stack(loss_amplitudes(z, dim))
 
 
 def amplifier_kraus(gain: float, dim: int) -> np.ndarray:
-    """Kraus stack (k, dim, dim) of the amplifier, from ``amplifier_amplitudes``."""
-    return _kraus_stack(amplifier_amplitudes(gain, dim), 1)
+    """Kraus stack (k, dim, dim) of the amplifier, from ``amplifier_amplitudes``:
+    ops[j] |n - j> = b[j, n] |n>, the transpose of the loss stack's shape."""
+    return np.swapaxes(_kraus_stack(amplifier_amplitudes(gain, dim)), 1, 2)
 
 
 def _apply_kraus_mode(rho: FockDensityMatrix, ops: np.ndarray,
@@ -197,7 +198,7 @@ def pure_state_cell_output(vec: np.ndarray, reflectances: Sequence[Sequence[comp
     gram = np.swapaxes(shifted, -1, -2) @ shifted.conj()
     rho = np.zeros_like(gram)
     for j in np.flatnonzero(b.any(axis=(0, 1, 3))):  # only branch 0 when every n_th = 0
-        bj = b[..., j, :d - j]
+        bj = b[..., j, j:]
         rho[..., j:, j:] += bj[..., :, None] * bj[..., None, :] * gram[..., :d - j, :d - j]
     return 0.5 * (rho + np.swapaxes(rho, -1, -2).conj())
 

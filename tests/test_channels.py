@@ -102,9 +102,16 @@ class TestShiftTables:
     def test_amplifier_matches_reference(self, dim, gain):
         ref = amplifier_kraus_ref(gain, dim)
         assert np.max(np.abs(amplifier_kraus(gain, dim) - ref)) < 1e-13
-        j, m = np.ogrid[:dim, :dim]
-        expected = np.where(m + j < dim, ref[j, (m + j) % dim, m], 0.0)
+        j, n = np.ogrid[:dim, :dim]
+        expected = np.where(j <= n, ref[j, n, (n - j) % dim], 0.0)
         assert np.max(np.abs(amplifier_amplitudes(gain, dim) - expected)) < 1e-13
+
+    @pytest.mark.parametrize("dim", [2, 17, 120])
+    @pytest.mark.parametrize("gain", [1.0, 1.3, 2.0, 6.0, 50.0])
+    def test_amplifier_is_the_loss_table(self, dim, gain):
+        # over its output level, the amplifier is loss to eta = 1/G scaled by 1/sqrt(G)
+        loss = loss_amplitudes(complex(1.0 / math.sqrt(gain)), dim)
+        assert np.max(np.abs(amplifier_amplitudes(gain, dim) * math.sqrt(gain) - loss)) < 1e-13
 
     def test_exact_at_the_edges(self):
         # eta = 0, eta = 1 and G = 1 give exact zeros and ones, no rounding

@@ -716,6 +716,7 @@ class TestBoundaryExits:
         ("diffraction", "--lxr-grid", "0.5,1", "--d-over-ell", "0"),
         ("rate", "--n", "0.1", "--dim", "0"),
         ("gain-map", "--n-grid", "0.1", "--nth-grid", "0", "--dim", "0"),
+        ("diffraction", "--lxr-grid", "1e-13"),
     ])
     def test_out_of_domain_exits_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

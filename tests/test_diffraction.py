@@ -147,11 +147,11 @@ class TestGeometry:
 
     @pytest.mark.parametrize("ell_over_xr,d_over_ell", [
         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
-        (1.0, math.nan), (1.0, 0.0), (1.0, 1.2)])
+        (5e-324, 1.0), (TOL, 0.7), (1.0, math.nan), (1.0, 0.0), (1.0, 1.2)])
     def test_rejects_ratios_outside_the_domain(self, ell_over_xr, d_over_ell):
         with pytest.raises(ValueError) as err:
             DiffractionGeometry(ell_over_xr, d_over_ell)
-        assert str(err.value) == "need ell_over_xr > 0 and 0 < d_over_ell <= 1"
+        assert str(err.value) == "need ell_over_xr > 1e-12 and 0 < d_over_ell <= 1"
 
     def test_fields_are_the_two_ratios(self):
         names = [f.name for f in dataclasses.fields(DiffractionGeometry)]
@@ -161,7 +161,7 @@ class TestGeometry:
     # both examples came back one ulp off through the old length round trip
     @example(0.5275275275275275, 1.0)
     @example(0.53003003003003, 0.7)
-    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    @given(st.floats(min_value=TOL, exclude_min=True, allow_infinity=False),
            st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
     @settings(max_examples=200, deadline=None)
     def test_stores_the_given_ratios(self, ratio, dl):
@@ -377,6 +377,13 @@ class TestSpectrum:
         tau_min, tau_max = tau_extrema(DiffractionGeometry(2e5))
         assert tau_min > 1.0 - 1e-5
         assert abs(tau_max - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("d_over_ell", [1.0, 0.7])
+    def test_narrowest_window_holds_its_peak(self, d_over_ell):
+        # just above the edge tolerance the window's edges are still told apart, so the
+        # term at t = 0 counts in full
+        extrema = tau_extrema(DiffractionGeometry(2 * TOL, d_over_ell))
+        assert extrema == pytest.approx((0.0, math.sqrt(d_over_ell)), abs=1e-12)
 
     def test_tau_min_monotone_in_ratio(self):
         vals = [tau_extrema(DiffractionGeometry(r))[0]
